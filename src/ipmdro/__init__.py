@@ -1,20 +1,22 @@
 """Worst-case expectations, gauge penalties, and robust GAN bounds over IPM
 uncertainty balls on finite sample spaces."""
 
-from .core import (
-    DiscreteDistribution,
+from .balls import (
     DudleyBall,
     Explicit,
     FisherBall,
-    FunctionClass,
-    FunctionVec,
     LipschitzBall,
     RkhsBall,
-    SampleSpace,
     SobolevBall,
     SupNormBall,
-    SymmetrizeResult,
     ZetaBall,
+)
+from .core import (
+    DiscreteDistribution,
+    FunctionClass,
+    FunctionVec,
+    SampleSpace,
+    SymmetrizeResult,
     discretize_structured_class,
     make_space,
     symmetrize_class,

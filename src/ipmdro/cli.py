@@ -17,19 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    DiscreteDistribution,
+from .balls import (
     DudleyBall,
     Explicit,
     FisherBall,
-    FunctionVec,
     LipschitzBall,
     RkhsBall,
-    SampleSpace,
     SobolevBall,
     SupNormBall,
-    make_space,
 )
+from .core import DiscreteDistribution, FunctionVec, SampleSpace, make_space
 from .critic import check_alignment, critic_loss
 from .dro import tightness_report, verify_identity, worst_case_expectation
 from .errors import ConfigError, IpmdroError, NumericalBreakdown
@@ -39,16 +36,6 @@ from .penalties import centered_theta, j_penalty, lambda_penalty, theta
 from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 SCHEMA_VERSION = 1
-
-CLASS_VARIANTS = (
-    "explicit",
-    "lipschitz_ball",
-    "sup_norm_ball",
-    "rkhs_ball",
-    "fisher_ball",
-    "sobolev_ball",
-    "dudley_ball",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +56,13 @@ def _float_list(field, raw, length=None):
     if length is not None and len(values) != length:
         _fail(field, f"has length {len(values)}, expected {length}")
     return values
+
+
+def _integer(field, raw):
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        _fail(field, f"expected an integer, got {raw!r}")
 
 
 @dataclasses.dataclass
@@ -99,41 +93,11 @@ class ProblemConfig:
             _fail("function_class", "required by this subcommand")
         spec = dict(self.class_spec)
         variant = spec.get("variant")
-        space = self.space
-        if variant == "explicit":
-            names = spec.get("members")
-            if not names:
-                _fail("function_class.members", "required for explicit classes")
-            return Explicit(space, tuple(self.function(n) for n in names))
-        if variant == "lipschitz_ball":
-            return LipschitzBall(space)
-        if variant == "sup_norm_ball":
-            return SupNormBall(space)
-        if variant == "dudley_ball":
-            return DudleyBall(space)
-        if variant == "rkhs_ball":
-            if "gram" in spec:
-                gram = np.array(
-                    [
-                        _float_list(f"function_class.gram row {i}", row, space.n)
-                        for i, row in enumerate(spec["gram"])
-                    ]
-                )
-                if gram.shape[0] != space.n:
-                    _fail("function_class.gram", f"needs {space.n} rows")
-            elif "gaussian_bandwidth" in spec:
-                gram = gaussian_gram(space, float(spec["gaussian_bandwidth"]))
-            else:
-                _fail("function_class", "rkhs_ball needs gram or gaussian_bandwidth")
-            return RkhsBall(space, gram=gram)
-        if variant in ("fisher_ball", "sobolev_ball"):
-            mu = self.distribution(spec.get("mu", "mu"))
-            allow = bool(spec.get("allow_zero_mass", False))
-            if variant == "fisher_ball":
-                return FisherBall(space, mu=mu, allow_zero_mass=allow)
-            return SobolevBall(space, mu=mu, allow_zero_mass=allow)
-        _fail("function_class.variant", f"unknown variant {variant!r}; "
-              f"expected one of {CLASS_VARIANTS}")
+        build = CLASS_BUILDERS.get(variant) if isinstance(variant, str) else None
+        if build is None:
+            _fail("function_class.variant", f"unknown variant {variant!r}; "
+                  f"expected one of {CLASS_VARIANTS}")
+        return build(self, spec)
 
     def distribution(self, name) -> DiscreteDistribution:
         if name not in self.distributions:
@@ -153,6 +117,53 @@ def gaussian_gram(space: SampleSpace, bandwidth: float) -> np.ndarray:
     if not bandwidth > 0.0:
         raise ConfigError("function_class.gaussian_bandwidth: must be positive")
     return np.exp(-(space.metric**2) / (2.0 * bandwidth**2))
+
+
+def _explicit_class(config, spec):
+    names = spec.get("members")
+    if not names:
+        _fail("function_class.members", "required for explicit classes")
+    return Explicit(config.space, tuple(config.function(n) for n in names))
+
+
+def _rkhs_class(config, spec):
+    space = config.space
+    if "gram" in spec:
+        gram = np.array(
+            [
+                _float_list(f"function_class.gram row {i}", row, space.n)
+                for i, row in enumerate(spec["gram"])
+            ]
+        )
+        if gram.shape[0] != space.n:
+            _fail("function_class.gram", f"needs {space.n} rows")
+    elif "gaussian_bandwidth" in spec:
+        gram = gaussian_gram(space, float(spec["gaussian_bandwidth"]))
+    else:
+        _fail("function_class", "rkhs_ball needs gram or gaussian_bandwidth")
+    return RkhsBall(space, gram=gram)
+
+
+def _mu_class(ball):
+    def build(config, spec):
+        mu = config.distribution(spec.get("mu", "mu"))
+        allow = bool(spec.get("allow_zero_mass", False))
+        return ball(config.space, mu=mu, allow_zero_mass=allow)
+
+    return build
+
+
+# config name -> builder(config, spec) of the function class
+CLASS_BUILDERS = {
+    "explicit": _explicit_class,
+    "lipschitz_ball": lambda config, spec: LipschitzBall(config.space),
+    "sup_norm_ball": lambda config, spec: SupNormBall(config.space),
+    "rkhs_ball": _rkhs_class,
+    "fisher_ball": _mu_class(FisherBall),
+    "sobolev_ball": _mu_class(SobolevBall),
+    "dudley_ball": lambda config, spec: DudleyBall(config.space),
+}
+CLASS_VARIANTS = tuple(CLASS_BUILDERS)
 
 
 def parse_config(data: dict) -> ProblemConfig:
@@ -234,20 +245,32 @@ def parse_config(data: dict) -> ProblemConfig:
 
     pairs = [[str(a), str(b)] for a, b in data.get("pairs", [])]
 
-    tol_overrides = dict(data.get("tolerances", {}))
-    valid = {f.name for f in dataclasses.fields(Tolerances)}
-    for key in tol_overrides:
-        if key not in valid:
+    tol_overrides = data.get("tolerances", {})
+    if not isinstance(tol_overrides, dict):
+        _fail("tolerances", "expected an object")
+    defaults = {f.name: getattr(DEFAULT_TOLERANCES, f.name)
+                for f in dataclasses.fields(Tolerances)}
+    for key, value in tol_overrides.items():
+        if key not in defaults:
             _fail("tolerances", f"unknown tolerance field {key!r}")
+        integral = isinstance(defaults[key], int)
+        kinds = int if integral else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an integer" if integral else "a number"
+            _fail(f"tolerances.{key}", f"expected {kind}, got {value!r}")
     tolerances = dataclasses.replace(DEFAULT_TOLERANCES, **tol_overrides)
+
+    class_spec = data.get("function_class")
+    if class_spec is not None and not isinstance(class_spec, dict):
+        _fail("function_class", f"expected an object with a variant, got {class_spec!r}")
 
     return ProblemConfig(
         raw=canonical_dict(data),
-        seed=int(data.get("seed", 0)),
+        seed=_integer("seed", data.get("seed", 0)),
         space=space,
         distributions=distributions,
         functions=functions,
-        class_spec=data.get("function_class"),
+        class_spec=class_spec,
         epsilons=epsilons,
         divergence=data.get("divergence"),
         pairs=pairs,
@@ -255,7 +278,7 @@ def parse_config(data: dict) -> ProblemConfig:
         p_name=data.get("p"),
         mu_name=data.get("mu"),
         discriminator_names=[str(x) for x in data.get("discriminators", [])],
-        samples=int(data.get("samples", 200)),
+        samples=_integer("samples", data.get("samples", 200)),
         tolerances=tolerances,
     )
 

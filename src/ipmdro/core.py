@@ -1,5 +1,6 @@
-"""Finite sample spaces, distributions, pointwise functions, and the function
-classes that parameterize the supported divergences.
+"""Finite sample spaces, distributions, pointwise functions, the base of the
+function classes that parameterize the supported divergences (the variants
+live in ``balls``), and the structural helpers the variants share.
 
 Every type is immutable after construction and validated eagerly, so the
 numerical modules can assume well-formed inputs.
@@ -7,28 +8,23 @@ numerical modules can assume well-formed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     AsymmetricMetric,
     DimensionMismatch,
-    GraphDisconnected,
-    HomogeneityViolated,
     MissingGraph,
     MissingMetric,
     SelfLoop,
-    SingularGram,
     TriangleInequalityViolated,
     UnsupportedVariant,
-    ZeroMassMu,
 )
 
 METRIC_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-GRAM_MIN_EIG = 1e-10
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -201,161 +197,66 @@ class FunctionVec:
 # function classes
 
 
+@dataclass(frozen=True)
+class SymmetrizeResult:
+    function_class: "FunctionClass"
+    already_even: bool
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionClass:
-    space: SampleSpace
+    """Base of the discriminator-class variants defined in ``balls``.
 
-
-@dataclass(frozen=True, eq=False)
-class Explicit(FunctionClass):
-    """A finite, explicitly listed discriminator set."""
-
-    functions: tuple = ()
-
-    def __post_init__(self):
-        fns = tuple(self.functions)
-        if not fns:
-            raise DimensionMismatch("an explicit class needs at least one member")
-        for f in fns:
-            if not isinstance(f, FunctionVec):
-                raise TypeError("explicit members must be FunctionVec instances")
-            require_same_space(self, f)
-        object.__setattr__(self, "functions", fns)
-        matrix = np.stack([f.values for f in fns])
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
-
-    matrix: np.ndarray = field(init=False, repr=False, default=None)
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
-
-
-@dataclass(frozen=True, eq=False)
-class LipschitzBall(FunctionClass):
-    """Functions with metric Lipschitz constant at most one."""
-
-    def __post_init__(self):
-        if self.space.metric is None:
-            raise MissingMetric("a Lipschitz ball needs a metric on the space")
-
-
-@dataclass(frozen=True, eq=False)
-class SupNormBall(FunctionClass):
-    """Functions bounded by one in sup norm."""
-
-
-@dataclass(frozen=True, eq=False)
-class RkhsBall(FunctionClass):
-    """Unit ball of the RKHS norm induced by a Gram matrix."""
-
-    gram: np.ndarray = None
-
-    def __post_init__(self):
-        k = np.array(self.gram, dtype=float)
-        n = self.space.n
-        if k.shape != (n, n):
-            raise DimensionMismatch(f"Gram matrix shape {k.shape} != ({n},{n})")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("Gram entries must be finite")
-        if np.max(np.abs(k - k.T)) > 1e-10 * (1.0 + np.max(np.abs(k))):
-            raise SingularGram("Gram matrix is not symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (k + k.T))
-        if eigvals.min() <= GRAM_MIN_EIG:
-            raise SingularGram(
-                f"Gram matrix min eigenvalue {eigvals.min():.3e} <= {GRAM_MIN_EIG}"
-            )
-        object.__setattr__(self, "gram", _frozen_array(0.5 * (k + k.T)))
-
-
-def _check_mu(cls_name, space, mu, allow_zero_mass):
-    if not isinstance(mu, DiscreteDistribution):
-        raise TypeError(f"{cls_name} needs a DiscreteDistribution mu")
-    if mu.space.points != space.points:
-        raise DimensionMismatch("mu lives on a different space")
-    if not allow_zero_mass and np.min(mu.weights) <= 0.0:
-        raise ZeroMassMu(
-            f"{cls_name} requires full-support mu; pass allow_zero_mass=True "
-            "to opt into infinite-distance semantics"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class FisherBall(FunctionClass):
-    """Functions with mu-weighted second moment at most one."""
-
-    mu: DiscreteDistribution = None
-    allow_zero_mass: bool = False
-
-    def __post_init__(self):
-        _check_mu("FisherBall", self.space, self.mu, self.allow_zero_mass)
-
-
-@dataclass(frozen=True, eq=False)
-class SobolevBall(FunctionClass):
-    """Functions whose mu-weighted discrete gradient energy is at most one."""
-
-    mu: DiscreteDistribution = None
-    allow_zero_mass: bool = False
-
-    def __post_init__(self):
-        if self.space.graph is None:
-            raise MissingGraph("a Sobolev ball needs a graph on the space")
-        _check_mu("SobolevBall", self.space, self.mu, self.allow_zero_mass)
-        if not graph_is_connected(self.space):
-            raise GraphDisconnected("a Sobolev ball needs a connected graph")
-
-
-@dataclass(frozen=True, eq=False)
-class DudleyBall(FunctionClass):
-    """Functions with sup norm plus Lipschitz constant at most one."""
-
-    def __post_init__(self):
-        if self.space.metric is None:
-            raise MissingMetric("a Dudley ball needs a metric on the space")
-
-
-@dataclass(frozen=True, eq=False)
-class ZetaBall(FunctionClass):
-    """Sublevel set of a positively homogeneous black-box penalty.
-
-    ``zeta(a * h) == a**degree * zeta(h)`` is spot-checked at construction on
-    16 deterministic random pairs.
+    Each variant implements the operations below for its own class: its
+    gauge, its centered gauge (a minimizing shift and the gauge there), its
+    IPM distance, its worst-case expectation over the distance ball, and its
+    infimal-convolution penalty.  The base refuses every one of them.
+    ``structured`` marks the six norm balls, whose gauge has a closed form and
+    which are even by construction.  ``ball_max_points`` is the largest space
+    the worst-case encoding accepts, when it has a cap.
     """
 
-    zeta: Callable[[np.ndarray], float] = None
-    degree: float = 1.0
-    convex: bool = False
+    space: SampleSpace
 
-    def __post_init__(self):
-        if not callable(self.zeta):
-            raise TypeError("zeta must be callable")
-        if not (np.isfinite(self.degree) and self.degree > 0.0):
-            raise ValueError("degree must be positive")
-        rng = np.random.default_rng(1618)
-        for _ in range(16):
-            a = float(rng.uniform(0.5, 2.0))
-            h = rng.standard_normal(self.space.n)
-            lhs = float(self.zeta(a * h))
-            rhs = a ** self.degree * float(self.zeta(h))
-            if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
-                raise HomogeneityViolated(
-                    f"zeta(a*h) = {lhs!r} but a^k*zeta(h) = {rhs!r}"
-                )
+    structured = False
+    ball_max_points = None
 
+    def gauge(self, h, tolerances=None):
+        raise UnsupportedVariant(f"no closed-form gauge for {type(self).__name__}")
 
-STRUCTURED_VARIANTS = (
-    LipschitzBall,
-    SupNormBall,
-    RkhsBall,
-    FisherBall,
-    SobolevBall,
-    DudleyBall,
-)
+    def centered_gauge(self, h, tolerances=None):
+        raise UnsupportedVariant(f"no centered gauge for {type(self).__name__}")
+
+    def distance(self, Q, P, tolerances=None):
+        raise UnsupportedVariant(f"no distance for {type(self).__name__}")
+
+    def worst_case(self, P, eps, h, tolerances=None):
+        raise UnsupportedVariant(f"no ball encoding for {type(self).__name__}")
+
+    def lambda_(self, P, eps, h, tolerances=None, reference=None):
+        raise UnsupportedVariant(
+            f"infimal convolution not implemented for {type(self).__name__}"
+        )
+
+    def is_even(self, probe_seed: int = 97) -> bool:
+        if self.structured:
+            return True
+        raise UnsupportedVariant(f"evenness undefined for {type(self).__name__}")
+
+    def symmetrized(self) -> SymmetrizeResult:
+        if self.structured:
+            return SymmetrizeResult(self, True)
+        raise UnsupportedVariant(
+            f"cannot symmetrize {type(self).__name__}; only explicit sets and the "
+            "structured balls are supported"
+        )
+
+    def discretize(self, budget: int, seed: int):
+        raise UnsupportedVariant("discretization applies to structured classes")
 
 
 # ---------------------------------------------------------------------------
-# structural helpers shared by the penalty and distance modules
+# structural helpers shared by the class variants
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -409,70 +310,17 @@ def sobolev_matrix(space: SampleSpace, mu: DiscreteDistribution) -> np.ndarray:
     return lap
 
 
-def sobolev_seminorm(space, mu, values) -> float:
-    lap = sobolev_matrix(space, mu)
-    return float(np.sqrt(max(values @ lap @ values, 0.0)))
-
-
 def rkhs_norm(gram: np.ndarray, values: np.ndarray) -> float:
     return float(np.sqrt(max(values @ np.linalg.solve(gram, values), 0.0)))
-
-
-def class_penalty_value(cls: FunctionClass, values: np.ndarray) -> float:
-    """Membership penalty whose unit sublevel set is the class."""
-    if isinstance(cls, LipschitzBall):
-        return lipschitz_constant(cls.space, values)
-    if isinstance(cls, SupNormBall):
-        return sup_norm(values)
-    if isinstance(cls, RkhsBall):
-        return rkhs_norm(cls.gram, values)
-    if isinstance(cls, FisherBall):
-        return float(np.sqrt(max(cls.mu.weights @ (values**2), 0.0)))
-    if isinstance(cls, SobolevBall):
-        return sobolev_seminorm(cls.space, cls.mu, values)
-    if isinstance(cls, DudleyBall):
-        return sup_norm(values) + lipschitz_constant(cls.space, values)
-    if isinstance(cls, ZetaBall):
-        z = float(cls.zeta(values))
-        return z ** (1.0 / cls.degree) if z > 0.0 else 0.0
-    raise UnsupportedVariant(f"no membership penalty for {type(cls).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # class-level transforms
 
 
-@dataclass(frozen=True)
-class SymmetrizeResult:
-    function_class: FunctionClass
-    already_even: bool
-
-
-def _member_key(values: np.ndarray) -> bytes:
-    return (values + 0.0).tobytes()  # fold -0.0 into +0.0
-
-
 def symmetrize_class(cls: FunctionClass) -> SymmetrizeResult:
     """Close an explicit class under negation (structured balls already are)."""
-    if isinstance(cls, Explicit):
-        seen = {}
-        for f in cls.functions:
-            seen.setdefault(_member_key(f.values), f)
-        was_even = all(_member_key(-f.values) in seen for f in seen.values())
-        members = list(seen.values())
-        for f in list(members):
-            key = _member_key(-f.values)
-            if key not in seen:
-                neg = f.negated()
-                seen[key] = neg
-                members.append(neg)
-        return SymmetrizeResult(Explicit(cls.space, tuple(members)), was_even)
-    if isinstance(cls, STRUCTURED_VARIANTS):
-        return SymmetrizeResult(cls, True)
-    raise UnsupportedVariant(
-        f"cannot symmetrize {type(cls).__name__}; only explicit sets and the "
-        "structured balls are supported"
-    )
+    return cls.symmetrized()
 
 
 def class_is_even(cls: FunctionClass, probe_seed: int = 97) -> bool:
@@ -481,58 +329,15 @@ def class_is_even(cls: FunctionClass, probe_seed: int = 97) -> bool:
     Structured balls are even by construction; explicit sets are checked
     member by member; a zeta ball is probed on random functions.
     """
-    if isinstance(cls, STRUCTURED_VARIANTS):
-        return True
-    if isinstance(cls, Explicit):
-        keys = {_member_key(f.values) for f in cls.functions}
-        return all(_member_key(-f.values) in keys for f in cls.functions)
-    if isinstance(cls, ZetaBall):
-        rng = np.random.default_rng(probe_seed)
-        for _ in range(16):
-            h = rng.standard_normal(cls.space.n)
-            a, b = float(cls.zeta(h)), float(cls.zeta(-h))
-            if abs(a - b) > 1e-9 * (1.0 + abs(a)):
-                return False
-        return True
-    raise UnsupportedVariant(f"evenness undefined for {type(cls).__name__}")
+    return cls.is_even(probe_seed)
 
 
-def discretize_structured_class(
-    cls: FunctionClass, budget: int, seed: int
-) -> Explicit:
+def discretize_structured_class(cls: FunctionClass, budget: int, seed: int):
     """Sample `budget` boundary members of a structured class.
 
     Samples are drawn deterministically from the seed and form nested sets as
     the budget grows: the first ``m`` samples for budget ``m' > m`` coincide
-    with the budget-``m`` output.  Every sample has class penalty 1, so the
-    resulting explicit set is a subset of the structured class.
+    with the budget-``m`` output.  Every sample has gauge 1, so the resulting
+    explicit set is a subset of the structured class.
     """
-    if isinstance(cls, Explicit):
-        raise UnsupportedVariant("discretization applies to structured classes")
-    if budget < 2:
-        raise ValueError("budget must be at least 2")
-    n = cls.space.n
-    rng = np.random.default_rng(seed)
-    samples = []
-
-    if isinstance(cls, SupNormBall):
-        # coordinate-extreme sign vectors first: +/- (2 e_i - 1)
-        for i in range(n):
-            v = -np.ones(n)
-            v[i] = 1.0
-            samples.append(v)
-            samples.append(-v)
-        samples = samples[:budget]
-
-    seminorm_like = isinstance(cls, (LipschitzBall, SobolevBall))
-    while len(samples) < budget:
-        g = rng.standard_normal(n)
-        if seminorm_like:
-            g = g - g.mean()
-        scale = class_penalty_value(cls, g)
-        if scale <= 1e-12:
-            continue
-        samples.append(g / scale)
-
-    fns = tuple(FunctionVec(cls.space, v) for v in samples)
-    return Explicit(cls.space, fns)
+    return cls.discretize(budget, seed)

@@ -11,36 +11,14 @@ import numpy as np
 
 from .core import (
     DiscreteDistribution,
-    DudleyBall,
-    Explicit,
-    FisherBall,
     FunctionClass,
     FunctionVec,
-    LipschitzBall,
-    RkhsBall,
-    SobolevBall,
-    SupNormBall,
-    discretize_structured_class,
     require_same_space,
-    sobolev_matrix,
 )
-from .errors import (
-    EpsNegative,
-    EpsNonPositive,
-    NumericalBreakdown,
-    UnsupportedVariant,
-)
-from .ipm import TRANSPORT_MAX_POINTS, ipm_distance
+from .errors import EpsNegative, EpsNonPositive, NumericalBreakdown
+from .ipm import ipm_distance
 from .penalties import centered_theta, j_penalty, lambda_penalty, theta
-from .solvers import (
-    DEFAULT_TOLERANCES,
-    LpStatus,
-    Tolerances,
-    lp_problem,
-    maximize_concave_quadratic_over_simplex,
-    minimize_scalar_convex,
-    solve_lp,
-)
+from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 
 class DroMethod(Enum):
@@ -82,203 +60,6 @@ class TightnessReport:
     max_subadditivity_violation: float
 
 
-def _as_distribution(space, q) -> DiscreteDistribution:
-    q = np.maximum(np.asarray(q, dtype=float), 0.0)
-    total = q.sum()
-    if total <= 0.0:
-        raise NumericalBreakdown("degenerate worst-case distribution")
-    return DiscreteDistribution(space, q / total)
-
-
-def _explicit_ball_lp(h, p, members, eps, tolerances):
-    """max <h, q> over the simplex subject to <f, q - p> <= eps per member."""
-    n = h.size
-    sol = solve_lp(
-        lp_problem(
-            h,
-            eq=(np.ones((1, n)), np.array([1.0])),
-            ub=(members, members @ p + eps),
-        ),
-        tolerances,
-    )
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("ball LP terminated abnormally (P is feasible)")
-    return sol
-
-
-def _supnorm_ball_lp(h, p, eps, tolerances):
-    n = h.size
-    nv = 3 * n  # q, r+, r-
-    c = np.concatenate([h, np.zeros(2 * n)])
-    a_eq = np.zeros((n + 1, nv))
-    a_eq[:n, :n] = np.eye(n)
-    a_eq[:n, n : 2 * n] = -np.eye(n)
-    a_eq[:n, 2 * n :] = np.eye(n)
-    a_eq[n, :n] = 1.0
-    b_eq = np.concatenate([p, [1.0]])
-    a_ub = np.zeros((1, nv))
-    a_ub[0, n:] = 1.0
-    sol = solve_lp(
-        lp_problem(c, eq=(a_eq, b_eq), ub=(a_ub, np.array([eps]))), tolerances
-    )
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("ball LP terminated abnormally (P is feasible)")
-    return sol
-
-
-def _lipschitz_ball_lp(space, h, p, eps, tolerances):
-    n = space.n
-    if n > TRANSPORT_MAX_POINTS:
-        raise ValueError(
-            f"the coupling encoding supports at most {TRANSPORT_MAX_POINTS} points"
-        )
-    cost = space.metric.reshape(-1)
-    c = np.repeat(h, n)  # objective sum_ij h_i pi_ij
-    a_eq = np.zeros((n, n * n))
-    for j in range(n):
-        a_eq[j, j::n] = 1.0  # column sums = p
-    sol = solve_lp(
-        lp_problem(c, eq=(a_eq, p), ub=(cost.reshape(1, -1), np.array([eps]))),
-        tolerances,
-    )
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("ball LP terminated abnormally (P is feasible)")
-    return sol
-
-
-def _ball_matrix(cls):
-    """Quadratic form M with d(Q, P)^2 = (q-p)' M (q-p) on its finite domain."""
-    if isinstance(cls, RkhsBall):
-        return np.asarray(cls.gram)
-    if isinstance(cls, SobolevBall):
-        lap = sobolev_matrix(cls.space, cls.mu)
-        eigval, eigvec = np.linalg.eigh(lap)
-        cutoff = 1e-10 * max(float(eigval.max()), 1.0)
-        positive = eigval > cutoff
-        if np.sum(~positive) > 1:
-            raise UnsupportedVariant(
-                "worst-case over a Sobolev ball needs a connected effective graph"
-            )
-        inv = np.where(positive, 1.0 / np.where(positive, eigval, 1.0), 0.0)
-        return eigvec @ np.diag(inv) @ eigvec.T
-    raise UnsupportedVariant(type(cls).__name__)
-
-
-def _quadratic_ball_dual(P, cls, eps, h, tolerances) -> DroResult:
-    """Dual bisection on the multiplier of the squared-distance constraint.
-
-    The inner problem is a concave quadratic over the simplex; the outer dual
-    function is convex in the multiplier and minimized by golden section on a
-    bracket grown until the ball constraint goes slack.  The reported value
-    comes from a certified-feasible primal point, with the primal-dual
-    sandwich width as the gap estimate.
-    """
-    space = P.space
-    n = space.n
-    v = h.values
-    p = P.weights
-
-    if isinstance(cls, FisherBall):
-        supp = cls.mu.weights > 0.0
-        mass = float(p[supp].sum())
-        if mass <= 0.0:  # no movable mass: the ball is {P}
-            return DroResult(float(p @ v), P, DroMethod.EXACT_LP, 0.0)
-        m_supp = np.diag(1.0 / cls.mu.weights[supp])
-        h_s = v[supp]
-        p_s = p[supp]
-        off_term = float(p[~supp] @ v[~supp])
-    else:
-        supp = np.ones(n, dtype=bool)
-        mass = 1.0
-        m_supp = _ball_matrix(cls)
-        h_s = v
-        p_s = p
-        off_term = 0.0
-
-    def distance(q_s):
-        d = q_s - p_s
-        return float(np.sqrt(max(d @ m_supp @ d, 0.0)))
-
-    if eps == 0.0:
-        return DroResult(float(p @ v), P, DroMethod.EXACT_LP, 0.0)
-
-    state = {"warm": p_s / mass if mass > 0 else None}
-
-    def inner(lam):
-        qmat = -lam * mass * mass * m_supp
-        c = mass * h_s + 2.0 * lam * mass * (m_supp @ p_s)
-        value, u = maximize_concave_quadratic_over_simplex(
-            qmat, c, tol=tolerances.quad_pg_tol, tolerances=tolerances,
-            start=state["warm"],
-        )
-        state["warm"] = u
-        const = off_term - lam * float(p_s @ m_supp @ p_s)
-        return value + const, mass * u
-
-    def dual(lam):
-        val, _ = inner(lam)
-        return lam * eps * eps + val
-
-    # unconstrained maximizer: if already inside the ball we are done
-    val0, q0 = inner(0.0)
-    if distance(q0) <= eps:
-        q = p.copy()
-        q[supp] = q0
-        return DroResult(val0, _as_distribution(space, q), DroMethod.DUAL_BISECTION, 0.0)
-
-    lam_max = (float(v.max()) - float(v.min())) / (eps * eps)
-    lam_max = max(lam_max, 1e-6)
-    for _ in range(80):
-        _, q_hi = inner(lam_max)
-        if distance(q_hi) <= eps:
-            break
-        lam_max *= 2.0
-
-    golden = 0.5 * (np.sqrt(5.0) - 1.0)
-    lam_star, _ = minimize_scalar_convex(
-        dual, 0.0, lam_max, tol=lam_max * golden**tolerances.golden_iterations
-    )
-    dual_value = dual(lam_star)
-    _, q_hat = inner(lam_star)
-    d_hat = distance(q_hat)
-    if d_hat > eps:
-        q_hat = p_s + (q_hat - p_s) * (eps / d_hat)
-    q = p.copy()
-    q[supp] = q_hat
-    primal_value = float(q @ v)
-    gap = max(dual_value - primal_value, 0.0)
-    return DroResult(
-        primal_value, _as_distribution(space, q), DroMethod.DUAL_BISECTION, gap
-    )
-
-
-def _dudley_ball(P, cls, eps, h, tolerances) -> DroResult:
-    """Column generation over sampled boundary functions of the Dudley ball."""
-    space = P.space
-    p = P.weights
-    seed_members = discretize_structured_class(cls, 4 * space.n, seed=0)
-    members = [f.values for f in seed_members.functions]
-    q = None
-    value = None
-    violation = 0.0
-    for _ in range(200):
-        sol = _explicit_ball_lp(h.values, p, np.array(members), eps, tolerances)
-        q = sol.x
-        value = sol.value
-        qdist = _as_distribution(space, q)
-        sep = ipm_distance(cls, qdist, P, tolerances)
-        violation = sep.value - eps
-        if violation <= tolerances.dudley_separation:
-            break
-        members.append(sep.witness.values)
-    else:
-        raise NumericalBreakdown("Dudley column generation failed to converge")
-    gap = 0.0
-    if violation > 0.0:
-        gap = violation / max(sep.value, violation) * abs(float(h.values @ (q - p)))
-    return DroResult(float(value), _as_distribution(space, q), DroMethod.EXACT_LP, gap)
-
-
 def worst_case_expectation(
     P: DiscreteDistribution,
     cls: FunctionClass,
@@ -296,36 +77,7 @@ def worst_case_expectation(
     require_same_space(P, cls)
     if eps < 0.0:
         raise EpsNegative(f"eps must be nonnegative, got {eps!r}")
-    space = P.space
-
-    if isinstance(cls, Explicit):
-        sol = _explicit_ball_lp(h.values, P.weights, cls.matrix, eps, tolerances)
-        result = DroResult(
-            float(sol.value), _as_distribution(space, sol.x), DroMethod.EXACT_LP
-        )
-    elif isinstance(cls, SupNormBall):
-        sol = _supnorm_ball_lp(h.values, P.weights, eps, tolerances)
-        result = DroResult(
-            float(sol.value),
-            _as_distribution(space, sol.x[: space.n]),
-            DroMethod.EXACT_LP,
-        )
-    elif isinstance(cls, LipschitzBall):
-        sol = _lipschitz_ball_lp(space, h.values, P.weights, eps, tolerances)
-        plan = sol.x.reshape(space.n, space.n)
-        result = DroResult(
-            float(sol.value), _as_distribution(space, plan.sum(axis=1)),
-            DroMethod.EXACT_LP,
-        )
-    elif isinstance(cls, DudleyBall):
-        result = _dudley_ball(P, cls, eps, h, tolerances)
-    elif isinstance(cls, (FisherBall, RkhsBall, SobolevBall)):
-        result = _quadratic_ball_dual(P, cls, eps, h, tolerances)
-    else:
-        raise UnsupportedVariant(
-            f"no ball encoding for {type(cls).__name__}"
-        )
-
+    result = cls.worst_case(P, eps, h, tolerances)
     feas = ipm_distance(cls, result.worst_q, P, tolerances).value
     if feas > eps + tolerances.ball_feasibility:
         raise NumericalBreakdown(
@@ -366,15 +118,17 @@ def corollary_bound(
 ) -> BoundReport:
     """Check the centered-gauge upper bound on the worst-case expectation.
 
-    On Lipschitz balls past the coupling-LP size cap the left side is
-    computed through the penalty identity instead (an exact LP).
+    Past the size cap of the ball's encoding (the coupling LP of the
+    Lipschitz ball) the left side is computed through the penalty identity
+    instead (an exact LP).
     """
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
     b_star, cth = centered_theta(cls, h, tolerances)
     e_p_h = float(P.weights @ h.values)
     rhs = e_p_h + eps * cth.value
-    if isinstance(cls, LipschitzBall) and P.space.n > TRANSPORT_MAX_POINTS:
+    cap = cls.ball_max_points
+    if cap is not None and P.space.n > cap:
         lam = lambda_penalty(P, cls, eps, h, tolerances)
         lhs = e_p_h + lam.value
         method = "identity"

@@ -53,6 +53,10 @@ class NumericalBreakdown(IpmdroError):
     pass
 
 
+class SizeCapExceeded(IpmdroError, ValueError):
+    """The instance is larger than a dense encoding supports."""
+
+
 class NotConcave(IpmdroError):
     pass
 

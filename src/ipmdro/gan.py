@@ -7,16 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import (
-    DiscreteDistribution,
-    Explicit,
-    FunctionClass,
-    require_same_space,
-)
+from .core import DiscreteDistribution, FunctionClass, require_same_space
 from .dro import worst_case_expectation
 from .errors import (
     DiscriminatorOutOfDomain,
@@ -25,6 +20,9 @@ from .errors import (
 )
 from .penalties import theta
 from .solvers import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:
+    from .balls import Explicit
 
 DOMAIN_MARGIN = 1e-9  # enforced at open conjugate-domain endpoints
 

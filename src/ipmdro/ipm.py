@@ -9,33 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (
-    DiscreteDistribution,
-    DudleyBall,
-    Explicit,
-    FisherBall,
-    FunctionClass,
-    FunctionVec,
-    LipschitzBall,
-    RkhsBall,
-    SobolevBall,
-    SupNormBall,
-    lipschitz_pairs,
-    require_same_space,
-    sobolev_matrix,
-)
-from .errors import NumericalBreakdown, UnsupportedVariant
-from .solvers import (
-    DEFAULT_TOLERANCES,
-    FREE,
-    NONNEG,
-    LpStatus,
-    Tolerances,
-    lp_problem,
-    solve_lp,
-)
+from .core import DiscreteDistribution, FunctionClass, require_same_space
+from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 TRANSPORT_MAX_POINTS = 60  # dense n^2-variable coupling LP cap
 
@@ -53,66 +28,6 @@ class IpmValue:
     witness: object = None
 
 
-def _transport_distance(space, q, p, tolerances) -> IpmValue:
-    n = space.n
-    if n > TRANSPORT_MAX_POINTS:
-        raise ValueError(
-            f"transport distance supports at most {TRANSPORT_MAX_POINTS} points"
-        )
-    cost = space.metric.reshape(-1)
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n : (i + 1) * n] = 1.0  # row sums = q
-        a_eq[n + i, i::n] = 1.0  # column sums = p
-    b_eq = np.concatenate([q, p])
-    sol = solve_lp(lp_problem(-cost, eq=(a_eq, b_eq)), tolerances)
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("transport LP terminated abnormally")
-    plan = sol.x.reshape(n, n)
-    return IpmValue(max(-sol.value, 0.0), plan)
-
-
-def _dudley_distance(space, delta, tolerances) -> IpmValue:
-    n = space.n
-    metric = space.metric
-    nv = n + 2  # h, sup bound u, lipschitz bound v
-    c = np.concatenate([delta, [0.0, 0.0]])
-    rows, rhs = [], []
-    for i in range(n):  # |h_i| <= u
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[n] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(nv)
-        row[i] = -1.0
-        row[n] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for i, j in lipschitz_pairs(space):  # |h_i - h_j| <= v c(i,j)
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[j] = -1.0
-        row[n + 1] = -metric[i, j]
-        rows.append(row)
-        rhs.append(0.0)
-        rows.append(-row.copy())
-        rows[-1][n + 1] = -metric[i, j]
-        rhs.append(0.0)
-    row = np.zeros(nv)
-    row[n] = 1.0
-    row[n + 1] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    bounds = [FREE] * n + [NONNEG, NONNEG]
-    sol = solve_lp(
-        lp_problem(c, ub=(np.array(rows), np.array(rhs)), bounds=bounds), tolerances
-    )
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("Dudley distance LP terminated abnormally")
-    return IpmValue(float(sol.value), FunctionVec(space, sol.x[:n]))
-
-
 def ipm_distance(
     cls: FunctionClass,
     Q: DiscreteDistribution,
@@ -122,63 +37,4 @@ def ipm_distance(
     """d(Q, P) for the given function class."""
     require_same_space(Q, P)
     require_same_space(Q, cls)
-    delta = Q.weights - P.weights
-    space = Q.space
-
-    if isinstance(cls, Explicit):
-        gaps = cls.matrix @ delta
-        best = int(np.argmax(gaps))
-        return IpmValue(float(gaps[best]), cls.functions[best])
-
-    if isinstance(cls, SupNormBall):
-        sign = np.sign(delta)
-        sign[sign == 0.0] = 1.0
-        return IpmValue(float(np.abs(delta).sum()), FunctionVec(space, sign))
-
-    if isinstance(cls, LipschitzBall):
-        return _transport_distance(space, Q.weights, P.weights, tolerances)
-
-    if isinstance(cls, RkhsBall):
-        quad = float(delta @ cls.gram @ delta)
-        value = float(np.sqrt(max(quad, 0.0)))
-        witness = None
-        if value > 1e-14:
-            witness = FunctionVec(space, cls.gram @ delta / value)
-        return IpmValue(value, witness)
-
-    if isinstance(cls, FisherBall):
-        mu = cls.mu.weights
-        off = mu <= 0.0
-        if np.any(np.abs(delta[off]) > 1e-15):
-            return IpmValue(np.inf, None)
-        supp = ~off
-        quad = float(np.sum(delta[supp] ** 2 / mu[supp]))
-        value = float(np.sqrt(max(quad, 0.0)))
-        witness = None
-        if value > 1e-14:
-            w = np.zeros(space.n)
-            w[supp] = delta[supp] / mu[supp] / value
-            witness = FunctionVec(space, w)
-        return IpmValue(value, witness)
-
-    if isinstance(cls, SobolevBall):
-        lap = sobolev_matrix(space, cls.mu)
-        eigval, eigvec = np.linalg.eigh(lap)
-        cutoff = 1e-10 * max(float(eigval.max()), 1.0)
-        positive = eigval > cutoff
-        coeff = eigvec.T @ delta
-        null_mass = float(np.sqrt(np.sum(coeff[~positive] ** 2)))
-        if null_mass > 1e-10 * (1.0 + float(np.abs(delta).sum())):
-            return IpmValue(np.inf, None)  # perturbation leaves range(L)
-        quad = float(np.sum(coeff[positive] ** 2 / eigval[positive]))
-        value = float(np.sqrt(max(quad, 0.0)))
-        witness = None
-        if value > 1e-14:
-            pinv_delta = eigvec @ np.where(positive, coeff / np.where(positive, eigval, 1.0), 0.0)
-            witness = FunctionVec(space, pinv_delta / value)
-        return IpmValue(value, witness)
-
-    if isinstance(cls, DudleyBall):
-        return _dudley_distance(space, delta, tolerances)
-
-    raise UnsupportedVariant(f"no distance for {type(cls).__name__}")
+    return cls.distance(Q, P, tolerances)

@@ -6,46 +6,21 @@ and their infimal convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core import (
     DiscreteDistribution,
-    DudleyBall,
-    Explicit,
-    FisherBall,
     FunctionClass,
     FunctionVec,
-    LipschitzBall,
-    RkhsBall,
-    SobolevBall,
-    SupNormBall,
-    ZetaBall,
-    lipschitz_constant,
-    lipschitz_pairs,
     require_same_space,
-    rkhs_norm,
-    sobolev_matrix,
-    sup_norm,
 )
-from .errors import (
-    EpsNonPositive,
-    NegativeZeta,
-    NumericalBreakdown,
-    UnsupportedVariant,
-)
-from .solvers import (
-    DEFAULT_TOLERANCES,
-    FREE,
-    NONNEG,
-    LpStatus,
-    Tolerances,
-    lp_problem,
-    minimize_scalar_convex,
-    project_simplex,
-    solve_lp,
-)
+from .errors import EpsNonPositive, UnsupportedVariant
+from .solvers import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:
+    from .balls import Explicit, ZetaBall
 
 
 @dataclass
@@ -54,8 +29,9 @@ class PenaltyValue:
 
     ``witness`` holds conic-combination weights for gauges, the argmax index
     for the peak-over-mean functional, and an (h1, h2) split for the infimal
-    convolution.  ``exact`` is False only for the iterative quadratic-class
-    infimal convolution.
+    convolution.  ``exact`` is False for the iterative quadratic-class
+    infimal convolution and for the gauge of a non-convex zeta, which is only
+    an upper bound.
     """
 
     value: float
@@ -76,41 +52,15 @@ def gauge_explicit(
     lies outside the cone and the gauge is +infinity.
     """
     require_same_space(cls, h)
-    m = cls.size
-    sol = solve_lp(
-        lp_problem(
-            -np.ones(m),
-            eq=(cls.matrix.T, h.values),
-        ),
-        tolerances,
-    )
-    if sol.status == LpStatus.INFEASIBLE:
-        return PenaltyValue(np.inf, None)
-    if sol.status != LpStatus.OPTIMAL:  # pragma: no cover - bounded below by 0
-        raise NumericalBreakdown("gauge LP terminated abnormally")
-    return PenaltyValue(max(-sol.value, 0.0), sol.x)
+    return cls.gauge(h, tolerances)
 
 
 def theta_closed_form(cls: FunctionClass, h: FunctionVec) -> PenaltyValue:
     """Closed-form gauge for the six structured balls."""
     require_same_space(cls, h)
-    v = h.values
-    if isinstance(cls, LipschitzBall):
-        return PenaltyValue(lipschitz_constant(cls.space, v))
-    if isinstance(cls, SupNormBall):
-        return PenaltyValue(sup_norm(v))
-    if isinstance(cls, RkhsBall):
-        return PenaltyValue(rkhs_norm(cls.gram, v))
-    if isinstance(cls, FisherBall):
-        return PenaltyValue(float(np.sqrt(max(cls.mu.weights @ v**2, 0.0))))
-    if isinstance(cls, SobolevBall):
-        lap = sobolev_matrix(cls.space, cls.mu)
-        return PenaltyValue(float(np.sqrt(max(v @ lap @ v, 0.0))))
-    if isinstance(cls, DudleyBall):
-        return PenaltyValue(sup_norm(v) + lipschitz_constant(cls.space, v))
-    raise UnsupportedVariant(
-        f"no closed-form gauge for {type(cls).__name__}"
-    )
+    if not cls.structured:
+        raise UnsupportedVariant(f"no closed-form gauge for {type(cls).__name__}")
+    return cls.gauge(h)
 
 
 def gauge_from_zeta(cls: ZetaBall, h: FunctionVec) -> PenaltyValue:
@@ -120,22 +70,15 @@ def gauge_from_zeta(cls: ZetaBall, h: FunctionVec) -> PenaltyValue:
     returned value is then flagged ``exact=False``.
     """
     require_same_space(cls, h)
-    z = float(cls.zeta(h.values))
-    if z < 0.0:
-        raise NegativeZeta(f"zeta returned {z!r}")
-    value = z ** (1.0 / cls.degree) if z > 0.0 else 0.0
-    return PenaltyValue(value, exact=bool(cls.convex))
+    return cls.gauge(h)
 
 
 def theta(
     cls: FunctionClass, h: FunctionVec, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> PenaltyValue:
     """Gauge of any supported class variant."""
-    if isinstance(cls, Explicit):
-        return gauge_explicit(cls, h, tolerances)
-    if isinstance(cls, ZetaBall):
-        return gauge_from_zeta(cls, h)
-    return theta_closed_form(cls, h)
+    require_same_space(cls, h)
+    return cls.gauge(h, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -166,268 +109,11 @@ def centered_theta(
     [min h, max h], which contains a minimizer for every implemented penalty.
     """
     require_same_space(cls, h)
-    v = h.values
-    if isinstance(cls, (LipschitzBall, SobolevBall)):
-        return 0.0, theta_closed_form(cls, h)
-    if isinstance(cls, SupNormBall):
-        b = 0.5 * (v.max() + v.min())
-        return float(b), PenaltyValue(0.5 * float(v.max() - v.min()))
-    if isinstance(cls, FisherBall):
-        b = float(cls.mu.weights @ v)
-        var = float(cls.mu.weights @ (v - b) ** 2)
-        return b, PenaltyValue(float(np.sqrt(max(var, 0.0))))
-    if isinstance(cls, RkhsBall):
-        ones = np.ones(cls.space.n)
-        kinv_h = np.linalg.solve(cls.gram, v)
-        kinv_1 = np.linalg.solve(cls.gram, ones)
-        b = float(ones @ kinv_h) / float(ones @ kinv_1)
-        centered = v - b
-        val = float(np.sqrt(max(centered @ np.linalg.solve(cls.gram, centered), 0.0)))
-        return b, PenaltyValue(val)
-    if isinstance(cls, Explicit):
-        m = cls.size
-        a_eq = np.hstack([cls.matrix.T, np.ones((cls.space.n, 1))])
-        sol = solve_lp(
-            lp_problem(
-                np.concatenate([-np.ones(m), [0.0]]),
-                eq=(a_eq, v),
-                bounds=[NONNEG] * m + [FREE],
-            ),
-            tolerances,
-        )
-        if sol.status == LpStatus.INFEASIBLE:
-            return 0.0, PenaltyValue(np.inf, None)
-        b = float(sol.x[m])
-        return b, PenaltyValue(max(-sol.value, 0.0), sol.x[:m])
-    if isinstance(cls, (DudleyBall, ZetaBall)):
-        lo, hi = float(v.min()), float(v.max())
-        if hi - lo <= 1e-15:
-            return lo, theta(cls, FunctionVec(h.space, v - lo), tolerances)
-        b, val = minimize_scalar_convex(
-            lambda b: theta(cls, FunctionVec(h.space, v - b), tolerances).value,
-            lo,
-            hi,
-            tol=1e-10 * (1.0 + hi - lo),
-        )
-        return float(b), PenaltyValue(float(val))
-    raise UnsupportedVariant(f"no centered gauge for {type(cls).__name__}")
+    return cls.centered_gauge(h, tolerances)
 
 
 # ---------------------------------------------------------------------------
 # infimal convolution
-
-
-def _lambda_lp(P, cls, eps, h, tolerances) -> PenaltyValue:
-    """Exact LP for the infimal convolution over polyhedral classes.
-
-    Variables are the split h1 (free), the epigraph scalar t >= max(h1), and
-    the class-specific seminorm epigraph variables; the objective maximizes
-    p'h1 - t - eps * (gauge epigraph), whose negative is the penalty.
-    """
-    n = P.space.n
-    v = h.values
-    p = P.weights
-
-    if isinstance(cls, Explicit):
-        m = cls.size
-        nv = n + 1 + m  # h1, t, w
-        c = np.zeros(nv)
-        c[:n] = p
-        c[n] = -1.0
-        c[n + 1 :] = -eps
-        a_eq = np.zeros((n, nv))
-        a_eq[:, :n] = np.eye(n)
-        a_eq[:, n + 1 :] = cls.matrix.T
-        a_ub = np.zeros((n, nv))
-        a_ub[:, :n] = np.eye(n)
-        a_ub[:, n] = -1.0
-        bounds = [FREE] * (n + 1) + [NONNEG] * m
-        sol = solve_lp(
-            lp_problem(c, eq=(a_eq, v), ub=(a_ub, np.zeros(n)), bounds=bounds),
-            tolerances,
-        )
-        h1 = sol.x[:n]
-        return PenaltyValue(max(-sol.value, 0.0), (h1, v - h1))
-
-    rows, rhs = [], []
-    if isinstance(cls, SupNormBall):
-        extra = 1
-    elif isinstance(cls, LipschitzBall):
-        extra = 1
-    elif isinstance(cls, DudleyBall):
-        extra = 2
-    else:  # pragma: no cover
-        raise UnsupportedVariant(type(cls).__name__)
-    nv = n + 1 + extra
-    c = np.zeros(nv)
-    c[:n] = p
-    c[n] = -1.0
-    c[n + 1 :] = -eps
-
-    def add(row, b):
-        rows.append(row)
-        rhs.append(b)
-
-    for i in range(n):  # h1_i <= t
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[n] = -1.0
-        add(row, 0.0)
-
-    def sup_rows(col):
-        # |(h - h1)_i| <= s
-        for i in range(n):
-            row = np.zeros(nv)
-            row[i] = -1.0
-            row[col] = -1.0
-            add(row, -v[i])
-            row = np.zeros(nv)
-            row[i] = 1.0
-            row[col] = -1.0
-            add(row, v[i])
-
-    def lip_rows(col):
-        # |(h - h1)_i - (h - h1)_j| <= s * c(i, j)
-        metric = cls.space.metric
-        for i, j in lipschitz_pairs(cls.space):
-            gap = v[i] - v[j]
-            row = np.zeros(nv)
-            row[i] = -1.0
-            row[j] = 1.0
-            row[col] = -metric[i, j]
-            add(row, -gap)
-            row = np.zeros(nv)
-            row[i] = 1.0
-            row[j] = -1.0
-            row[col] = -metric[i, j]
-            add(row, gap)
-
-    if isinstance(cls, SupNormBall):
-        sup_rows(n + 1)
-    elif isinstance(cls, LipschitzBall):
-        lip_rows(n + 1)
-    else:
-        sup_rows(n + 1)
-        lip_rows(n + 2)
-
-    bounds = [FREE] * (n + 1) + [NONNEG] * extra
-    sol = solve_lp(
-        lp_problem(c, ub=(np.array(rows), np.array(rhs)), bounds=bounds),
-        tolerances,
-    )
-    h1 = sol.x[:n]
-    return PenaltyValue(max(-sol.value, 0.0), (h1, v - h1))
-
-
-class _EllipsoidNorm:
-    """Machinery for c * sqrt(v' M v) penalties: value, prox, dual projection.
-
-    Works for singular PSD M (seminorms); eigenvalues below the cutoff span
-    the free directions.
-    """
-
-    def __init__(self, mat: np.ndarray, cutoff: float = 1e-10):
-        eigval, eigvec = np.linalg.eigh(0.5 * (mat + mat.T))
-        scale = max(float(eigval.max()), 1.0)
-        self.positive = eigval > cutoff * scale
-        self.eigval = np.where(self.positive, eigval, 0.0)
-        self.eigvec = eigvec
-
-    def value(self, v: np.ndarray) -> float:
-        coeff = self.eigvec.T @ v
-        return float(np.sqrt(max(np.sum(self.eigval * coeff**2), 0.0)))
-
-    def project_dual(self, z: np.ndarray, radius: float) -> np.ndarray:
-        """Projection onto {y in range(M): y' M^+ y <= radius^2}."""
-        zc = self.eigvec.T @ z
-        y = np.where(self.positive, zc, 0.0)
-        lam = self.eigval
-        pos = self.positive
-        if radius <= 0.0:
-            return np.zeros_like(z)
-        inside = np.sum(np.where(pos, y**2 / np.where(pos, lam, 1.0), 0.0))
-        if inside <= radius**2:
-            return self.eigvec @ y
-        # root of sum z_i^2 lam_i / (lam_i + t)^2 = radius^2, decreasing in t
-        def excess(t):
-            denom = lam + t
-            return float(np.sum(np.where(pos, zc**2 * lam / denom**2, 0.0)))
-
-        hi = float(lam.max())
-        while excess(hi) > radius**2:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) > radius**2:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        y = np.where(pos, zc * lam / (lam + t), 0.0)
-        return self.eigvec @ y
-
-    def prox(self, z: np.ndarray, weight: float) -> np.ndarray:
-        """prox of weight * sqrt(v' M v) at z (Moreau decomposition)."""
-        return z - self.project_dual(z, weight)
-
-
-def _class_ellipsoid(cls) -> _EllipsoidNorm:
-    if isinstance(cls, FisherBall):
-        return _EllipsoidNorm(np.diag(cls.mu.weights))
-    if isinstance(cls, RkhsBall):
-        eigval, eigvec = np.linalg.eigh(cls.gram)
-        inv = eigvec @ np.diag(1.0 / eigval) @ eigvec.T
-        return _EllipsoidNorm(inv)
-    if isinstance(cls, SobolevBall):
-        return _EllipsoidNorm(sobolev_matrix(cls.space, cls.mu))
-    raise UnsupportedVariant(type(cls).__name__)
-
-
-def _lambda_splitting(P, cls, eps, h, tolerances, reference=None) -> PenaltyValue:
-    """Douglas-Rachford splitting for quadratic-class infimal convolutions.
-
-    Minimizes [max(h1) - E_P[h1]] + eps * sqrt((h-h1)' M (h-h1)) over h1.
-    Iterative: the result carries exact=False and the best split seen.
-    """
-    norm = _class_ellipsoid(cls)
-    v = h.values
-    p = P.weights
-    n = v.size
-
-    def peak(x):
-        return float(x.max() - p @ x)
-
-    def objective(x):
-        return peak(x) + eps * norm.value(v - x)
-
-    step = max(1.0, float(np.ptp(v)))
-
-    def prox_peak(z):
-        w = z + step * p
-        return w - step * project_simplex(w / step)
-
-    def prox_norm_part(z):
-        return v - norm.prox(v - z, step * eps)
-
-    target = None if reference is None else max(reference, 0.0)
-    s = v.copy()
-    best_x = v.copy()
-    best_val = objective(best_x)
-    scale = 1.0 + float(np.max(np.abs(v)))
-    for _ in range(tolerances.iconv_max_iterations):
-        xg = prox_peak(s)
-        xf = prox_norm_part(2.0 * xg - s)
-        s = s + xf - xg
-        val = objective(xg)
-        if val < best_val:
-            best_val = val
-            best_x = xg
-        if np.max(np.abs(xf - xg)) <= tolerances.iconv_stop * scale:
-            break
-        if target is not None and best_val <= target + tolerances.iconv_requested_gap:
-            break
-    return PenaltyValue(max(best_val, 0.0), (best_x, v - best_x), exact=False)
 
 
 def lambda_penalty(
@@ -450,10 +136,4 @@ def lambda_penalty(
     require_same_space(P, cls)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    if isinstance(cls, (Explicit, SupNormBall, LipschitzBall, DudleyBall)):
-        return _lambda_lp(P, cls, eps, h, tolerances)
-    if isinstance(cls, (FisherBall, RkhsBall, SobolevBall)):
-        return _lambda_splitting(P, cls, eps, h, tolerances, reference)
-    raise UnsupportedVariant(
-        f"infimal convolution not implemented for {type(cls).__name__}"
-    )
+    return cls.lambda_(P, eps, h, tolerances, reference)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConcave, NumericalBreakdown
+from .errors import DimensionMismatch, NotConcave, NumericalBreakdown, SizeCapExceeded
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def _validate(p: LpProblem) -> None:
     if p.a_eq.shape[0] != p.b_eq.size or p.a_ub.shape[0] != p.b_ub.size:
         raise DimensionMismatch("constraint rhs does not match matrix rows")
     if n > DENSE_LP_CAP or p.a_eq.shape[0] + p.a_ub.shape[0] > DENSE_LP_CAP:
-        raise ValueError(f"dense solver supports at most {DENSE_LP_CAP} "
-                         "variables and constraints")
+        raise SizeCapExceeded(f"dense solver supports at most {DENSE_LP_CAP} "
+                              "variables and constraints")
     if p.bounds.shape != (n, 2):
         raise DimensionMismatch("bounds must be (n, 2)")
     for arr in (p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub):

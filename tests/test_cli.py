@@ -4,7 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipmdro import (
+    DudleyBall,
+    Explicit,
+    FisherBall,
+    LipschitzBall,
+    RkhsBall,
+    SobolevBall,
+    SupNormBall,
+)
 from ipmdro.cli import (
+    CLASS_VARIANTS,
     canonical_dict,
     gaussian_gram,
     load_config,
@@ -12,7 +22,8 @@ from ipmdro.cli import (
     parse_config,
     sin_study_config,
 )
-from ipmdro.errors import ConfigError
+from ipmdro.errors import ConfigError, IpmdroError, SizeCapExceeded
+from ipmdro.solvers import DENSE_LP_CAP, lp_problem, solve_lp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -197,3 +208,109 @@ class TestSinStudyConfig:
         expected = np.exp(-(t**2) / 2.0)
         expected /= expected.sum()
         assert np.allclose(weights, expected, atol=1e-15)
+
+
+def line_config(n, **overrides):
+    t = np.linspace(0.0, 1.0, n)
+    config = {
+        "schema_version": 1,
+        "space": {"points": [f"x{i}" for i in range(n)],
+                  "metric": np.abs(t[:, None] - t[None, :]).tolist(),
+                  "graph": [[i, i + 1, 1.0] for i in range(n - 1)]
+                  + [[i + 1, i, 1.0] for i in range(n - 1)]},
+        "distributions": {"p": [1.0 / n] * n, "mu": [1.0 / n] * n,
+                          "z": [0.0] + [1.0 / (n - 1)] * (n - 1)},
+        "functions": {"h": t.tolist(), "g": (1.0 - t).tolist()},
+        "function_class": {"variant": "lipschitz_ball"},
+        "epsilon": 0.1,
+        "p": "p",
+        "h": "h",
+        "pairs": [["p", "p"]],
+    }
+    config.update(overrides)
+    return config
+
+
+class TestBadInputExitsCleanly:
+    CASES = {
+        "transport-cap-ipm": ("ipm", line_config(61), "at most 60 points"),
+        "coupling-cap-dro-sup": ("dro-sup", line_config(61), "at most 60 points"),
+        "seed-not-integer": ("penalty", line_config(3, seed="abc"), "seed: "),
+        "samples-not-integer": ("tightness", line_config(3, samples="many"), "samples: "),
+        "tolerance-not-number": (
+            "penalty", line_config(3, tolerances={"lp_pivot": "tiny"}), "tolerances.lp_pivot: "),
+        "tolerance-not-integer": (
+            "penalty", line_config(3, tolerances={"lp_max_iterations": 1.5}),
+            "tolerances.lp_max_iterations: "),
+        "class-not-object": (
+            "penalty", line_config(3, function_class="sup_norm_ball"), "function_class: "),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_two_with_message(self, case, tmp_path, capsys):
+        subcommand, config, needle = self.CASES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("ipmdro: ") and needle in err
+
+    def test_dense_cap_is_a_package_error_and_a_value_error(self):
+        problem = lp_problem(np.zeros(DENSE_LP_CAP + 1))
+        with pytest.raises(SizeCapExceeded) as info:
+            solve_lp(problem)
+        assert isinstance(info.value, IpmdroError) and isinstance(info.value, ValueError)
+
+
+class TestClassBuilders:
+    def build(self, spec):
+        return parse_config(line_config(4, function_class=spec)).function_class()
+
+    def test_every_variant_name_builds(self):
+        built = {
+            "explicit": self.build({"variant": "explicit", "members": ["h", "g"]}),
+            "lipschitz_ball": self.build({"variant": "lipschitz_ball"}),
+            "sup_norm_ball": self.build({"variant": "sup_norm_ball"}),
+            "dudley_ball": self.build({"variant": "dudley_ball"}),
+            "rkhs_ball": self.build({"variant": "rkhs_ball", "gaussian_bandwidth": 0.5}),
+            "fisher_ball": self.build({"variant": "fisher_ball"}),
+            "sobolev_ball": self.build({"variant": "sobolev_ball"}),
+        }
+        assert set(built) == set(CLASS_VARIANTS)
+        expected = {
+            "explicit": Explicit, "lipschitz_ball": LipschitzBall,
+            "sup_norm_ball": SupNormBall, "dudley_ball": DudleyBall,
+            "rkhs_ball": RkhsBall, "fisher_ball": FisherBall,
+            "sobolev_ball": SobolevBall,
+        }
+        for name, cls in built.items():
+            assert type(cls) is expected[name]
+        assert built["explicit"].size == 2
+
+    def test_rkhs_gram_inline_and_from_bandwidth(self):
+        gram = (np.eye(4) + 0.25).tolist()
+        inline = self.build({"variant": "rkhs_ball", "gram": gram})
+        assert np.array_equal(inline.gram, np.array(gram))
+        config = parse_config(line_config(4))
+        from_bandwidth = self.build({"variant": "rkhs_ball", "gaussian_bandwidth": 0.5})
+        assert np.array_equal(from_bandwidth.gram, gaussian_gram(config.space, 0.5))
+        with pytest.raises(ConfigError, match="gram or gaussian_bandwidth"):
+            self.build({"variant": "rkhs_ball"})
+
+    @pytest.mark.parametrize("variant", ["fisher_ball", "sobolev_ball"])
+    def test_mu_and_zero_mass_opt_in(self, variant):
+        ball = self.build({"variant": variant})
+        assert np.array_equal(ball.mu.weights, np.full(4, 0.25))
+        assert not ball.allow_zero_mass
+        ball = self.build({"variant": variant, "mu": "z", "allow_zero_mass": True})
+        assert ball.mu.weights[0] == 0.0
+        assert ball.allow_zero_mass
+        with pytest.raises(IpmdroError):
+            self.build({"variant": variant, "mu": "z"})
+
+    def test_unknown_variant_lists_the_valid_names(self):
+        with pytest.raises(ConfigError) as info:
+            self.build({"variant": "sobolev"})
+        for name in CLASS_VARIANTS:
+            assert repr(name) in str(info.value)

@@ -15,8 +15,9 @@ from ipmdro import (
     discretize_structured_class,
     make_space,
     symmetrize_class,
+    theta,
 )
-from ipmdro.core import class_penalty_value, lipschitz_constant, metric_is_path
+from ipmdro.core import lipschitz_constant, metric_is_path
 from ipmdro.errors import (
     AsymmetricMetric,
     DimensionMismatch,
@@ -247,7 +248,7 @@ class TestDiscretize:
         for cls in classes:
             sample = discretize_structured_class(cls, 9, seed=int(rng.integers(100)))
             for f in sample.functions:
-                assert class_penalty_value(cls, f.values) <= 1.0 + 1e-9
+                assert theta(cls, f).value <= 1.0 + 1e-9
 
     def test_nested_budgets_are_prefixes(self):
         space = make_space([str(i) for i in range(4)])
