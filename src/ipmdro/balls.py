@@ -41,17 +41,17 @@ from .errors import (
     NegativeZeta,
     NumericalBreakdown,
     SingularGram,
-    SizeCapExceeded,
     UnsupportedVariant,
     ZeroMassMu,
 )
-from .ipm import TRANSPORT_MAX_POINTS, IpmValue
+from .ipm import IpmValue
 from .penalties import PenaltyValue
 from .solvers import (
     DEFAULT_TOLERANCES,
     FREE,
     NONNEG,
     LpStatus,
+    check_dense_size,
     lp_problem,
     maximize_concave_quadratic_over_simplex,
     minimize_scalar_convex,
@@ -70,24 +70,11 @@ def _as_distribution(space, q) -> DiscreteDistribution:
     return DiscreteDistribution(space, q / total)
 
 
-def _solve_ball_lp(problem, tolerances):
+def _solve_exact_lp(problem, tolerances, what="ball LP (P is feasible)"):
     sol = solve_lp(problem, tolerances)
     if sol.status != LpStatus.OPTIMAL:
-        raise NumericalBreakdown("ball LP terminated abnormally (P is feasible)")
+        raise NumericalBreakdown(f"{what} terminated abnormally")
     return sol
-
-
-def _explicit_ball_lp(h, p, members, eps, tolerances):
-    """max <h, q> over the simplex subject to <f, q - p> <= eps per member."""
-    n = h.size
-    return _solve_ball_lp(
-        lp_problem(
-            h,
-            eq=(np.ones((1, n)), np.array([1.0])),
-            ub=(members, members @ p + eps),
-        ),
-        tolerances,
-    )
 
 
 def _split_lp(P, eps, h, nv, tolerances, **constraints) -> PenaltyValue:
@@ -171,7 +158,16 @@ class Explicit(FunctionClass):
         return IpmValue(float(gaps[best]), self.functions[best])
 
     def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
-        sol = _explicit_ball_lp(h.values, P.weights, self.matrix, eps, tolerances)
+        """max <h, q> over the simplex subject to <f, q - p> <= eps per member."""
+        members = self.matrix
+        sol = _solve_exact_lp(
+            lp_problem(
+                h.values,
+                eq=(np.ones((1, P.space.n)), np.array([1.0])),
+                ub=(members, members @ P.weights + eps),
+            ),
+            tolerances,
+        )
         return DroResult(
             float(sol.value), _as_distribution(P.space, sol.x), DroMethod.EXACT_LP
         )
@@ -266,63 +262,154 @@ class _Ball(FunctionClass):
 
 # ---------------------------------------------------------------------------
 # polyhedral balls
+#
+# A polyhedral ball is the unit ball of a sum of seminorm blocks.  A block is
+# max_k |f[i_k] - f[j_k]| / cost_k over its atoms (i_k, j_k, cost_k); the sup
+# block has no j, so f[j] reads as zero.  Three LPs are built from the atoms:
+# the penalty LP, whose rows bound each atom, and the distance and worst-case
+# LPs, whose flow columns move one unit of mass onto i_k (and off j_k) at
+# cost cost_k, one pair of opposite columns per atom.
 
 
-def _sup_rows(space, v, nv, col, add):
-    """|(h - h1)_i| <= s, with s in column col."""
-    for i in range(space.n):
-        row = np.zeros(nv)
-        row[i] = -1.0
-        row[col] = -1.0
-        add(row, -v[i])
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[col] = -1.0
-        add(row, v[i])
+def _sup_block(space):
+    """The sup norm: one atom per point at cost one."""
+    return np.arange(space.n), None, np.ones(space.n)
 
 
-def _lip_rows(space, v, nv, col, add):
-    """|(h - h1)_i - (h - h1)_j| <= s * c(i, j), with s in column col."""
-    metric = space.metric
-    for i, j in lipschitz_pairs(space):
-        gap = v[i] - v[j]
-        row = np.zeros(nv)
-        row[i] = -1.0
-        row[j] = 1.0
-        row[col] = -metric[i, j]
-        add(row, -gap)
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[j] = -1.0
-        row[col] = -metric[i, j]
-        add(row, gap)
+def _lip_block(space):
+    """The Lipschitz constant: one atom per pair of ``lipschitz_pairs``
+    (adjacent pairs on a path metric, where the cost is additive, else all)
+    at cost c(i, j)."""
+    pairs = np.array(lipschitz_pairs(space), dtype=int).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    return i, j, space.metric[i, j]
 
 
-def _epigraph_lambda_lp(P, space, eps, h, tolerances, blocks) -> PenaltyValue:
-    """Infimal-convolution LP over a polyhedral ball: one seminorm epigraph
-    variable per row block."""
-    n = P.space.n
-    v = h.values
-    nv = n + 1 + len(blocks)
-    rows, rhs = [], []
+def _atom_count(atoms) -> int:
+    return sum(i.size for i, _, _ in atoms)
 
-    def add(row, b):
-        rows.append(row)
-        rhs.append(b)
 
-    for i in range(n):  # h1_i <= t
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[n] = -1.0
-        add(row, 0.0)
-    for k, block in enumerate(blocks):
-        block(space, v, nv, n + 1 + k, add)
-    return _split_lp(P, eps, h, nv, tolerances, ub=(np.array(rows), np.array(rhs)))
+def _penalty_rows(n, nv, atoms, v):
+    """h1_i <= t (t in column n), then per atom of each block the two rows
+    of |(h - h1)[i] - (h - h1)[j]| <= s * cost, s in the block's column."""
+    a = np.zeros((n + 2 * _atom_count(atoms), nv))
+    b = np.zeros(a.shape[0])
+    a[np.arange(n), np.arange(n)] = 1.0
+    a[:n, n] = -1.0
+    top = n
+    for col, (i, j, cost) in enumerate(atoms, start=n + 1):
+        neg = top + 2 * np.arange(i.size)
+        pos = neg + 1
+        a[neg, i] = -1.0
+        a[pos, i] = 1.0
+        gap = v[i]
+        if j is not None:
+            a[neg, j] = 1.0
+            a[pos, j] = -1.0
+            gap = v[i] - v[j]
+        a[neg, col] = -cost
+        a[pos, col] = -cost
+        b[neg] = -gap
+        b[pos] = gap
+        top += 2 * i.size
+    return a, b
+
+
+def _flow_columns(n, atoms):
+    """(flows, costs): the columns [G, -G] of each block in turn, G[:, k] =
+    e_{i_k} - e_{j_k}, and one row per block holding its columns' costs."""
+    flows = np.zeros((n, 2 * _atom_count(atoms)))
+    costs = np.zeros((len(atoms), flows.shape[1]))
+    left = 0
+    for row, (i, j, cost) in enumerate(atoms):
+        k = i.size
+        cols = left + np.arange(k)
+        flows[i, cols] = 1.0
+        if j is not None:
+            flows[j, cols] = -1.0
+        flows[:, left + k : left + 2 * k] = -flows[:, left : left + k]
+        costs[row, left : left + k] = cost
+        costs[row, left + k : left + 2 * k] = cost
+        left += 2 * k
+    return flows, costs
 
 
 @dataclass(frozen=True, eq=False)
-class SupNormBall(_Ball):
+class _PolyhedralBall(_Ball):
+    """Unit ball of the sum of the seminorm ``blocks`` (functions of the
+    space returning each block's atoms, in sup, Lipschitz order).
+
+    The distance is the dual norm, a min-cost flow: the least t such that
+    q - p is the sum of block flows each costing at most t.  The worst case
+    maximizes <h, q> over the q whose q - p has such flows of cost at most
+    eps.  Each LP's size is checked against the dense cap before its matrices
+    are allocated.
+    """
+
+    blocks = ()
+
+    @cached_property
+    def _atoms(self):
+        return [block(self.space) for block in self.blocks]
+
+    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+        n, atoms = self.space.n, self._atoms
+        nb, nf = len(atoms), 2 * _atom_count(atoms)
+        check_dense_size(nf + 1, n + nb)
+        flows, costs = _flow_columns(n, atoms)
+        sol = _solve_exact_lp(  # maximize -t over (flows, t)
+            lp_problem(
+                np.concatenate([np.zeros(nf), [-1.0]]),
+                eq=(np.hstack([flows, np.zeros((n, 1))]), Q.weights - P.weights),
+                ub=(np.hstack([costs, -np.ones((nb, 1))]), np.zeros(nb)),
+            ),
+            tolerances,
+            "flow distance LP",
+        )
+        # The duals meet the ball's constraints only up to the LP's
+        # reduced-cost tolerance, so they are scaled back into the ball; the
+        # witness then bounds the distance from below as the flows do above.
+        f = FunctionVec(self.space, -sol.dual_eq)
+        witness = FunctionVec(self.space, f.values / max(self.gauge(f).value, 1.0))
+        return IpmValue(max(-sol.value, 0.0), witness)
+
+    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+        n, atoms = self.space.n, self._atoms
+        nb, nf = len(atoms), 2 * _atom_count(atoms)
+        check_dense_size(n + nf, n + 1 + nb)
+        flows, costs = _flow_columns(n, atoms)
+        a_eq = np.zeros((n + 1, n + nf))  # q - flows = p, sum(q) = 1
+        a_eq[:n, :n] = np.eye(n)
+        a_eq[:n, n:] = -flows
+        a_eq[n, :n] = 1.0
+        a_ub = np.zeros((nb, n + nf))
+        a_ub[:, n:] = costs
+        sol = _solve_exact_lp(
+            lp_problem(
+                np.concatenate([h.values, np.zeros(nf)]),
+                eq=(a_eq, np.concatenate([P.weights, [1.0]])),
+                ub=(a_ub, np.full(nb, eps)),
+            ),
+            tolerances,
+        )
+        return DroResult(
+            float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
+        )
+
+    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
+        """Infimal-convolution LP: one seminorm epigraph variable per block."""
+        n, atoms = self.space.n, self._atoms
+        nv = n + 1 + len(atoms)
+        check_dense_size(nv, n + 2 * _atom_count(atoms))
+        a_ub, b_ub = _penalty_rows(n, nv, atoms, h.values)
+        return _split_lp(P, eps, h, nv, tolerances, ub=(a_ub, b_ub))
+
+
+@dataclass(frozen=True, eq=False)
+class SupNormBall(_PolyhedralBall):
     """Functions bounded by one in sup norm."""
+
+    blocks = (_sup_block,)
 
     def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
         return PenaltyValue(sup_norm(h.values))
@@ -338,29 +425,6 @@ class SupNormBall(_Ball):
         sign[sign == 0.0] = 1.0
         return IpmValue(float(np.abs(delta).sum()), FunctionVec(Q.space, sign))
 
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
-        space = P.space
-        n = space.n
-        nv = 3 * n  # q, r+, r-
-        c = np.concatenate([h.values, np.zeros(2 * n)])
-        a_eq = np.zeros((n + 1, nv))
-        a_eq[:n, :n] = np.eye(n)
-        a_eq[:n, n : 2 * n] = -np.eye(n)
-        a_eq[:n, 2 * n :] = np.eye(n)
-        a_eq[n, :n] = 1.0
-        b_eq = np.concatenate([P.weights, [1.0]])
-        a_ub = np.zeros((1, nv))
-        a_ub[0, n:] = 1.0
-        sol = _solve_ball_lp(
-            lp_problem(c, eq=(a_eq, b_eq), ub=(a_ub, np.array([eps]))), tolerances
-        )
-        return DroResult(
-            float(sol.value), _as_distribution(space, sol.x[:n]), DroMethod.EXACT_LP
-        )
-
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
-        return _epigraph_lambda_lp(P, self.space, eps, h, tolerances, (_sup_rows,))
-
     def _boundary_vertices(self) -> list:
         """Coordinate-extreme sign vectors +/- (2 e_i - 1)."""
         samples = []
@@ -372,19 +436,12 @@ class SupNormBall(_Ball):
         return samples
 
 
-def _check_coupling_size(n, encoding):
-    if n > TRANSPORT_MAX_POINTS:
-        raise SizeCapExceeded(
-            f"{encoding} supports at most {TRANSPORT_MAX_POINTS} points"
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class LipschitzBall(_Ball):
+class LipschitzBall(_PolyhedralBall):
     """Functions with metric Lipschitz constant at most one."""
 
+    blocks = (_lip_block,)
     seminorm = True
-    ball_max_points = TRANSPORT_MAX_POINTS  # dense n^2-variable coupling LP
 
     def __post_init__(self):
         if self.space.metric is None:
@@ -393,50 +450,12 @@ class LipschitzBall(_Ball):
     def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
         return PenaltyValue(lipschitz_constant(self.space, h.values))
 
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
-        space = Q.space
-        n = space.n
-        _check_coupling_size(n, "transport distance")
-        cost = space.metric.reshape(-1)
-        a_eq = np.zeros((2 * n, n * n))
-        for i in range(n):
-            a_eq[i, i * n : (i + 1) * n] = 1.0  # row sums = q
-            a_eq[n + i, i::n] = 1.0  # column sums = p
-        b_eq = np.concatenate([Q.weights, P.weights])
-        sol = solve_lp(lp_problem(-cost, eq=(a_eq, b_eq)), tolerances)
-        if sol.status != LpStatus.OPTIMAL:
-            raise NumericalBreakdown("transport LP terminated abnormally")
-        plan = sol.x.reshape(n, n)
-        return IpmValue(max(-sol.value, 0.0), plan)
-
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
-        space = P.space
-        n = space.n
-        _check_coupling_size(n, "the coupling encoding")
-        cost = space.metric.reshape(-1)
-        c = np.repeat(h.values, n)  # objective sum_ij h_i pi_ij
-        a_eq = np.zeros((n, n * n))
-        for j in range(n):
-            a_eq[j, j::n] = 1.0  # column sums = p
-        sol = _solve_ball_lp(
-            lp_problem(
-                c, eq=(a_eq, P.weights), ub=(cost.reshape(1, -1), np.array([eps]))
-            ),
-            tolerances,
-        )
-        plan = sol.x.reshape(n, n)
-        return DroResult(
-            float(sol.value), _as_distribution(space, plan.sum(axis=1)),
-            DroMethod.EXACT_LP,
-        )
-
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
-        return _epigraph_lambda_lp(P, self.space, eps, h, tolerances, (_lip_rows,))
-
 
 @dataclass(frozen=True, eq=False)
-class DudleyBall(_Ball):
+class DudleyBall(_PolyhedralBall):
     """Functions with sup norm plus Lipschitz constant at most one."""
+
+    blocks = (_sup_block, _lip_block)
 
     def __post_init__(self):
         if self.space.metric is None:
@@ -445,76 +464,6 @@ class DudleyBall(_Ball):
     def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
         v = h.values
         return PenaltyValue(sup_norm(v) + lipschitz_constant(self.space, v))
-
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
-        space = Q.space
-        delta = Q.weights - P.weights
-        n = space.n
-        metric = space.metric
-        nv = n + 2  # h, sup bound u, lipschitz bound v
-        c = np.concatenate([delta, [0.0, 0.0]])
-        rows, rhs = [], []
-        for i in range(n):  # |h_i| <= u
-            row = np.zeros(nv)
-            row[i] = 1.0
-            row[n] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            row = np.zeros(nv)
-            row[i] = -1.0
-            row[n] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        for i, j in lipschitz_pairs(space):  # |h_i - h_j| <= v c(i,j)
-            row = np.zeros(nv)
-            row[i] = 1.0
-            row[j] = -1.0
-            row[n + 1] = -metric[i, j]
-            rows.append(row)
-            rhs.append(0.0)
-            rows.append(-row.copy())
-            rows[-1][n + 1] = -metric[i, j]
-            rhs.append(0.0)
-        row = np.zeros(nv)
-        row[n] = 1.0
-        row[n + 1] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        bounds = [FREE] * n + [NONNEG, NONNEG]
-        sol = solve_lp(
-            lp_problem(c, ub=(np.array(rows), np.array(rhs)), bounds=bounds), tolerances
-        )
-        if sol.status != LpStatus.OPTIMAL:
-            raise NumericalBreakdown("Dudley distance LP terminated abnormally")
-        return IpmValue(float(sol.value), FunctionVec(space, sol.x[:n]))
-
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
-        """Column generation over sampled boundary functions."""
-        space = P.space
-        p = P.weights
-        seed_members = self.discretize(4 * space.n, seed=0)
-        members = [f.values for f in seed_members.functions]
-        for _ in range(200):
-            sol = _explicit_ball_lp(h.values, p, np.array(members), eps, tolerances)
-            q = sol.x
-            value = sol.value
-            qdist = _as_distribution(space, q)
-            sep = self.distance(qdist, P, tolerances)
-            violation = sep.value - eps
-            if violation <= tolerances.dudley_separation:
-                break
-            members.append(sep.witness.values)
-        else:
-            raise NumericalBreakdown("Dudley column generation failed to converge")
-        gap = 0.0
-        if violation > 0.0:
-            gap = violation / max(sep.value, violation) * abs(float(h.values @ (q - p)))
-        return DroResult(float(value), _as_distribution(space, q), DroMethod.EXACT_LP, gap)
-
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
-        return _epigraph_lambda_lp(
-            P, self.space, eps, h, tolerances, (_sup_rows, _lip_rows)
-        )
 
 
 # ---------------------------------------------------------------------------

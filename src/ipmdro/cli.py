@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -49,16 +50,36 @@ def _fail(field, message):
 def _float_list(field, raw, length=None):
     if not isinstance(raw, (list, tuple)):
         _fail(field, "expected a list of numbers")
-    try:
-        values = [float(x) for x in raw]
-    except (TypeError, ValueError):
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw):
         _fail(field, "entries must be numbers")
+    values = [float(x) for x in raw]
     if length is not None and len(values) != length:
         _fail(field, f"has length {len(values)}, expected {length}")
     return values
 
 
+def _list(field, raw):
+    if not isinstance(raw, (list, tuple)):
+        _fail(field, f"expected a list, got {raw!r}")
+    return raw
+
+
+def _object(field, raw):
+    if not isinstance(raw, dict):
+        _fail(field, f"expected an object, got {raw!r}")
+    return raw
+
+
+def _name(field, raw):
+    """An optional name: absent (None) or a string."""
+    if raw is not None and not isinstance(raw, str):
+        _fail(field, f"expected a name, got {raw!r}")
+    return raw
+
+
 def _integer(field, raw):
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        _fail(field, f"expected an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError, OverflowError):
@@ -123,6 +144,7 @@ def _explicit_class(config, spec):
     names = spec.get("members")
     if not names:
         _fail("function_class.members", "required for explicit classes")
+    names = _list("function_class.members", names)
     return Explicit(config.space, tuple(config.function(n) for n in names))
 
 
@@ -132,13 +154,17 @@ def _rkhs_class(config, spec):
         gram = np.array(
             [
                 _float_list(f"function_class.gram row {i}", row, space.n)
-                for i, row in enumerate(spec["gram"])
+                for i, row in enumerate(_list("function_class.gram", spec["gram"]))
             ]
         )
         if gram.shape[0] != space.n:
             _fail("function_class.gram", f"needs {space.n} rows")
     elif "gaussian_bandwidth" in spec:
-        gram = gaussian_gram(space, float(spec["gaussian_bandwidth"]))
+        bandwidth = spec["gaussian_bandwidth"]
+        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)):
+            _fail("function_class.gaussian_bandwidth",
+                  f"expected a number, got {bandwidth!r}")
+        gram = gaussian_gram(space, float(bandwidth))
     else:
         _fail("function_class", "rkhs_ball needs gram or gaussian_bandwidth")
     return RkhsBall(space, gram=gram)
@@ -146,8 +172,11 @@ def _rkhs_class(config, spec):
 
 def _mu_class(ball):
     def build(config, spec):
-        mu = config.distribution(spec.get("mu", "mu"))
-        allow = bool(spec.get("allow_zero_mass", False))
+        mu = config.distribution(_name("function_class.mu", spec.get("mu", "mu")))
+        allow = spec.get("allow_zero_mass", False)
+        if not isinstance(allow, bool):
+            _fail("function_class.allow_zero_mass",
+                  f"expected true or false, got {allow!r}")
         return ball(config.space, mu=mu, allow_zero_mass=allow)
 
     return build
@@ -176,11 +205,11 @@ def parse_config(data: dict) -> ProblemConfig:
     space_spec = data.get("space")
     if not isinstance(space_spec, dict) or "points" not in space_spec:
         _fail("space", "must be an object with a points list")
-    points = [str(p) for p in space_spec["points"]]
+    points = [str(p) for p in _list("space.points", space_spec["points"])]
     n = len(points)
     metric = None
     if space_spec.get("metric") is not None:
-        rows = space_spec["metric"]
+        rows = _list("space.metric", space_spec["metric"])
         if len(rows) != n:
             _fail("space.metric", f"has {len(rows)} rows, expected {n}")
         metric = np.array(
@@ -189,8 +218,10 @@ def parse_config(data: dict) -> ProblemConfig:
     graph = None
     if space_spec.get("graph") is not None:
         graph = []
-        for k, edge in enumerate(space_spec["graph"]):
+        for k, edge in enumerate(_list("space.graph", space_spec["graph"])):
             trip = _float_list(f"space.graph edge {k}", edge, 3)
+            if not (trip[0].is_integer() and trip[1].is_integer()):
+                _fail(f"space.graph edge {k}", "endpoints must be integers")
             graph.append((int(trip[0]), int(trip[1]), trip[2]))
         graph = tuple(graph)
     try:
@@ -201,7 +232,7 @@ def parse_config(data: dict) -> ProblemConfig:
         raise ConfigError(f"space: {exc}") from exc
 
     distributions = {}
-    for name, raw in dict(data.get("distributions", {})).items():
+    for name, raw in _object("distributions", data.get("distributions", {})).items():
         values = _float_list(f"distributions.{name}", raw, n)
         try:
             distributions[name] = DiscreteDistribution(space, np.array(values))
@@ -209,7 +240,7 @@ def parse_config(data: dict) -> ProblemConfig:
             raise ConfigError(f"distributions.{name}: {exc}") from exc
 
     functions = {}
-    for name, raw in dict(data.get("functions", {})).items():
+    for name, raw in _object("functions", data.get("functions", {})).items():
         values = _float_list(f"functions.{name}", raw, n)
         try:
             functions[name] = FunctionVec(space, np.array(values))
@@ -219,7 +250,7 @@ def parse_config(data: dict) -> ProblemConfig:
     eps_spec = data.get("epsilon")
     if eps_spec is None:
         epsilons = []
-    elif isinstance(eps_spec, (int, float)):
+    elif isinstance(eps_spec, (int, float)) and not isinstance(eps_spec, bool):
         epsilons = [float(eps_spec)]
     elif isinstance(eps_spec, list):
         epsilons = _float_list("epsilon", eps_spec)
@@ -234,6 +265,8 @@ def parse_config(data: dict) -> ProblemConfig:
         epsilons = [float(x) for x in np.linspace(start, stop, count)]
     else:
         _fail("epsilon", "expected a number, list, or grid object")
+    if not np.all(np.isfinite(epsilons)):
+        _fail("epsilon", f"must be finite, got {epsilons!r}")
 
     h_spec = data.get("h")
     if h_spec is None:
@@ -241,9 +274,17 @@ def parse_config(data: dict) -> ProblemConfig:
     elif isinstance(h_spec, str):
         h_names = [h_spec]
     else:
-        h_names = [str(x) for x in h_spec]
+        h_names = [str(x) for x in _list("h", h_spec)]
 
-    pairs = [[str(a), str(b)] for a, b in data.get("pairs", [])]
+    pairs = []
+    for k, pair in enumerate(_list("pairs", data.get("pairs", []))):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            _fail(f"pairs entry {k}", f"expected a [q, p] pair of names, got {pair!r}")
+        pairs.append([str(pair[0]), str(pair[1])])
+
+    samples = _integer("samples", data.get("samples", 200))
+    if samples < 1:
+        _fail("samples", f"must be at least 1, got {samples}")
 
     tol_overrides = data.get("tolerances", {})
     if not isinstance(tol_overrides, dict):
@@ -272,13 +313,15 @@ def parse_config(data: dict) -> ProblemConfig:
         functions=functions,
         class_spec=class_spec,
         epsilons=epsilons,
-        divergence=data.get("divergence"),
+        divergence=_name("divergence", data.get("divergence")),
         pairs=pairs,
         h_names=h_names,
-        p_name=data.get("p"),
-        mu_name=data.get("mu"),
-        discriminator_names=[str(x) for x in data.get("discriminators", [])],
-        samples=_integer("samples", data.get("samples", 200)),
+        p_name=_name("p", data.get("p")),
+        mu_name=_name("mu", data.get("mu")),
+        discriminator_names=[
+            str(x) for x in _list("discriminators", data.get("discriminators", []))
+        ],
+        samples=samples,
         tolerances=tolerances,
     )
 

@@ -212,14 +212,12 @@ class FunctionClass:
     IPM distance, its worst-case expectation over the distance ball, and its
     infimal-convolution penalty.  The base refuses every one of them.
     ``structured`` marks the six norm balls, whose gauge has a closed form and
-    which are even by construction.  ``ball_max_points`` is the largest space
-    the worst-case encoding accepts, when it has a cap.
+    which are even by construction.
     """
 
     space: SampleSpace
 
     structured = False
-    ball_max_points = None
 
     def gauge(self, h, tolerances=None):
         raise UnsupportedVariant(f"no closed-form gauge for {type(self).__name__}")

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from .core import DiscreteDistribution, FunctionClass, require_same_space
 from .solvers import DEFAULT_TOLERANCES, Tolerances
 
-TRANSPORT_MAX_POINTS = 60  # dense n^2-variable coupling LP cap
-
 
 @dataclass
 class IpmValue:
     """Distance value with an optional witness.
 
-    The witness is the maximizing member (explicit classes), a maximizing
-    function vector (balls with closed-form duals), or the optimal transport
-    plan (Lipschitz balls).
+    The witness is the maximizing member (explicit classes) or a function
+    vector in the ball that attains the value (every ball: the closed-form
+    duals, and for the Lipschitz and Dudley balls the duals of the flow LP
+    scaled into the ball).
+    It is None where the value is infinite or zero for a quadratic ball.
     """
 
     value: float

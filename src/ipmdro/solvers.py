@@ -40,7 +40,6 @@ class Tolerances:
     iconv_stop: float = 1e-11
     iconv_max_iterations: int = 100_000
     iconv_requested_gap: float = 1e-5
-    dudley_separation: float = 1e-7
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -112,15 +111,21 @@ class LpSolution:
 DENSE_LP_CAP = 5000  # variables and constraints, the supported dense regime
 
 
+def check_dense_size(n_vars: int, n_rows: int) -> None:
+    """Refuse an LP with more variables or constraints than the dense cap;
+    callers that know the size run this before assembling the matrices."""
+    if n_vars > DENSE_LP_CAP or n_rows > DENSE_LP_CAP:
+        raise SizeCapExceeded(f"dense solver supports at most {DENSE_LP_CAP} "
+                              "variables and constraints")
+
+
 def _validate(p: LpProblem) -> None:
     n = p.n
     if p.a_eq.shape[1] != n or p.a_ub.shape[1] != n:
         raise DimensionMismatch("constraint matrices do not match objective size")
     if p.a_eq.shape[0] != p.b_eq.size or p.a_ub.shape[0] != p.b_ub.size:
         raise DimensionMismatch("constraint rhs does not match matrix rows")
-    if n > DENSE_LP_CAP or p.a_eq.shape[0] + p.a_ub.shape[0] > DENSE_LP_CAP:
-        raise SizeCapExceeded(f"dense solver supports at most {DENSE_LP_CAP} "
-                              "variables and constraints")
+    check_dense_size(n, p.a_eq.shape[0] + p.a_ub.shape[0])
     if p.bounds.shape != (n, 2):
         raise DimensionMismatch("bounds must be (n, 2)")
     for arr in (p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub):

@@ -231,10 +231,73 @@ def line_config(n, **overrides):
     return config
 
 
+def euclid_config(n):
+    """A Lipschitz-ball config on n random points of the unit square, which is
+    no path metric, so every one of the n(n-1)/2 pairs is a Lipschitz pair."""
+    x = np.random.default_rng(0).uniform(size=(n, 2))
+    config = line_config(n)
+    config["space"] = {"points": config["space"]["points"],
+                       "metric": np.linalg.norm(x[:, None] - x[None, :], axis=2).tolist()}
+    return config
+
+
+def with_space(**fields):
+    return line_config(3, space={"points": ["x0", "x1", "x2"], **fields})
+
+
+FISHER_Z = {"variant": "fisher_ball", "mu": "z"}
+
+
 class TestBadInputExitsCleanly:
     CASES = {
-        "transport-cap-ipm": ("ipm", line_config(61), "at most 60 points"),
-        "coupling-cap-dro-sup": ("dro-sup", line_config(61), "at most 60 points"),
+        # 72 * 71 flow columns are more than the dense LP supports
+        "dense-cap-ipm": ("ipm", euclid_config(72), "at most 5000 variables"),
+        "dense-cap-dro-sup": ("dro-sup", euclid_config(72), "at most 5000 variables"),
+        "points-not-list": ("ipm", line_config(3, space={"points": 3}), "space.points: "),
+        "points-string": ("ipm", line_config(3, space={"points": "abc"}), "space.points: "),
+        "metric-not-list": ("ipm", with_space(metric=3), "space.metric: "),
+        "graph-not-list": ("ipm", with_space(graph=3), "space.graph: "),
+        "graph-endpoint-not-integer": (
+            "ipm", with_space(graph=[[0.5, 1, 1.0]]), "space.graph edge 0: "),
+        "distributions-not-object": (
+            "ipm", line_config(3, distributions=[["p", [0.5, 0.5, 0.0]]]), "distributions: "),
+        "functions-not-object": ("penalty", line_config(3, functions=3), "functions: "),
+        "pairs-entry-malformed": ("ipm", line_config(3, pairs=[["a"]]), "pairs entry 0: "),
+        "pairs-not-list": ("ipm", line_config(3, pairs="pp"), "pairs: "),
+        "h-not-list": ("dro-sup", line_config(3, h=3), "h: "),
+        "discriminators-not-list": (
+            "gan-bound", line_config(3, discriminators=3, mu="mu", divergence="kl"),
+            "discriminators: "),
+        "divergence-not-name": (
+            "gan-bound", line_config(3, discriminators=["h"], mu="mu", divergence=["kl"]),
+            "divergence: "),
+        "p-list": ("dro-sup", line_config(3, p=["p"]), "p: "),
+        "mu-list": ("gan-bound", line_config(3, mu=["mu"]), "mu: "),
+        "samples-zero": ("tightness", line_config(3, samples=0), "samples: "),
+        "samples-fraction": ("tightness", line_config(3, samples=1.5), "samples: "),
+        "seed-fraction": ("penalty", line_config(3, seed=2.7), "seed: "),
+        "epsilon-bool": ("dro-sup", line_config(3, epsilon=True), "epsilon: "),
+        "distribution-entry-bool": (
+            "ipm", line_config(3, distributions={"p": [True, False, False]}), "distributions.p: "),
+        "function-entry-string": (
+            "penalty", line_config(3, functions={"h": ["0", "1", "2"]}), "functions.h: "),
+        "epsilon-nan": ("dro-sup", line_config(3, epsilon=float("nan")), "epsilon: "),
+        "rkhs-bandwidth-string": (
+            "penalty",
+            line_config(3, function_class={"variant": "rkhs_ball", "gaussian_bandwidth": "wide"}),
+            "function_class.gaussian_bandwidth: "),
+        "rkhs-gram-not-list": (
+            "penalty", line_config(3, function_class={"variant": "rkhs_ball", "gram": 5}),
+            "function_class.gram: "),
+        "members-string": (
+            "penalty", line_config(3, function_class={"variant": "explicit", "members": "hg"}),
+            "function_class.members: "),
+        "class-mu-list": (
+            "penalty", line_config(3, function_class={**FISHER_Z, "mu": ["z"]}),
+            "function_class.mu: "),
+        "allow-zero-mass-string": (
+            "penalty", line_config(3, function_class={**FISHER_Z, "allow_zero_mass": "false"}),
+            "function_class.allow_zero_mass: "),
         "seed-not-integer": ("penalty", line_config(3, seed="abc"), "seed: "),
         "samples-not-integer": ("tightness", line_config(3, samples="many"), "samples: "),
         "tolerance-not-number": (

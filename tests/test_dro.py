@@ -249,7 +249,6 @@ class TestCorollaryBound:
         P = DiscreteDistribution(space, weights / weights.sum())
         h = FunctionVec(space, np.sin(2.0 * t) + t)
         report = corollary_bound(P, LipschitzBall(space), 1.0, h)
-        assert report.lhs_method == "identity"
         e_p_h = float(P.weights @ h.values)
         assert report.rhs >= e_p_h + 2.95
         assert report.lhs <= e_p_h + 2.001

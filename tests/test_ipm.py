@@ -112,23 +112,31 @@ class TestTransport:
             )
             assert primal == pytest.approx(sol.value, abs=1e-7)
 
-    def test_transport_plan_marginals(self):
+    def test_witness_is_in_the_ball_and_attains_the_value(self):
         rng = np.random.default_rng(4)
         space = line_space(rng, 5)
         Q = random_distribution(rng, space)
         P = random_distribution(rng, space)
-        got = ipm_distance(LipschitzBall(space), Q, P)
-        plan = got.witness
-        assert np.allclose(plan.sum(axis=1), Q.weights, atol=1e-9)
-        assert np.allclose(plan.sum(axis=0), P.weights, atol=1e-9)
+        cls = LipschitzBall(space)
+        got = ipm_distance(cls, Q, P)
+        assert isinstance(got.witness, FunctionVec)
+        assert cls.gauge(got.witness).value <= 1.0 + 1e-9
+        gap = float(got.witness.values @ (Q.weights - P.weights))
+        assert gap == pytest.approx(got.value, abs=1e-9)
 
-    def test_size_cap(self):
+    def test_line_beyond_sixty_points_matches_cdf_formula(self):
+        # on a line W1 = sum of gaps * |F_Q - F_P|
         n = 61
+        rng = np.random.default_rng(12)
         t = np.linspace(0.0, 1.0, n)
         space = make_space([str(i) for i in range(n)], metric=np.abs(t[:, None] - t[None, :]))
-        Q = DiscreteDistribution.uniform(space)
-        with pytest.raises(ValueError):
-            ipm_distance(LipschitzBall(space), Q, Q)
+        Q = random_distribution(rng, space)
+        P = random_distribution(rng, space)
+        cdf_gap = np.cumsum(Q.weights - P.weights)[:-1]
+        expected = float(np.diff(t) @ np.abs(cdf_gap))
+        assert ipm_distance(LipschitzBall(space), Q, P).value == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 class TestQuadraticDistances:

@@ -1,12 +1,18 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import ipmdro
 from ipmdro.errors import DimensionMismatch, NotConcave
 from ipmdro.solvers import (
     FREE,
     NONNEG,
     LpStatus,
+    Tolerances,
     lp_problem,
     maximize_concave_quadratic_over_simplex,
     minimize_scalar_convex,
@@ -216,3 +222,15 @@ class TestGoldenSection:
         )
         assert argmin == pytest.approx(1.0, abs=1e-8)
         assert value == pytest.approx(1.0, abs=1e-8)
+
+
+def test_every_tolerance_is_read_by_the_package():
+    """A Tolerances field that no module reads is a knob that does nothing."""
+    source = "\n".join(
+        path.read_text() for path in Path(ipmdro.__file__).parent.glob("*.py")
+    )
+    unread = [
+        f.name for f in dataclasses.fields(Tolerances)
+        if not re.search(rf"\.{f.name}\b", source)
+    ]
+    assert unread == []
