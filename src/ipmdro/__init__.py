@@ -68,7 +68,6 @@ from .solvers import (
     LpStatus,
     Tolerances,
     lp_problem,
-    maximize_concave_quadratic_over_simplex,
     minimize_scalar_convex,
     project_simplex,
     solve_lp,

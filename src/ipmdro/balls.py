@@ -53,7 +53,6 @@ from .solvers import (
     LpStatus,
     check_dense_size,
     lp_problem,
-    maximize_concave_quadratic_over_simplex,
     minimize_scalar_convex,
     project_simplex,
     solve_lp,
@@ -172,7 +171,7 @@ class Explicit(FunctionClass):
             float(sol.value), _as_distribution(P.space, sol.x), DroMethod.EXACT_LP
         )
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
+    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
         n = P.space.n
         nv = n + 1 + self.size  # h1, t, conic weights w of h - h1
         a_eq = np.zeros((n, nv))
@@ -396,7 +395,7 @@ class _PolyhedralBall(_Ball):
             float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
         )
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
+    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
         """Infimal-convolution LP: one seminorm epigraph variable per block."""
         n, atoms = self.space.n, self._atoms
         nv = n + 1 + len(atoms)
@@ -536,10 +535,107 @@ def _quadratic_distance(space, quad, direction) -> IpmValue:
     return IpmValue(value, witness)
 
 
+def _segment(D, g, p, free):
+    """The KKT solution on one free set S (q = 0 off S) as a function of
+    mu = 1 / (2 lambda), lambda the multiplier of the squared distance.
+
+    One solve of the bordered matrix [[D_SS, 1], [1', 0]] with two right-hand
+    sides gives d = q - p = mu * d1 + d0 and the multipliers
+    alpha + beta / mu of the points off S.  g is first shifted by its largest
+    value on S, so that where g is constant on S the right-hand side, and
+    with it d1, is exactly zero.
+    """
+    fixed = ~free
+    k = int(free.sum())
+    border = np.ones((k + 1, k + 1))
+    border[:k, :k] = D[np.ix_(free, free)]
+    border[k, k] = 0.0
+    g = g - g[free].max()
+    rhs = np.zeros((k + 1, 2))
+    rhs[:k, 0] = g[free]
+    rhs[:k, 1] = D[np.ix_(free, fixed)] @ p[fixed]
+    rhs[k, 1] = p[fixed].sum()
+    x = np.linalg.solve(border, rhs)
+    d1 = np.zeros(p.size)
+    d1[free] = x[:k, 0]
+    d0 = -p
+    d0[free] = x[:k, 1]
+    alpha = (D @ d1)[fixed] + x[k, 0] - g[fixed]
+    beta = (D @ d0)[fixed] + x[k, 1]
+    return d1, d0, alpha, beta
+
+
+def _active_set_walk(D, g, p, eps, tolerances):
+    """argmax of <g, q> over q >= 0, sum(q) = sum(p), (q-p)' D (q-p) <= eps^2,
+    for D positive definite on sum-zero vectors.
+
+    The walk starts at mu = 0 (q = p) on the free set {p > 0} and raises mu
+    one segment at a time.  On a segment |d|_D^2 = a mu^2 + c (the cross
+    term vanishes: 1'd1 = 0 and (D d0) is constant on S), so the radius is
+    reached at mu = sqrt((eps^2 - c) / a).  Before that the segment may end
+    at an event: a free point reaches zero and leaves S, or the multiplier
+    of a fixed point reaches zero and it joins S.  Events at one mu are taken
+    one at a time, lowest index first (Murty's least-index rule), so ties
+    such as the zero-weight points at mu = 0 resolve in finitely many flips.
+    With a = 0 and no event left (g constant on S), q is optimal as it is.
+
+    The result is certified by its KKT conditions, with the LP tolerances
+    scaled by the size of the terms compared; a failed check or a walk
+    longer than 4n + 4 segments raises NumericalBreakdown.
+    """
+    n = p.size
+    free = p > 0.0
+    mu = 0.0
+    for _ in range(4 * n + 4):
+        d1, d0, alpha, beta = _segment(D, g, p, free)
+        a, c = float(d1 @ D @ d1), float(d0 @ D @ d0)
+        # event times; rates within 1e-12 of their scale are rounding noise,
+        # on which a point resting at zero would flip back and forth
+        times = np.full(n, np.inf)
+        leaving = free & (d1 < -1e-12 * np.abs(d1).max())
+        times[leaving] = -(p + d0)[leaving] / d1[leaving]
+        entering = alpha < -1e-12 * (1.0 + np.abs(g).max())
+        times[np.flatnonzero(~free)[entering]] = -beta[entering] / alpha[entering]
+        times = np.maximum(times, mu)
+        event = float(times.min())
+        radius = np.sqrt(max(eps * eps - c, 0.0) / a) if a > 0.0 else np.inf
+        if radius <= event:
+            return _certified(D, g, p, eps, free, max(radius, mu), d1, d0, tolerances)
+        flip = int(np.flatnonzero(times <= event * (1.0 + 1e-12))[0])
+        free[flip] = not free[flip]
+        mu = event
+    raise NumericalBreakdown(
+        f"quadratic worst case (n = {n}): no optimal segment in {4 * n + 4}"
+    )
+
+
+def _certified(D, g, p, eps, free, mu, d1, d0, tolerances):
+    """q = p + mu d1 + d0 if it meets the KKT conditions, else a breakdown."""
+    n = p.size
+    lam = 0.5 / mu  # zero where the walk ended with the radius unreached
+    d = d0 if lam == 0.0 else mu * d1 + d0
+    q = p + d
+    dist = float(np.sqrt(max(d @ D @ d, 0.0)))
+    ball = abs(dist - eps) if lam > 0.0 else dist - eps
+    primal = max(-float(q.min()), abs(float(q.sum() - p.sum())), ball)
+    grad = g - 2.0 * lam * (D @ d)  # tau - s, with s zero on S and >= 0 off it
+    s = float(grad[free].mean()) - grad
+    dual = max(float(np.abs(s[free]).max()), -float(s[~free].min(initial=0.0)))
+    scale = 1.0 + float(np.abs(g).max()) + 2.0 * lam * float((np.abs(D) @ np.abs(d)).max())
+    if (primal > tolerances.lp_feasibility * (1.0 + max(float(p.sum()), eps))
+            or dual > tolerances.lp_reduced_cost * scale):
+        raise NumericalBreakdown(
+            f"quadratic worst case (n = {n}): KKT residual {primal:.3e} primal, "
+            f"{dual:.3e} dual above tolerance"
+        )
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class _QuadraticBall(_Ball):
-    """Balls {f : f' M f <= 1}.  The worst case runs a dual bisection and the
-    penalty a Douglas-Rachford splitting; both are iterative.
+    """Balls {f : f' M f <= 1}.  The worst case is an exact active-set walk
+    (``_active_set_walk``); the penalty runs a Douglas-Rachford splitting and
+    is flagged inexact.
 
     A subclass supplies ``_norm``, the ellipsoid norm of its gauge, and
     ``_ball_matrix``, the form D with d(Q, P)^2 = (q-p)' D (q-p) on the
@@ -553,78 +649,19 @@ class _QuadraticBall(_Ball):
         return np.ones(p.size, dtype=bool), 1.0, self._ball_matrix
 
     def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
-        """Dual bisection on the multiplier of the squared-distance constraint.
-
-        The inner problem is a concave quadratic over the simplex; the outer
-        dual function is convex in the multiplier and minimized by golden
-        section on a bracket grown until the ball constraint goes slack.  The
-        reported value comes from a certified-feasible primal point, with the
-        primal-dual sandwich width as the gap estimate.
-        """
-        space = P.space
-        v = h.values
+        """max <h, q> over the ball, a linear objective on the simplex cut by
+        an ellipsoid, solved exactly on the ball's support; the value is
+        E_Q[h] of the returned distribution."""
         p = P.weights
         supp, mass, m_supp = self._ball_support(p)
         if mass <= 0.0 or eps == 0.0:  # the ball is {P}
-            return DroResult(float(p @ v), P, DroMethod.EXACT_LP, 0.0)
-        h_s = v[supp]
-        p_s = p[supp]
-        off_term = float(p[~supp] @ v[~supp])
-
-        def distance(q_s):
-            d = q_s - p_s
-            return float(np.sqrt(max(d @ m_supp @ d, 0.0)))
-
-        state = {"warm": p_s / mass if mass > 0 else None}
-
-        def inner(lam):
-            qmat = -lam * mass * mass * m_supp
-            c = mass * h_s + 2.0 * lam * mass * (m_supp @ p_s)
-            value, u = maximize_concave_quadratic_over_simplex(
-                qmat, c, tol=tolerances.quad_pg_tol, tolerances=tolerances,
-                start=state["warm"],
-            )
-            state["warm"] = u
-            const = off_term - lam * float(p_s @ m_supp @ p_s)
-            return value + const, mass * u
-
-        def dual(lam):
-            val, _ = inner(lam)
-            return lam * eps * eps + val
-
-        # unconstrained maximizer: if already inside the ball we are done
-        val0, q0 = inner(0.0)
-        if distance(q0) <= eps:
-            q = p.copy()
-            q[supp] = q0
-            return DroResult(val0, _as_distribution(space, q), DroMethod.DUAL_BISECTION, 0.0)
-
-        lam_max = (float(v.max()) - float(v.min())) / (eps * eps)
-        lam_max = max(lam_max, 1e-6)
-        for _ in range(80):
-            _, q_hi = inner(lam_max)
-            if distance(q_hi) <= eps:
-                break
-            lam_max *= 2.0
-
-        golden = 0.5 * (np.sqrt(5.0) - 1.0)
-        lam_star, _ = minimize_scalar_convex(
-            dual, 0.0, lam_max, tol=lam_max * golden**tolerances.golden_iterations
-        )
-        dual_value = dual(lam_star)
-        _, q_hat = inner(lam_star)
-        d_hat = distance(q_hat)
-        if d_hat > eps:
-            q_hat = p_s + (q_hat - p_s) * (eps / d_hat)
+            return DroResult(float(p @ h.values), P, DroMethod.EXACT_LP, 0.0)
         q = p.copy()
-        q[supp] = q_hat
-        primal_value = float(q @ v)
-        gap = max(dual_value - primal_value, 0.0)
-        return DroResult(
-            primal_value, _as_distribution(space, q), DroMethod.DUAL_BISECTION, gap
-        )
+        q[supp] = _active_set_walk(m_supp, h.values[supp], p[supp], eps, tolerances)
+        worst = _as_distribution(P.space, q)
+        return DroResult(float(worst.weights @ h.values), worst, DroMethod.ACTIVE_SET)
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES, reference=None):
+    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
         """Douglas-Rachford splitting of [max(h1) - E_P[h1]] +
         eps * sqrt((h-h1)' M (h-h1)) over h1.
 
@@ -649,7 +686,6 @@ class _QuadraticBall(_Ball):
         def prox_norm_part(z):
             return v - norm.prox(v - z, step * eps)
 
-        target = None if reference is None else max(reference, 0.0)
         s = v.copy()
         best_x = v.copy()
         best_val = objective(best_x)
@@ -663,8 +699,6 @@ class _QuadraticBall(_Ball):
                 best_val = val
                 best_x = xg
             if np.max(np.abs(xf - xg)) <= tolerances.iconv_stop * scale:
-                break
-            if target is not None and best_val <= target + tolerances.iconv_requested_gap:
                 break
         return PenaltyValue(max(best_val, 0.0), (best_x, v - best_x), exact=False)
 

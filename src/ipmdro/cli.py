@@ -703,12 +703,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a JSON problem config")
     parser.add_argument("--out", required=True, help="report output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="override the exact-path identity tolerance",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -721,13 +715,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
             config.raw["seed"] = args.seed
-        if args.tol is not None:
-            config = dataclasses.replace(
-                config,
-                tolerances=dataclasses.replace(
-                    config.tolerances, identity_exact=args.tol
-                ),
-            )
         rows, witnesses = SUBCOMMANDS[args.subcommand](config)
         paths = emit_report(args.subcommand, rows, witnesses, config, args.out)
     except ConfigError as exc:

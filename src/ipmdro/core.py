@@ -231,7 +231,7 @@ class FunctionClass:
     def worst_case(self, P, eps, h, tolerances=None):
         raise UnsupportedVariant(f"no ball encoding for {type(self).__name__}")
 
-    def lambda_(self, P, eps, h, tolerances=None, reference=None):
+    def lambda_(self, P, eps, h, tolerances=None):
         raise UnsupportedVariant(
             f"infimal convolution not implemented for {type(self).__name__}"
         )

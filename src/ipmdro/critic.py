@@ -21,7 +21,7 @@ from .core import (
     class_is_even,
     require_same_space,
 )
-from .dro import DroMethod, worst_case_expectation
+from .dro import worst_case_expectation
 from .errors import EpsNonPositive, NotAligned, NotEven
 from .ipm import ipm_distance
 from .penalties import lambda_penalty, theta
@@ -115,7 +115,7 @@ def check_alignment(
     dro = worst_case_expectation(P, cls, eps, h, tolerances)
     lam = lambda_penalty(P, cls, eps, h, tolerances)
     eps_theta = eps * gauge
-    exact = dro.method == DroMethod.EXACT_LP and dro.gap_estimate == 0.0 and lam.exact
+    exact = lam.exact
     tol = tolerances.identity_exact if exact else tolerances.identity_iterative
     if not np.isfinite(eps_theta):
         return AlignmentReport(lam.value, eps_theta, False, np.inf, None, None, exact)

@@ -23,7 +23,7 @@ from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 class DroMethod(Enum):
     EXACT_LP = "exact_lp"
-    DUAL_BISECTION = "dual_bisection"
+    ACTIVE_SET = "active_set"
 
 
 @dataclass
@@ -69,10 +69,12 @@ def worst_case_expectation(
     """sup of E_Q[h] over the radius-eps one-sided ball around P.
 
     Polyhedral balls (explicit, sup-norm, Lipschitz, Dudley) are one exact
-    LP; quadratic balls (RKHS, Fisher, Sobolev) run the dual bisection.  The
-    returned worst_q is checked to lie in the ball within the ball tolerance:
-    its distance to P is computed anew (for the Lipschitz and Dudley balls,
-    the flow distance LP) and a breakdown is raised if it exceeds eps.
+    LP; quadratic balls (RKHS, Fisher, Sobolev) run an exact active-set walk
+    whose result is certified by its KKT conditions.  The value is E_Q[h] of
+    the returned worst_q, which is checked to lie in the ball within the ball
+    tolerance: its distance to P is computed anew (for the Lipschitz and
+    Dudley balls, the flow distance LP) and a breakdown is raised if it
+    exceeds eps.
     """
     require_same_space(P, h)
     require_same_space(P, cls)
@@ -100,14 +102,9 @@ def verify_identity(
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
     dro = worst_case_expectation(P, cls, eps, h, tolerances)
     e_p_h = float(P.weights @ h.values)
-    lam = lambda_penalty(
-        P, cls, eps, h, tolerances, reference=dro.value - e_p_h
-    )
+    lam = lambda_penalty(P, cls, eps, h, tolerances)
     residual = abs(dro.value - (e_p_h + lam.value))
-    exact = (
-        dro.method == DroMethod.EXACT_LP and dro.gap_estimate == 0.0 and lam.exact
-    )
-    return IdentityReport(dro.value, e_p_h, lam.value, residual, exact)
+    return IdentityReport(dro.value, e_p_h, lam.value, residual, lam.exact)
 
 
 def corollary_bound(

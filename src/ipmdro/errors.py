@@ -57,10 +57,6 @@ class SizeCapExceeded(IpmdroError, ValueError):
     """The instance is larger than a dense encoding supports."""
 
 
-class NotConcave(IpmdroError):
-    pass
-
-
 class NegativeZeta(IpmdroError):
     pass
 

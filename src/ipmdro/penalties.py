@@ -6,7 +6,7 @@ and their infimal convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -122,18 +122,18 @@ def lambda_penalty(
     eps: float,
     h: FunctionVec,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    reference: Optional[float] = None,
 ) -> PenaltyValue:
     """Infimal convolution of the peak-over-mean penalty with eps times the
     class gauge: the exact robustness premium of the worst-case expectation.
 
     Polyhedral classes are solved by one exact LP; quadratic classes run a
-    proximal splitting and are flagged inexact.  ``reference`` optionally
-    passes a known worst-case expectation minus E_P[h]; the iteration then
-    also stops once within the requested-gap tolerance of it.
+    Douglas-Rachford splitting until its iterates settle (or its iteration
+    budget runs out), keep the best split seen and are flagged inexact.  The
+    penalty never reads the worst case, so the two sides of the identity
+    stay independent.
     """
     require_same_space(P, h)
     require_same_space(P, cls)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    return cls.lambda_(P, eps, h, tolerances, reference)
+    return cls.lambda_(P, eps, h, tolerances)

@@ -1,6 +1,5 @@
-"""Self-contained numerical kernels: a dense LP solver, simplex projection,
-concave quadratic maximization over the probability simplex, and scalar
-convex minimization.
+"""Self-contained numerical kernels: a dense LP solver, simplex projection and
+scalar convex minimization.
 
 Everything here is deterministic: fixed pivoting rules (Bland's anti-cycling
 rule with lowest-index tie breaking), fixed iteration budgets, no randomness.
@@ -14,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConcave, NumericalBreakdown, SizeCapExceeded
+from .errors import DimensionMismatch, NumericalBreakdown, SizeCapExceeded
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,11 @@ class Tolerances:
     lp_phase1: float = 1e-9  # infeasibility cutoff on the phase-1 objective
     lp_max_iterations: int = 200_000
     lp_refactor_every: int = 150
-    power_iterations: int = 64
-    golden_iterations: int = 60
-    quad_pg_tol: float = 1e-9
-    quad_max_iterations: int = 100_000
     identity_exact: float = 1e-6
     identity_iterative: float = 5e-4
     ball_feasibility: float = 1e-7
     iconv_stop: float = 1e-11
     iconv_max_iterations: int = 100_000
-    iconv_requested_gap: float = 1e-5
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -445,80 +439,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(np.max(np.flatnonzero(mask)))
     lam = (1.0 - cumsum[rho]) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# concave quadratic maximization over the simplex
-
-
-def _spectral_bound(q: np.ndarray, iters: int) -> float:
-    """Power-iteration estimate of the spectral norm of a symmetric matrix."""
-    n = q.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    v += 1e-3 * np.cos(np.arange(n))  # deterministic symmetry breaking
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = q @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0
-        est = norm
-        v = w / norm
-    return float(est)
-
-
-def maximize_concave_quadratic_over_simplex(
-    qmat: np.ndarray,
-    c: np.ndarray,
-    tol: float = DEFAULT_TOLERANCES.quad_pg_tol,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    start: Optional[np.ndarray] = None,
-):
-    """Maximize q' Qmat q + c' q over the probability simplex.
-
-    Accelerated projected gradient with step 1/L, L from a power-iteration
-    spectral bound; stops when the projected-gradient norm is at most tol.
-    Returns (value, argmax).
-    """
-    qmat = np.asarray(qmat, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    if qmat.shape != (n, n):
-        raise DimensionMismatch("quadratic term must be n x n")
-    if np.max(np.abs(qmat - qmat.T)) > 1e-9 * (1.0 + np.max(np.abs(qmat))):
-        raise NotConcave("quadratic term must be symmetric")
-    if n == 1:
-        return float(qmat[0, 0] + c[0]), np.ones(1)
-    top = float(np.max(np.linalg.eigvalsh(qmat)))
-    if top > 1e-10:
-        raise NotConcave(f"positive eigenvalue {top:.3e} beyond tolerance")
-
-    spectral = _spectral_bound(qmat, tolerances.power_iterations)
-    if spectral <= 1e-14:
-        # linear objective: optimum at the best vertex, lowest index on ties
-        best = int(np.argmax(c))
-        x = np.zeros(n)
-        x[best] = 1.0
-        return float(c[best]), x
-
-    lip = 2.0 * spectral * (1.0 + 1e-6)
-    step = 1.0 / lip
-    x = project_simplex(start.copy() if start is not None else np.full(n, 1.0 / n))
-    yv = x.copy()
-    t_acc = 1.0
-    for _ in range(tolerances.quad_max_iterations):
-        grad_y = 2.0 * (qmat @ yv) + c
-        x_new = project_simplex(yv + step * grad_y)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        yv = x_new + ((t_acc - 1.0) / t_new) * (x_new - x)
-        x, t_acc = x_new, t_new
-        grad_x = 2.0 * (qmat @ x) + c
-        pg = (project_simplex(x + step * grad_x) - x) * lip
-        if np.linalg.norm(pg) <= tol:
-            break
-    value = float(x @ qmat @ x + c @ x)
-    return value, x
 
 
 # ---------------------------------------------------------------------------

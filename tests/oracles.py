@@ -73,13 +73,6 @@ def sign_vectors(n):
     return 2.0 * bits - 1.0
 
 
-def grid_quadratic_max_simplex(qmat, c, steps=1000):
-    """Enumerate q' Q q + c' q over a 1/steps grid of the 3-simplex."""
-    grid = simplex_grid_3(steps)
-    values = np.einsum("ij,jk,ik->i", grid, qmat, grid) + grid @ c
-    return float(values.max())
-
-
 def midrange(values):
     values = np.asarray(values, dtype=float)
     return 0.5 * (values.max() + values.min()), 0.5 * (values.max() - values.min())

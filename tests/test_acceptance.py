@@ -105,7 +105,7 @@ def test_criterion_02_identity_quadratic_path():
         gap = worst_case_expectation(P, cls, eps, h).gap_estimate
         worst_residual = max(worst_residual, result.residual)
         worst_gap = max(worst_gap, gap)
-    ok = worst_residual <= 5e-4 and worst_gap <= 5e-4
+    ok = worst_residual <= 1e-6 and worst_gap <= 5e-4
     _report(
         2,
         ok,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ipmdro import (
     verify_identity,
     worst_case_expectation,
 )
+from ipmdro.balls import _QuadraticBall
 from ipmdro.errors import EpsNegative, EpsNonPositive
 from fleet import (
     even_explicit_class,
@@ -190,6 +193,28 @@ class TestVerifyIdentity:
         h = FunctionVec(space, [0.0, 1.0, 2.0])
         with pytest.raises(EpsNonPositive):
             verify_identity(P, SupNormBall(space), 0.0, h)
+
+    def test_inflated_quadratic_worst_case_shows_in_the_residual(self, monkeypatch):
+        # the penalty must not stop early on the worst case's value
+        real = _QuadraticBall.worst_case
+
+        def inflated(self, *args, **kwargs):
+            result = real(self, *args, **kwargs)
+            return dataclasses.replace(result, value=result.value + 1e-3)
+
+        monkeypatch.setattr(_QuadraticBall, "worst_case", inflated)
+        rng = np.random.default_rng(6)
+        for kind in ("fisher", "rkhs", "sobolev"):
+            n = int(rng.integers(3, 7))
+            if kind == "sobolev":
+                space, cls = sobolev_instance(rng, n)
+            else:
+                space = unit_space(n)
+                cls = quadratic_class(rng, space, kind)
+            P = random_distribution(rng, space)
+            h = FunctionVec(space, rng.uniform(-1, 1, n))
+            report = verify_identity(P, cls, float(rng.uniform(0.05, 1.0)), h)
+            assert report.residual >= 9e-4
 
     def test_metric_ball_variants(self):
         rng = np.random.default_rng(12)

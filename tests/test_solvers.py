@@ -7,19 +7,18 @@ import pytest
 from scipy.optimize import linprog
 
 import ipmdro
-from ipmdro.errors import DimensionMismatch, NotConcave
+from ipmdro.errors import DimensionMismatch
 from ipmdro.solvers import (
     FREE,
     NONNEG,
     LpStatus,
     Tolerances,
     lp_problem,
-    maximize_concave_quadratic_over_simplex,
     minimize_scalar_convex,
     project_simplex,
     solve_lp,
 )
-from oracles import greedy_l1_worst_case, grid_quadratic_max_simplex
+from oracles import greedy_l1_worst_case
 
 
 def l1_ball_lp(h, p, eps):
@@ -160,49 +159,6 @@ class TestProjectSimplex:
             assert q.min() >= 0.0
             p = rng.dirichlet(np.ones(n))
             assert float((v - q) @ (p - q)) <= 1e-9
-
-
-class TestConcaveQuadratic:
-    def test_linear_case(self):
-        value, arg = maximize_concave_quadratic_over_simplex(
-            np.zeros((3, 3)), np.array([0.0, 1.0, 2.0])
-        )
-        assert value == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(arg, [0, 0, 1])
-
-    def test_negative_identity(self):
-        value, arg = maximize_concave_quadratic_over_simplex(
-            -np.eye(3), np.zeros(3), tol=1e-10
-        )
-        assert value == pytest.approx(-1.0 / 3.0, abs=1e-9)
-        assert np.allclose(arg, np.full(3, 1 / 3), atol=1e-6)
-
-    def test_against_grid_enumeration(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n = 3
-            d = -np.abs(rng.standard_normal(n))
-            u = rng.standard_normal((n, n))
-            q, _ = np.linalg.qr(u)
-            qmat = q @ np.diag(d) @ q.T
-            qmat = 0.5 * (qmat + qmat.T)
-            c = rng.standard_normal(n)
-            value, _ = maximize_concave_quadratic_over_simplex(qmat, c, tol=1e-10)
-            ref = grid_quadratic_max_simplex(qmat, c, steps=1000)
-            assert abs(value - ref) <= 1e-3
-
-    def test_two_dim_example_vs_grid(self):
-        qmat = -np.diag([1.0, 1.0])
-        c = np.array([2.0, 0.0])
-        value, _ = maximize_concave_quadratic_over_simplex(qmat, c, tol=1e-10)
-        grid = np.linspace(0.0, 1.0, 1001)
-        points = np.stack([grid, 1.0 - grid], axis=1)
-        ref = float(np.max(np.einsum("ij,jk,ik->i", points, qmat, points) + points @ c))
-        assert abs(value - ref) <= 1e-3
-
-    def test_not_concave(self):
-        with pytest.raises(NotConcave):
-            maximize_concave_quadratic_over_simplex(np.eye(3), np.zeros(3))
 
 
 class TestGoldenSection:
