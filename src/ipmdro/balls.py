@@ -3,10 +3,9 @@ gauge, the centered gauge, the IPM distance, the worst-case expectation over
 the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
-``lambda_penalty``, ...) validate their inputs and call these methods.  The
-matrices a variant needs (the Sobolev Laplacian and its eigendecomposition,
-the ellipsoid norms of the quadratic balls) are built on first use and cached
-on the instance.
+``lambda_penalty``, ...) validate their inputs and call these methods.  A
+quadratic ball's spectrum and a polyhedral ball's seminorm atoms are built on
+first use and cached on the instance.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .core import (
     lipschitz_constant,
     lipschitz_pairs,
     require_same_space,
-    rkhs_norm,
     sobolev_matrix,
     sup_norm,
 )
@@ -216,24 +214,6 @@ class _Ball(FunctionClass):
     structured = True
     seminorm = False
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        """A seminorm needs no shift; otherwise golden section over
-        [min h, max h], which contains a minimizer for every implemented
-        gauge."""
-        if self.seminorm:
-            return 0.0, self.gauge(h, tolerances)
-        v = h.values
-        lo, hi = float(v.min()), float(v.max())
-        if hi - lo <= 1e-15:
-            return lo, self.gauge(FunctionVec(h.space, v - lo), tolerances)
-        b, val = minimize_scalar_convex(
-            lambda b: self.gauge(FunctionVec(h.space, v - b), tolerances).value,
-            lo,
-            hi,
-            tol=1e-10 * (1.0 + hi - lo),
-        )
-        return float(b), PenaltyValue(float(val))
-
     def _boundary_vertices(self) -> list:
         """Extreme points that lead the boundary sample."""
         return []
@@ -351,6 +331,17 @@ class _PolyhedralBall(_Ball):
     def _atoms(self):
         return [block(self.space) for block in self.blocks]
 
+    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+        """Closed form: the sup block is least, at half the range of h, when
+        b is the midpoint of that range; the Lipschitz block ignores b."""
+        if _sup_block not in self.blocks:
+            return 0.0, self.gauge(h, tolerances)
+        v = h.values
+        value = 0.5 * float(v.max() - v.min())
+        if _lip_block in self.blocks:
+            value += lipschitz_constant(self.space, v)
+        return float(0.5 * (v.max() + v.min())), PenaltyValue(value)
+
     def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
         n, atoms = self.space.n, self._atoms
         nb, nf = len(atoms), 2 * _atom_count(atoms)
@@ -413,11 +404,6 @@ class SupNormBall(_PolyhedralBall):
     def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
         return PenaltyValue(sup_norm(h.values))
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        v = h.values
-        b = 0.5 * (v.max() + v.min())
-        return float(b), PenaltyValue(0.5 * float(v.max() - v.min()))
-
     def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
         delta = Q.weights - P.weights
         sign = np.sign(delta)
@@ -470,22 +456,27 @@ class DudleyBall(_PolyhedralBall):
 
 
 class _EllipsoidNorm:
-    """Machinery for c * sqrt(v' M v) penalties: value, prox, dual projection.
+    """The PSD form M of a quadratic ball's gauge, held as one spectrum
+    M = V diag(eigval) V', whose zero eigenvalues span the null space.
 
-    Built from the eigendecomposition of a symmetric PSD M, singular ones
-    (seminorms) included; eigenvalues below the cutoff span the free
-    directions.
+    The ball reads everything from it: the gauge sqrt(h' M h) (``value``),
+    the distance sqrt(d' M+ d) and its witness, the worst-case walk's form
+    M+ (``pinv``), and the prox and dual projection of the Douglas-Rachford
+    penalty.  ``null_tol`` = (a, r): d leaves range(M) once the 2-norm of its
+    null-space coefficients exceeds a * (1 + r * |d|_1).  The arrays are
+    read-only.
     """
 
-    def __init__(self, eigval: np.ndarray, eigvec: np.ndarray, cutoff: float = 1e-10):
-        scale = max(float(eigval.max()), 1.0)
-        self.positive = eigval > cutoff * scale
-        self.eigval = np.where(self.positive, eigval, 0.0)
-        self.eigvec = eigvec
+    def __init__(self, eigval: np.ndarray, eigvec: np.ndarray, null_tol=(0.0, 0.0)):
+        self.eigval = _frozen_array(eigval)
+        self.eigvec = _frozen_array(eigvec)
+        self.positive = _frozen_array(self.eigval > 0.0, dtype=bool)
+        self.null_tol = null_tol
 
-    @classmethod
-    def of(cls, mat: np.ndarray) -> "_EllipsoidNorm":
-        return cls(*np.linalg.eigh(0.5 * (mat + mat.T)))
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        inv = np.where(self.positive, 1.0 / np.where(self.positive, self.eigval, 1.0), 0.0)
+        return _frozen_array(self.eigvec @ np.diag(inv) @ self.eigvec.T)
 
     def value(self, v: np.ndarray) -> float:
         coeff = self.eigvec.T @ v
@@ -524,15 +515,6 @@ class _EllipsoidNorm:
     def prox(self, z: np.ndarray, weight: float) -> np.ndarray:
         """prox of weight * sqrt(v' M v) at z (Moreau decomposition)."""
         return z - self.project_dual(z, weight)
-
-
-def _quadratic_distance(space, quad, direction) -> IpmValue:
-    """sqrt(quad), witnessed by direction / value away from zero."""
-    value = float(np.sqrt(max(quad, 0.0)))
-    witness = None
-    if value > 1e-14:
-        witness = FunctionVec(space, direction / value)
-    return IpmValue(value, witness)
 
 
 def _segment(D, g, p, free):
@@ -633,20 +615,50 @@ def _certified(D, g, p, eps, free, mu, d1, d0, tolerances):
 
 @dataclass(frozen=True, eq=False)
 class _QuadraticBall(_Ball):
-    """Balls {f : f' M f <= 1}.  The worst case is an exact active-set walk
-    (``_active_set_walk``); the penalty runs a Douglas-Rachford splitting and
-    is flagged inexact.
-
-    A subclass supplies ``_norm``, the ellipsoid norm of its gauge, and
-    ``_ball_matrix``, the form D with d(Q, P)^2 = (q-p)' D (q-p) on the
-    distance's finite domain, or overrides ``_ball_support`` when that
-    domain is smaller than the space.
+    """Balls {f : f' M f <= 1}.  A subclass supplies ``_norm``, the one
+    spectrum of M, and every operation derives from it: the gauge, the
+    centered gauge, the distance sqrt(d' M+ d), the exact active-set worst
+    case (``_active_set_walk`` on the form M+) and the Douglas-Rachford
+    penalty, which is flagged inexact.  A subclass overrides ``_ball_support``
+    when Q cannot move mass to every point.
     """
+
+    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+        return PenaltyValue(self._norm.value(h.values))
+
+    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+        """b = 1'Mh / 1'M1 minimizes (h - b)' M (h - b); a seminorm needs no
+        shift."""
+        b = 0.0
+        if not self.seminorm:
+            norm = self._norm
+            ones = norm.eigvec.sum(axis=0)  # V'1
+            weighted = norm.eigval * ones
+            b = float(weighted @ (norm.eigvec.T @ h.values)) / float(weighted @ ones)
+        return b, self.gauge(FunctionVec(h.space, h.values - b))
+
+    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+        """sqrt(d' M+ d) for d = q - p, witnessed by M+ d over the distance;
+        infinite once d leaves range(M)."""
+        delta = Q.weights - P.weights
+        norm = self._norm
+        pos = norm.positive
+        coeff = norm.eigvec.T @ delta
+        atol, rtol = norm.null_tol
+        null_mass = float(np.sqrt(np.sum(coeff[~pos] ** 2)))
+        if null_mass > atol * (1.0 + rtol * float(np.abs(delta).sum())):
+            return IpmValue(np.inf, None)
+        value = float(np.sqrt(max(np.sum(coeff[pos] ** 2 / norm.eigval[pos]), 0.0)))
+        witness = None
+        if value > 1e-14:
+            pinv_coeff = np.where(pos, coeff / np.where(pos, norm.eigval, 1.0), 0.0)
+            witness = FunctionVec(Q.space, norm.eigvec @ pinv_coeff / value)
+        return IpmValue(value, witness)
 
     def _ball_support(self, p):
         """(mask of the points Q may move mass to, P's mass there, the
-        distance form restricted to them)."""
-        return np.ones(p.size, dtype=bool), 1.0, self._ball_matrix
+        distance form M+ restricted to them)."""
+        return np.ones(p.size, dtype=bool), 1.0, self._norm.pinv
 
     def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
         """max <h, q> over the ball, a linear objective on the simplex cut by
@@ -727,30 +739,9 @@ class RkhsBall(_QuadraticBall):
 
     @cached_property
     def _norm(self) -> _EllipsoidNorm:
+        """M = K^-1 from one decomposition of K, every eigenvalue kept."""
         eigval, eigvec = np.linalg.eigh(self.gram)
-        return _EllipsoidNorm.of(eigvec @ np.diag(1.0 / eigval) @ eigvec.T)
-
-    @property
-    def _ball_matrix(self) -> np.ndarray:
-        return np.asarray(self.gram)
-
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        return PenaltyValue(rkhs_norm(self.gram, h.values))
-
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        v = h.values
-        ones = np.ones(self.space.n)
-        kinv_h = np.linalg.solve(self.gram, v)
-        kinv_1 = np.linalg.solve(self.gram, ones)
-        b = float(ones @ kinv_h) / float(ones @ kinv_1)
-        centered = v - b
-        val = float(np.sqrt(max(centered @ np.linalg.solve(self.gram, centered), 0.0)))
-        return b, PenaltyValue(val)
-
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
-        delta = Q.weights - P.weights
-        quad = float(delta @ self.gram @ delta)
-        return _quadratic_distance(Q.space, quad, self.gram @ delta)
+        return _EllipsoidNorm(1.0 / eigval, eigvec)
 
 
 def _check_mu(cls_name, space, mu, allow_zero_mass):
@@ -777,37 +768,14 @@ class FisherBall(_QuadraticBall):
 
     @cached_property
     def _norm(self) -> _EllipsoidNorm:
-        return _EllipsoidNorm.of(np.diag(self.mu.weights))
-
-    @cached_property
-    def _support_inverse(self) -> np.ndarray:
-        return np.diag(1.0 / self.mu.weights[self.mu.weights > 0.0])
+        """M = diag(mu): the points are the eigenvectors and mu > 0 spans
+        the range; d leaves it once |d| off the support exceeds 1e-15."""
+        mu = self.mu.weights
+        return _EllipsoidNorm(mu, np.eye(mu.size), null_tol=(1e-15, 0.0))
 
     def _ball_support(self, p):
-        supp = self.mu.weights > 0.0
-        return supp, float(p[supp].sum()), self._support_inverse
-
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        return PenaltyValue(float(np.sqrt(max(self.mu.weights @ h.values**2, 0.0))))
-
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        v = h.values
-        b = float(self.mu.weights @ v)
-        var = float(self.mu.weights @ (v - b) ** 2)
-        return b, PenaltyValue(float(np.sqrt(max(var, 0.0))))
-
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
-        delta = Q.weights - P.weights
-        mu = self.mu.weights
-        off = mu <= 0.0
-        if np.any(np.abs(delta[off]) > 1e-15):
-            return IpmValue(np.inf, None)
-        supp = ~off
-        direction = np.zeros(Q.space.n)
-        direction[supp] = delta[supp] / mu[supp]
-        return _quadratic_distance(
-            Q.space, float(np.sum(delta[supp] ** 2 / mu[supp])), direction
-        )
+        supp = self._norm.positive
+        return supp, float(p[supp].sum()), self._norm.pinv[np.ix_(supp, supp)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -815,8 +783,8 @@ class SobolevBall(_QuadraticBall):
     """Functions whose mu-weighted discrete gradient energy is at most one.
 
     The Laplacian L is assembled once and decomposed once; ``sobolev_matrix``
-    builds it exactly symmetric, so the one decomposition serves the
-    distance, the worst case and the penalty.
+    builds it exactly symmetric, so ``eigh``, which reads one triangle,
+    decomposes L itself.
     """
 
     mu: DiscreteDistribution = None
@@ -831,44 +799,20 @@ class SobolevBall(_QuadraticBall):
             raise GraphDisconnected("a Sobolev ball needs a connected graph")
 
     @cached_property
-    def _laplacian(self) -> np.ndarray:
-        return sobolev_matrix(self.space, self.mu)
-
-    @cached_property
-    def _spectrum(self):
-        """(eigenvalues, eigenvectors, mask of the eigenvalues above cutoff)."""
-        eigval, eigvec = np.linalg.eigh(self._laplacian)
-        return eigval, eigvec, eigval > 1e-10 * max(float(eigval.max()), 1.0)
-
-    @cached_property
     def _norm(self) -> _EllipsoidNorm:
-        return _EllipsoidNorm(*self._spectrum[:2])
+        """M = L; eigenvalues up to 1e-10 times the largest (or times one)
+        span the null space, and d leaves range(L) once its null-space mass
+        exceeds 1e-10 * (1 + |d|_1)."""
+        eigval, eigvec = np.linalg.eigh(sobolev_matrix(self.space, self.mu))
+        positive = eigval > 1e-10 * max(float(eigval.max()), 1.0)
+        return _EllipsoidNorm(np.where(positive, eigval, 0.0), eigvec, null_tol=(1e-10, 1.0))
 
-    @cached_property
-    def _ball_matrix(self) -> np.ndarray:
-        """The pseudo-inverse of L."""
-        eigval, eigvec, positive = self._spectrum
-        if np.sum(~positive) > 1:
+    def _ball_support(self, p):
+        if np.sum(~self._norm.positive) > 1:
             raise UnsupportedVariant(
                 "worst-case over a Sobolev ball needs a connected effective graph"
             )
-        inv = np.where(positive, 1.0 / np.where(positive, eigval, 1.0), 0.0)
-        return eigvec @ np.diag(inv) @ eigvec.T
-
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
-        v = h.values
-        return PenaltyValue(float(np.sqrt(max(v @ self._laplacian @ v, 0.0))))
-
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
-        delta = Q.weights - P.weights
-        eigval, eigvec, positive = self._spectrum
-        coeff = eigvec.T @ delta
-        null_mass = float(np.sqrt(np.sum(coeff[~positive] ** 2)))
-        if null_mass > 1e-10 * (1.0 + float(np.abs(delta).sum())):
-            return IpmValue(np.inf, None)  # perturbation leaves range(L)
-        quad = float(np.sum(coeff[positive] ** 2 / eigval[positive]))
-        pinv_coeff = np.where(positive, coeff / np.where(positive, eigval, 1.0), 0.0)
-        return _quadratic_distance(Q.space, quad, eigvec @ pinv_coeff)
+        return super()._ball_support(p)
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +855,21 @@ class ZetaBall(_Ball):
             raise NegativeZeta(f"zeta returned {z!r}")
         value = z ** (1.0 / self.degree) if z > 0.0 else 0.0
         return PenaltyValue(value, exact=bool(self.convex))
+
+    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+        """Golden section over [min h, max h]; that the interval holds a
+        minimizer is assumed for a black-box zeta, not checked."""
+        v = h.values
+        lo, hi = float(v.min()), float(v.max())
+        if hi - lo <= 1e-15:
+            return lo, self.gauge(FunctionVec(h.space, v - lo), tolerances)
+        b, val = minimize_scalar_convex(
+            lambda b: self.gauge(FunctionVec(h.space, v - b), tolerances).value,
+            lo,
+            hi,
+            tol=1e-10 * (1.0 + hi - lo),
+        )
+        return float(b), PenaltyValue(float(val))
 
     def is_even(self, probe_seed: int = 97) -> bool:
         rng = np.random.default_rng(probe_seed)

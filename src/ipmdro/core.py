@@ -308,10 +308,6 @@ def sobolev_matrix(space: SampleSpace, mu: DiscreteDistribution) -> np.ndarray:
     return lap
 
 
-def rkhs_norm(gram: np.ndarray, values: np.ndarray) -> float:
-    return float(np.sqrt(max(values @ np.linalg.solve(gram, values), 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # class-level transforms
 

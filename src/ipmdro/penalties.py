@@ -102,11 +102,13 @@ def centered_theta(
 ):
     """minimize the gauge of h - b over scalar shifts b.
 
-    Returns (b_star, PenaltyValue).  Seminorm classes are shift-invariant;
-    the sup-norm and Fisher balls have closed-form minimizers; the RKHS ball
-    reduces to a scalar quadratic; explicit sets get one LP with the shift as
-    a free variable; the rest fall back to golden-section over
-    [min h, max h], which contains a minimizer for every implemented penalty.
+    Returns (b_star, PenaltyValue).  Every structured ball has a closed
+    form: the Lipschitz and Sobolev seminorms ignore the shift; the sup-norm
+    and Dudley balls take the midpoint of h's range, where the sup part is
+    half that range; the Fisher and RKHS balls take b = 1'Mh / 1'M1 from
+    their form M.  Explicit sets get one LP with the shift as a free
+    variable; only a zeta ball runs a golden-section search over
+    [min h, max h].
     """
     require_same_space(cls, h)
     return cls.centered_gauge(h, tolerances)

@@ -11,6 +11,8 @@ from ipmdro import (
     FisherBall,
     FunctionVec,
     LipschitzBall,
+    RkhsBall,
+    SobolevBall,
     SupNormBall,
     corollary_bound,
     discretize_structured_class,
@@ -22,8 +24,10 @@ from ipmdro import (
     verify_identity,
     worst_case_expectation,
 )
+from ipmdro import cli
 from ipmdro.balls import _QuadraticBall
-from ipmdro.errors import EpsNegative, EpsNonPositive
+from ipmdro.errors import EpsNegative, EpsNonPositive, UnsupportedVariant
+from ipmdro.solvers import DEFAULT_TOLERANCES
 from fleet import (
     even_explicit_class,
     line_space,
@@ -187,6 +191,16 @@ class TestVerifyIdentity:
                 assert not report.exact
                 assert report.residual <= 5e-4
 
+    def test_ill_conditioned_gram_keeps_every_direction(self):
+        # min eigenvalue 5.6e-10 passes the Gram check, but a relative 1e-10
+        # cutoff on the spectrum of K^-1 would drop K's top eigendirection
+        t = np.linspace(0.0, 1.0, 8)
+        space = make_space([str(x) for x in t], metric=np.abs(t[:, None] - t[None, :]))
+        cls = RkhsBall(space, gram=cli.gaussian_gram(space, 0.67))
+        P = DiscreteDistribution.uniform(space)
+        report = verify_identity(P, cls, 0.1, FunctionVec(space, np.sin(6.0 * t)))
+        assert report.residual <= DEFAULT_TOLERANCES.identity_iterative
+
     def test_eps_zero_rejected(self):
         space = unit_space(3)
         P = DiscreteDistribution.uniform(space)
@@ -242,6 +256,18 @@ class TestZeroMassFisherBall:
         expected = float(P.weights @ h.values) + s * abs(h.values[0] - h.values[1])
         assert result.value == pytest.approx(expected, abs=1e-6)
         assert result.worst_q.weights[2] == pytest.approx(0.4, abs=1e-9)
+
+
+class TestZeroMassSobolevBall:
+    def test_disconnected_effective_graph_refused(self):
+        # the edge out of the zero-mass middle point carries no weight
+        space = make_space(["a", "b", "c"], graph=((0, 1, 1.0), (1, 2, 1.0)))
+        mu = DiscreteDistribution(space, [0.5, 0.0, 0.5])
+        cls = SobolevBall(space, mu=mu, allow_zero_mass=True)
+        P = DiscreteDistribution.uniform(space)
+        h = FunctionVec(space, [0.0, 1.0, 2.0])
+        with pytest.raises(UnsupportedVariant):
+            worst_case_expectation(P, cls, 0.2, h)
 
 
 class TestCorollaryBound:

@@ -183,6 +183,16 @@ class TestQuadraticDistances:
         assert np.isfinite(ipm_distance(cls, Q_on, P).value)
         assert ipm_distance(cls, Q_off, P).value == np.inf
 
+    def test_fisher_off_support_threshold(self):
+        # mass off the support up to 1e-15 is rounding; more is infinite
+        space = make_space(["a", "b", "c"])
+        mu = DiscreteDistribution(space, [0.5, 0.5, 0.0])
+        cls = FisherBall(space, mu=mu, allow_zero_mass=True)
+        P = DiscreteDistribution(space, [0.5, 0.5, 0.0])
+        for off, finite in ((5e-16, True), (2e-15, False)):
+            Q = DiscreteDistribution(space, [0.5, 0.5 - off, off])
+            assert np.isfinite(ipm_distance(cls, Q, P).value) == finite
+
     def test_sobolev_pseudoinverse_form(self):
         rng = np.random.default_rng(7)
         n = 5

@@ -26,7 +26,8 @@ from ipmdro import (
     theta_closed_form,
     worst_case_expectation,
 )
-from ipmdro.core import class_is_even, sobolev_matrix
+from ipmdro import balls
+from ipmdro.core import class_is_even, lipschitz_constant, sobolev_matrix
 from ipmdro.errors import UnsupportedVariant
 
 N = 3
@@ -107,8 +108,8 @@ def test_operation_result_or_refusal(variant, operation):
 
 
 def test_sobolev_laplacian_is_exactly_symmetric():
-    """The cached Sobolev decomposition is shared with the ellipsoid norm,
-    which symmetrizes its matrix first; that is a no-op only if L == L'."""
+    """eigh reads one triangle of L, so the cached decomposition is that of
+    L itself only if L == L'."""
     rng = np.random.default_rng(4)
     for n in (3, 5, 8):
         edges = [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)]
@@ -131,10 +132,56 @@ def test_sobolev_laplacian_assembled_once_per_instance(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("ipmdro.") and getattr(module, "sobolev_matrix", None) is sobolev_matrix:
             monkeypatch.setattr(module, "sobolev_matrix", counting)
-    cls, P, Q, h = _instance("sobolev")
+    _every_operation(*_instance("sobolev"))
+    assert len(calls) == 1
+
+
+def _every_operation(cls, P, Q, h):
     theta(cls, h)
     centered_theta(cls, h)
     ipm_distance(cls, Q, P)
     worst_case_expectation(P, cls, EPS, h)
     lambda_penalty(P, cls, EPS, h)
-    assert len(calls) == 1
+
+
+def test_quadratic_form_decomposed_at_most_once_per_instance(monkeypatch):
+    """One spectrum serves every operation; Fisher's form is diagonal and
+    needs no decomposition."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(variant)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for variant in ("fisher", "rkhs", "sobolev"):
+        _every_operation(*_instance(variant))
+    assert calls == ["rkhs", "sobolev"]
+
+
+def test_quadratic_spectrum_is_read_only():
+    for variant in ("fisher", "rkhs", "sobolev"):
+        norm = _instance(variant)[0]._norm
+        for array in (norm.eigval, norm.eigvec, norm.pinv):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+def test_structured_centered_gauges_are_closed_form(monkeypatch):
+    """Only the zeta ball searches for the shift."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("golden section called")
+
+    monkeypatch.setattr(balls, "minimize_scalar_convex", refuse)
+    for variant in VARIANTS:
+        if variant != "zeta":
+            cls, P, Q, h = _instance(variant)
+            assert np.isfinite(centered_theta(cls, h)[1].value)
+    cls, P, Q, h = _instance("dudley")
+    v = h.values
+    b, value = centered_theta(cls, h)
+    assert b == pytest.approx(0.5 * (v.max() + v.min()), abs=1e-15)
+    expected = 0.5 * (v.max() - v.min()) + lipschitz_constant(cls.space, v)
+    assert value.value == pytest.approx(expected, abs=1e-15)
