@@ -62,11 +62,9 @@ from .penalties import (
     theta_closed_form,
 )
 from .solvers import (
-    DEFAULT_TOLERANCES,
     LpProblem,
     LpSolution,
     LpStatus,
-    Tolerances,
     lp_problem,
     minimize_scalar_convex,
     project_simplex,

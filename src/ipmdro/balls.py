@@ -4,8 +4,9 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum and a polyhedral ball's seminorm atoms are built on
-first use and cached on the instance.
+quadratic ball's spectrum and a polyhedral ball's seminorm atoms are built
+once and cached on the instance: on first use, or for RKHS at construction,
+where the same decomposition checks the Gram matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ from .errors import (
 from .ipm import IpmValue
 from .penalties import PenaltyValue
 from .solvers import (
-    DEFAULT_TOLERANCES,
     FREE,
+    ICONV_MAX_ITERATIONS,
+    ICONV_STOP,
+    LP_FEASIBILITY,
+    LP_REDUCED_COST,
     NONNEG,
     LpStatus,
     check_dense_size,
@@ -67,14 +71,17 @@ def _as_distribution(space, q) -> DiscreteDistribution:
     return DiscreteDistribution(space, q / total)
 
 
-def _solve_exact_lp(problem, tolerances, what="ball LP (P is feasible)"):
-    sol = solve_lp(problem, tolerances)
+def _require_optimal(sol, what):
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalBreakdown(f"{what} terminated abnormally")
     return sol
 
 
-def _split_lp(P, eps, h, nv, tolerances, **constraints) -> PenaltyValue:
+def _solve_exact_lp(problem, what="ball LP (P is feasible)"):
+    return _require_optimal(solve_lp(problem), what)
+
+
+def _split_lp(P, eps, h, nv, **constraints) -> PenaltyValue:
     """Exact LP for the infimal convolution over a polyhedral class.
 
     Variables are the split h1 (free), the epigraph scalar t >= max(h1), and
@@ -87,7 +94,7 @@ def _split_lp(P, eps, h, nv, tolerances, **constraints) -> PenaltyValue:
     c[n] = -1.0
     c[n + 1 :] = -eps
     bounds = [FREE] * (n + 1) + [NONNEG] * (nv - n - 1)
-    sol = solve_lp(lp_problem(c, bounds=bounds, **constraints), tolerances)
+    sol = _solve_exact_lp(lp_problem(c, bounds=bounds, **constraints), "penalty LP")
     h1 = sol.x[:n]
     return PenaltyValue(max(-sol.value, 0.0), (h1, h.values - h1))
 
@@ -124,16 +131,15 @@ class Explicit(FunctionClass):
     def size(self) -> int:
         return len(self.functions)
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         m = self.size
-        sol = solve_lp(lp_problem(-np.ones(m), eq=(self.matrix.T, h.values)), tolerances)
+        sol = solve_lp(lp_problem(-np.ones(m), eq=(self.matrix.T, h.values)))
         if sol.status == LpStatus.INFEASIBLE:
             return PenaltyValue(np.inf, None)
-        if sol.status != LpStatus.OPTIMAL:  # pragma: no cover - bounded below by 0
-            raise NumericalBreakdown("gauge LP terminated abnormally")
+        _require_optimal(sol, "gauge LP")
         return PenaltyValue(max(-sol.value, 0.0), sol.x)
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def centered_gauge(self, h):
         m = self.size
         a_eq = np.hstack([self.matrix.T, np.ones((self.space.n, 1))])
         sol = solve_lp(
@@ -141,20 +147,20 @@ class Explicit(FunctionClass):
                 np.concatenate([-np.ones(m), [0.0]]),
                 eq=(a_eq, h.values),
                 bounds=[NONNEG] * m + [FREE],
-            ),
-            tolerances,
+            )
         )
         if sol.status == LpStatus.INFEASIBLE:
             return 0.0, PenaltyValue(np.inf, None)
+        _require_optimal(sol, "centered gauge LP")
         b = float(sol.x[m])
         return b, PenaltyValue(max(-sol.value, 0.0), sol.x[:m])
 
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+    def distance(self, Q, P):
         gaps = self.matrix @ (Q.weights - P.weights)
         best = int(np.argmax(gaps))
         return IpmValue(float(gaps[best]), self.functions[best])
 
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def worst_case(self, P, eps, h):
         """max <h, q> over the simplex subject to <f, q - p> <= eps per member."""
         members = self.matrix
         sol = _solve_exact_lp(
@@ -162,14 +168,13 @@ class Explicit(FunctionClass):
                 h.values,
                 eq=(np.ones((1, P.space.n)), np.array([1.0])),
                 ub=(members, members @ P.weights + eps),
-            ),
-            tolerances,
+            )
         )
         return DroResult(
             float(sol.value), _as_distribution(P.space, sol.x), DroMethod.EXACT_LP
         )
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def lambda_(self, P, eps, h):
         n = P.space.n
         nv = n + 1 + self.size  # h1, t, conic weights w of h - h1
         a_eq = np.zeros((n, nv))
@@ -178,9 +183,7 @@ class Explicit(FunctionClass):
         a_ub = np.zeros((n, nv))
         a_ub[:, :n] = np.eye(n)
         a_ub[:, n] = -1.0
-        return _split_lp(
-            P, eps, h, nv, tolerances, eq=(a_eq, h.values), ub=(a_ub, np.zeros(n))
-        )
+        return _split_lp(P, eps, h, nv, eq=(a_eq, h.values), ub=(a_ub, np.zeros(n)))
 
     def is_even(self, probe_seed: int = 97) -> bool:
         return self.symmetrized().already_even
@@ -268,30 +271,21 @@ def _atom_count(atoms) -> int:
     return sum(i.size for i, _, _ in atoms)
 
 
-def _penalty_rows(n, nv, atoms, v):
-    """h1_i <= t (t in column n), then per atom of each block the two rows
-    of |(h - h1)[i] - (h - h1)[j]| <= s * cost, s in the block's column."""
-    a = np.zeros((n + 2 * _atom_count(atoms), nv))
-    b = np.zeros(a.shape[0])
-    a[np.arange(n), np.arange(n)] = 1.0
-    a[:n, n] = -1.0
-    top = n
-    for col, (i, j, cost) in enumerate(atoms, start=n + 1):
-        neg = top + 2 * np.arange(i.size)
-        pos = neg + 1
-        a[neg, i] = -1.0
-        a[pos, i] = 1.0
-        gap = v[i]
-        if j is not None:
-            a[neg, j] = 1.0
-            a[pos, j] = -1.0
-            gap = v[i] - v[j]
-        a[neg, col] = -cost
-        a[pos, col] = -cost
-        b[neg] = -gap
-        b[pos] = gap
-        top += 2 * i.size
-    return a, b
+def _penalty_rows(n, atoms, v):
+    """h1_i <= t (t in column n), then one row per flow column of
+    ``_flow_columns``: -(flow' h1 + cost * s) <= -flow' h, s in the block's
+    column.  A block's opposite columns k and K + k give the two rows of
+    |(h - h1)[i] - (h - h1)[j]| <= s * cost, placed next to each other."""
+    flows, costs = _flow_columns(n, atoms)
+    order, left = [], 0
+    for i, _, _ in atoms:  # k, K + k for each k < K, block by block
+        order.append(left + np.arange(2 * i.size).reshape(2, -1).T.ravel())
+        left += 2 * i.size
+    order = np.concatenate(order)
+    top = np.hstack([np.eye(n), -np.ones((n, 1)), np.zeros((n, len(atoms)))])
+    # 0.0 - x rather than -x, so that zero entries stay +0.0
+    rows = 0.0 - np.hstack([flows.T, np.zeros((order.size, 1)), costs.T])[order]
+    return np.vstack([top, rows]), np.concatenate([np.zeros(n), -(flows.T @ v)[order]])
 
 
 def _flow_columns(n, atoms):
@@ -331,18 +325,18 @@ class _PolyhedralBall(_Ball):
     def _atoms(self):
         return [block(self.space) for block in self.blocks]
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def centered_gauge(self, h):
         """Closed form: the sup block is least, at half the range of h, when
         b is the midpoint of that range; the Lipschitz block ignores b."""
         if _sup_block not in self.blocks:
-            return 0.0, self.gauge(h, tolerances)
+            return 0.0, self.gauge(h)
         v = h.values
         value = 0.5 * float(v.max() - v.min())
         if _lip_block in self.blocks:
             value += lipschitz_constant(self.space, v)
         return float(0.5 * (v.max() + v.min())), PenaltyValue(value)
 
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+    def distance(self, Q, P):
         n, atoms = self.space.n, self._atoms
         nb, nf = len(atoms), 2 * _atom_count(atoms)
         check_dense_size(nf + 1, n + nb)
@@ -353,7 +347,6 @@ class _PolyhedralBall(_Ball):
                 eq=(np.hstack([flows, np.zeros((n, 1))]), Q.weights - P.weights),
                 ub=(np.hstack([costs, -np.ones((nb, 1))]), np.zeros(nb)),
             ),
-            tolerances,
             "flow distance LP",
         )
         # The duals meet the ball's constraints only up to the LP's
@@ -363,7 +356,7 @@ class _PolyhedralBall(_Ball):
         witness = FunctionVec(self.space, f.values / max(self.gauge(f).value, 1.0))
         return IpmValue(max(-sol.value, 0.0), witness)
 
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def worst_case(self, P, eps, h):
         n, atoms = self.space.n, self._atoms
         nb, nf = len(atoms), 2 * _atom_count(atoms)
         check_dense_size(n + nf, n + 1 + nb)
@@ -379,20 +372,19 @@ class _PolyhedralBall(_Ball):
                 np.concatenate([h.values, np.zeros(nf)]),
                 eq=(a_eq, np.concatenate([P.weights, [1.0]])),
                 ub=(a_ub, np.full(nb, eps)),
-            ),
-            tolerances,
+            )
         )
         return DroResult(
             float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
         )
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def lambda_(self, P, eps, h):
         """Infimal-convolution LP: one seminorm epigraph variable per block."""
         n, atoms = self.space.n, self._atoms
         nv = n + 1 + len(atoms)
         check_dense_size(nv, n + 2 * _atom_count(atoms))
-        a_ub, b_ub = _penalty_rows(n, nv, atoms, h.values)
-        return _split_lp(P, eps, h, nv, tolerances, ub=(a_ub, b_ub))
+        a_ub, b_ub = _penalty_rows(n, atoms, h.values)
+        return _split_lp(P, eps, h, nv, ub=(a_ub, b_ub))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,10 +393,10 @@ class SupNormBall(_PolyhedralBall):
 
     blocks = (_sup_block,)
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         return PenaltyValue(sup_norm(h.values))
 
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+    def distance(self, Q, P):
         delta = Q.weights - P.weights
         sign = np.sign(delta)
         sign[sign == 0.0] = 1.0
@@ -432,7 +424,7 @@ class LipschitzBall(_PolyhedralBall):
         if self.space.metric is None:
             raise MissingMetric("a Lipschitz ball needs a metric on the space")
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         return PenaltyValue(lipschitz_constant(self.space, h.values))
 
 
@@ -446,7 +438,7 @@ class DudleyBall(_PolyhedralBall):
         if self.space.metric is None:
             raise MissingMetric("a Dudley ball needs a metric on the space")
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         v = h.values
         return PenaltyValue(sup_norm(v) + lipschitz_constant(self.space, v))
 
@@ -547,7 +539,7 @@ def _segment(D, g, p, free):
     return d1, d0, alpha, beta
 
 
-def _active_set_walk(D, g, p, eps, tolerances):
+def _active_set_walk(D, g, p, eps):
     """argmax of <g, q> over q >= 0, sum(q) = sum(p), (q-p)' D (q-p) <= eps^2,
     for D positive definite on sum-zero vectors.
 
@@ -582,7 +574,7 @@ def _active_set_walk(D, g, p, eps, tolerances):
         event = float(times.min())
         radius = np.sqrt(max(eps * eps - c, 0.0) / a) if a > 0.0 else np.inf
         if radius <= event:
-            return _certified(D, g, p, eps, free, max(radius, mu), d1, d0, tolerances)
+            return _certified(D, g, p, eps, free, max(radius, mu), d1, d0)
         flip = int(np.flatnonzero(times <= event * (1.0 + 1e-12))[0])
         free[flip] = not free[flip]
         mu = event
@@ -591,7 +583,7 @@ def _active_set_walk(D, g, p, eps, tolerances):
     )
 
 
-def _certified(D, g, p, eps, free, mu, d1, d0, tolerances):
+def _certified(D, g, p, eps, free, mu, d1, d0):
     """q = p + mu d1 + d0 if it meets the KKT conditions, else a breakdown."""
     n = p.size
     lam = 0.5 / mu  # zero where the walk ended with the radius unreached
@@ -604,8 +596,8 @@ def _certified(D, g, p, eps, free, mu, d1, d0, tolerances):
     s = float(grad[free].mean()) - grad
     dual = max(float(np.abs(s[free]).max()), -float(s[~free].min(initial=0.0)))
     scale = 1.0 + float(np.abs(g).max()) + 2.0 * lam * float((np.abs(D) @ np.abs(d)).max())
-    if (primal > tolerances.lp_feasibility * (1.0 + max(float(p.sum()), eps))
-            or dual > tolerances.lp_reduced_cost * scale):
+    if (primal > LP_FEASIBILITY * (1.0 + max(float(p.sum()), eps))
+            or dual > LP_REDUCED_COST * scale):
         raise NumericalBreakdown(
             f"quadratic worst case (n = {n}): KKT residual {primal:.3e} primal, "
             f"{dual:.3e} dual above tolerance"
@@ -623,10 +615,10 @@ class _QuadraticBall(_Ball):
     when Q cannot move mass to every point.
     """
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         return PenaltyValue(self._norm.value(h.values))
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def centered_gauge(self, h):
         """b = 1'Mh / 1'M1 minimizes (h - b)' M (h - b); a seminorm needs no
         shift."""
         b = 0.0
@@ -637,7 +629,7 @@ class _QuadraticBall(_Ball):
             b = float(weighted @ (norm.eigvec.T @ h.values)) / float(weighted @ ones)
         return b, self.gauge(FunctionVec(h.space, h.values - b))
 
-    def distance(self, Q, P, tolerances=DEFAULT_TOLERANCES):
+    def distance(self, Q, P):
         """sqrt(d' M+ d) for d = q - p, witnessed by M+ d over the distance;
         infinite once d leaves range(M)."""
         delta = Q.weights - P.weights
@@ -660,7 +652,7 @@ class _QuadraticBall(_Ball):
         distance form M+ restricted to them)."""
         return np.ones(p.size, dtype=bool), 1.0, self._norm.pinv
 
-    def worst_case(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def worst_case(self, P, eps, h):
         """max <h, q> over the ball, a linear objective on the simplex cut by
         an ellipsoid, solved exactly on the ball's support; the value is
         E_Q[h] of the returned distribution."""
@@ -669,11 +661,11 @@ class _QuadraticBall(_Ball):
         if mass <= 0.0 or eps == 0.0:  # the ball is {P}
             return DroResult(float(p @ h.values), P, DroMethod.EXACT_LP, 0.0)
         q = p.copy()
-        q[supp] = _active_set_walk(m_supp, h.values[supp], p[supp], eps, tolerances)
+        q[supp] = _active_set_walk(m_supp, h.values[supp], p[supp], eps)
         worst = _as_distribution(P.space, q)
         return DroResult(float(worst.weights @ h.values), worst, DroMethod.ACTIVE_SET)
 
-    def lambda_(self, P, eps, h, tolerances=DEFAULT_TOLERANCES):
+    def lambda_(self, P, eps, h):
         """Douglas-Rachford splitting of [max(h1) - E_P[h1]] +
         eps * sqrt((h-h1)' M (h-h1)) over h1.
 
@@ -702,7 +694,7 @@ class _QuadraticBall(_Ball):
         best_x = v.copy()
         best_val = objective(best_x)
         scale = 1.0 + float(np.max(np.abs(v)))
-        for _ in range(tolerances.iconv_max_iterations):
+        for _ in range(ICONV_MAX_ITERATIONS):
             xg = prox_peak(s)
             xf = prox_norm_part(2.0 * xg - s)
             s = s + xf - xg
@@ -710,7 +702,7 @@ class _QuadraticBall(_Ball):
             if val < best_val:
                 best_val = val
                 best_x = xg
-            if np.max(np.abs(xf - xg)) <= tolerances.iconv_stop * scale:
+            if np.max(np.abs(xf - xg)) <= ICONV_STOP * scale:
                 break
         return PenaltyValue(max(best_val, 0.0), (best_x, v - best_x), exact=False)
 
@@ -730,18 +722,15 @@ class RkhsBall(_QuadraticBall):
             raise ValueError("Gram entries must be finite")
         if np.max(np.abs(k - k.T)) > 1e-10 * (1.0 + np.max(np.abs(k))):
             raise SingularGram("Gram matrix is not symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (k + k.T))
-        if eigvals.min() <= GRAM_MIN_EIG:
+        gram = _frozen_array(0.5 * (k + k.T))
+        eigval, eigvec = np.linalg.eigh(gram)
+        if eigval.min() <= GRAM_MIN_EIG:
             raise SingularGram(
-                f"Gram matrix min eigenvalue {eigvals.min():.3e} <= {GRAM_MIN_EIG}"
+                f"Gram matrix min eigenvalue {eigval.min():.3e} <= {GRAM_MIN_EIG}"
             )
-        object.__setattr__(self, "gram", _frozen_array(0.5 * (k + k.T)))
-
-    @cached_property
-    def _norm(self) -> _EllipsoidNorm:
-        """M = K^-1 from one decomposition of K, every eigenvalue kept."""
-        eigval, eigvec = np.linalg.eigh(self.gram)
-        return _EllipsoidNorm(1.0 / eigval, eigvec)
+        object.__setattr__(self, "gram", gram)
+        # M = K^-1 from this one decomposition of K, every eigenvalue kept
+        object.__setattr__(self, "_norm", _EllipsoidNorm(1.0 / eigval, eigvec))
 
 
 def _check_mu(cls_name, space, mu, allow_zero_mass):
@@ -849,22 +838,22 @@ class ZetaBall(_Ball):
                     f"zeta(a*h) = {lhs!r} but a^k*zeta(h) = {rhs!r}"
                 )
 
-    def gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def gauge(self, h):
         z = float(self.zeta(h.values))
         if z < 0.0:
             raise NegativeZeta(f"zeta returned {z!r}")
         value = z ** (1.0 / self.degree) if z > 0.0 else 0.0
         return PenaltyValue(value, exact=bool(self.convex))
 
-    def centered_gauge(self, h, tolerances=DEFAULT_TOLERANCES):
+    def centered_gauge(self, h):
         """Golden section over [min h, max h]; that the interval holds a
         minimizer is assumed for a black-box zeta, not checked."""
         v = h.values
         lo, hi = float(v.min()), float(v.max())
         if hi - lo <= 1e-15:
-            return lo, self.gauge(FunctionVec(h.space, v - lo), tolerances)
+            return lo, self.gauge(FunctionVec(h.space, v - lo))
         b, val = minimize_scalar_convex(
-            lambda b: self.gauge(FunctionVec(h.space, v - b), tolerances).value,
+            lambda b: self.gauge(FunctionVec(h.space, v - b)).value,
             lo,
             hi,
             tol=1e-10 * (1.0 + hi - lo),

@@ -34,7 +34,6 @@ from .errors import ConfigError, IpmdroError, NumericalBreakdown
 from .gan import f_divergence_catalog, gan_bound_check
 from .ipm import ipm_distance
 from .penalties import centered_theta, j_penalty, lambda_penalty, theta
-from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 SCHEMA_VERSION = 1
 
@@ -104,7 +103,6 @@ class ProblemConfig:
     mu_name: str | None
     discriminator_names: list
     samples: int
-    tolerances: Tolerances
 
     def to_dict(self) -> dict:
         return self.raw
@@ -195,12 +193,21 @@ CLASS_BUILDERS = {
 CLASS_VARIANTS = tuple(CLASS_BUILDERS)
 
 
+# the top-level fields a config may hold; any other is refused
+_CONFIG_FIELDS = ("schema_version", "seed", "space", "distributions", "functions",
+                  "function_class", "epsilon", "p", "mu", "h", "pairs",
+                  "discriminators", "divergence", "samples")
+
+
 def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    unknown = [key for key in data if key not in _CONFIG_FIELDS]
+    if unknown:
+        _fail("config", f"unknown field {unknown[0]!r}; expected one of {_CONFIG_FIELDS}")
 
     space_spec = data.get("space")
     if not isinstance(space_spec, dict) or "points" not in space_spec:
@@ -286,21 +293,6 @@ def parse_config(data: dict) -> ProblemConfig:
     if samples < 1:
         _fail("samples", f"must be at least 1, got {samples}")
 
-    tol_overrides = data.get("tolerances", {})
-    if not isinstance(tol_overrides, dict):
-        _fail("tolerances", "expected an object")
-    defaults = {f.name: getattr(DEFAULT_TOLERANCES, f.name)
-                for f in dataclasses.fields(Tolerances)}
-    for key, value in tol_overrides.items():
-        if key not in defaults:
-            _fail("tolerances", f"unknown tolerance field {key!r}")
-        integral = isinstance(defaults[key], int)
-        kinds = int if integral else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            kind = "an integer" if integral else "a number"
-            _fail(f"tolerances.{key}", f"expected {kind}, got {value!r}")
-    tolerances = dataclasses.replace(DEFAULT_TOLERANCES, **tol_overrides)
-
     class_spec = data.get("function_class")
     if class_spec is not None and not isinstance(class_spec, dict):
         _fail("function_class", f"expected an object with a variant, got {class_spec!r}")
@@ -322,7 +314,6 @@ def parse_config(data: dict) -> ProblemConfig:
             str(x) for x in _list("discriminators", data.get("discriminators", []))
         ],
         samples=samples,
-        tolerances=tolerances,
     )
 
 
@@ -360,10 +351,7 @@ def run_ipm(config: ProblemConfig):
         _fail("pairs", "ipm needs at least one [q, p] pair")
     rows = []
     for qname, pname in config.pairs:
-        value = ipm_distance(
-            cls, config.distribution(qname), config.distribution(pname),
-            config.tolerances,
-        )
+        value = ipm_distance(cls, config.distribution(qname), config.distribution(pname))
         rows.append({"q": qname, "p": pname, "value": value.value})
     return rows, {}
 
@@ -384,11 +372,11 @@ def run_penalty(config: ProblemConfig):
     rows, witnesses = [], {}
     for name in config.h_names:
         h = config.function(name)
-        gauge = theta(cls, h, config.tolerances)
+        gauge = theta(cls, h)
         peak = j_penalty(P, h)
-        b_star, centered = centered_theta(cls, h, config.tolerances)
+        b_star, centered = centered_theta(cls, h)
         for eps in config.epsilons:
-            lam = lambda_penalty(P, cls, eps, h, config.tolerances)
+            lam = lambda_penalty(P, cls, eps, h)
             rows.append(
                 {
                     "h": name,
@@ -419,7 +407,7 @@ def run_dro_sup(config: ProblemConfig):
     for name in config.h_names:
         h = config.function(name)
         for eps in config.epsilons:
-            result = worst_case_expectation(P, cls, eps, h, config.tolerances)
+            result = worst_case_expectation(P, cls, eps, h)
             rows.append(
                 {
                     "h": name,
@@ -444,7 +432,7 @@ def _identity_rows(config: ProblemConfig):
     for name in config.h_names:
         h = config.function(name)
         for eps in config.epsilons:
-            report = verify_identity(P, cls, eps, h, config.tolerances)
+            report = verify_identity(P, cls, eps, h)
             rows.append(
                 {
                     "h": name,
@@ -476,9 +464,7 @@ def run_tightness(config: ProblemConfig):
         _fail("epsilon", "required for tightness")
     rows = []
     for eps in config.epsilons:
-        report = tightness_report(
-            P, cls, eps, config.samples, config.seed, config.tolerances
-        )
+        report = tightness_report(P, cls, eps, config.samples, config.seed)
         rows.append(
             {
                 "eps": eps,
@@ -500,7 +486,7 @@ def run_critic_check(config: ProblemConfig):
     for name in config.h_names:
         h = config.function(name)
         for eps in config.epsilons:
-            report = check_alignment(P, cls, eps, h, config.tolerances)
+            report = check_alignment(P, cls, eps, h)
             row = {
                 "h": name,
                 "eps": eps,
@@ -511,7 +497,7 @@ def run_critic_check(config: ProblemConfig):
                 "witness_residual": report.witness_residual,
             }
             if mu is not None:
-                row["critic_loss"] = critic_loss(P, mu, eps, cls, h, config.tolerances)
+                row["critic_loss"] = critic_loss(P, mu, eps, cls, h)
             rows.append(row)
             if report.witness_mu is not None:
                 witnesses[f"{name}:eps={eps!r}"] = {
@@ -539,7 +525,7 @@ def run_gan_bound(config: ProblemConfig):
         _fail("epsilon", "required for gan-bound")
     rows = []
     for eps in config.epsilons:
-        report = gan_bound_check(div, H, cls, eps, mu, P, config.tolerances)
+        report = gan_bound_check(div, H, cls, eps, mu, P)
         rows.append(
             {
                 "divergence": config.divergence,
@@ -593,7 +579,7 @@ def run_repro_sin(config: ProblemConfig):
     h1 = config.function("h1")
     eps = config.epsilons[0]
     eps_lip = eps * lipschitz_constant(config.space, h.values)
-    lam = lambda_penalty(P, cls, eps, h, config.tolerances)
+    lam = lambda_penalty(P, cls, eps, h)
     peak = j_penalty(P, h1)
     residual = FunctionVec(config.space, h.values - h1.values)
     upper = peak.value + eps * lipschitz_constant(config.space, residual.values)

@@ -219,19 +219,19 @@ class FunctionClass:
 
     structured = False
 
-    def gauge(self, h, tolerances=None):
+    def gauge(self, h):
         raise UnsupportedVariant(f"no closed-form gauge for {type(self).__name__}")
 
-    def centered_gauge(self, h, tolerances=None):
+    def centered_gauge(self, h):
         raise UnsupportedVariant(f"no centered gauge for {type(self).__name__}")
 
-    def distance(self, Q, P, tolerances=None):
+    def distance(self, Q, P):
         raise UnsupportedVariant(f"no distance for {type(self).__name__}")
 
-    def worst_case(self, P, eps, h, tolerances=None):
+    def worst_case(self, P, eps, h):
         raise UnsupportedVariant(f"no ball encoding for {type(self).__name__}")
 
-    def lambda_(self, P, eps, h, tolerances=None):
+    def lambda_(self, P, eps, h):
         raise UnsupportedVariant(
             f"infimal convolution not implemented for {type(self).__name__}"
         )

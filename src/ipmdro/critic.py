@@ -25,7 +25,7 @@ from .dro import worst_case_expectation
 from .errors import EpsNonPositive, NotAligned, NotEven
 from .ipm import ipm_distance
 from .penalties import lambda_penalty, theta
-from .solvers import DEFAULT_TOLERANCES, Tolerances
+from .solvers import BALL_FEASIBILITY, IDENTITY_EXACT, IDENTITY_ITERATIVE
 
 
 @dataclass
@@ -61,7 +61,6 @@ def critic_loss(
     eps: float,
     cls: FunctionClass,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """E_P[h] - E_mu[h] + eps * gauge(h)."""
     require_same_space(P, mu)
@@ -69,7 +68,7 @@ def critic_loss(
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
     gap = float((P.weights - mu.weights) @ h.values)
-    return gap + eps * theta(cls, h, tolerances).value
+    return gap + eps * theta(cls, h).value
 
 
 def critic_infimum(
@@ -77,7 +76,6 @@ def critic_infimum(
     mu: DiscreteDistribution,
     eps: float,
     cls: FunctionClass,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CriticInfimumReport:
     """Infimum of the critic loss over all functions.
 
@@ -88,8 +86,8 @@ def critic_infimum(
     require_same_space(P, mu)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    dist = ipm_distance(cls, mu, P, tolerances)
-    if dist.value <= eps + tolerances.ball_feasibility:
+    dist = ipm_distance(cls, mu, P)
+    if dist.value <= eps + BALL_FEASIBILITY:
         return CriticInfimumReport(True, 0.0, None)
     return CriticInfimumReport(False, -np.inf, dist.witness)
 
@@ -99,7 +97,6 @@ def check_alignment(
     cls: FunctionClass,
     eps: float,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> AlignmentReport:
     """Decide whether the penalty of h saturates eps times its gauge.
 
@@ -111,12 +108,12 @@ def check_alignment(
     require_same_space(P, h)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    gauge = theta(cls, h, tolerances).value
-    dro = worst_case_expectation(P, cls, eps, h, tolerances)
-    lam = lambda_penalty(P, cls, eps, h, tolerances)
+    gauge = theta(cls, h).value
+    dro = worst_case_expectation(P, cls, eps, h)
+    lam = lambda_penalty(P, cls, eps, h)
     eps_theta = eps * gauge
     exact = lam.exact
-    tol = tolerances.identity_exact if exact else tolerances.identity_iterative
+    tol = IDENTITY_EXACT if exact else IDENTITY_ITERATIVE
     if not np.isfinite(eps_theta):
         return AlignmentReport(lam.value, eps_theta, False, np.inf, None, None, exact)
     gap = eps_theta - lam.value
@@ -124,7 +121,7 @@ def check_alignment(
     if not aligned:
         return AlignmentReport(lam.value, eps_theta, False, gap, None, None, exact)
     mu = dro.worst_q
-    ball = ipm_distance(cls, mu, P, tolerances).value
+    ball = ipm_distance(cls, mu, P).value
     align = abs(float((mu.weights - P.weights) @ h.values) - eps_theta)
     residual = max(ball - eps, 0.0, align)
     return AlignmentReport(lam.value, eps_theta, True, gap, mu, residual, exact)
@@ -136,7 +133,6 @@ def two_sided_check(
     cls: FunctionClass,
     eps: float,
     h_star: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> TwoSidedReport:
     """Verify both robustness displays for an aligned classifier.
 
@@ -151,29 +147,25 @@ def two_sided_check(
     if not class_is_even(cls):
         raise NotEven("the two-sided display needs an even class")
 
-    report = check_alignment(P_minus, cls, eps, h_star, tolerances)
+    report = check_alignment(P_minus, cls, eps, h_star)
     if not report.aligned:
         raise NotAligned(
             f"h_star is not aligned for P_minus: gap = {report.gap!r}"
         )
     eps_theta = report.eps_theta
-    ball = ipm_distance(cls, P_plus, P_minus, tolerances).value
+    ball = ipm_distance(cls, P_plus, P_minus).value
     witness_gap = abs(
         float((P_plus.weights - P_minus.weights) @ h_star.values) - eps_theta
     )
-    tol = (
-        tolerances.identity_exact if report.exact else tolerances.identity_iterative
-    )
-    if ball > eps + tolerances.ball_feasibility or witness_gap > tol:
+    tol = IDENTITY_EXACT if report.exact else IDENTITY_ITERATIVE
+    if ball > eps + BALL_FEASIBILITY or witness_gap > tol:
         raise NotAligned(
             "P_plus is not a certifying witness for h_star "
             f"(ball excess {max(ball - eps, 0.0)!r}, alignment gap {witness_gap!r})"
         )
 
-    sup_minus = worst_case_expectation(P_minus, cls, eps, h_star, tolerances).value
-    inf_plus = -worst_case_expectation(
-        P_plus, cls, eps, h_star.negated(), tolerances
-    ).value
+    sup_minus = worst_case_expectation(P_minus, cls, eps, h_star).value
+    inf_plus = -worst_case_expectation(P_plus, cls, eps, h_star.negated()).value
     inf_expected = float(P_plus.weights @ h_star.values) - eps_theta
     sup_expected = float(P_minus.weights @ h_star.values) + eps_theta
     residual = max(abs(inf_plus - inf_expected), abs(sup_minus - sup_expected))

@@ -18,7 +18,7 @@ from .core import (
 from .errors import EpsNegative, EpsNonPositive, NumericalBreakdown
 from .ipm import ipm_distance
 from .penalties import centered_theta, j_penalty, lambda_penalty, theta
-from .solvers import DEFAULT_TOLERANCES, Tolerances
+from .solvers import BALL_FEASIBILITY
 
 
 class DroMethod(Enum):
@@ -64,7 +64,6 @@ def worst_case_expectation(
     cls: FunctionClass,
     eps: float,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DroResult:
     """sup of E_Q[h] over the radius-eps one-sided ball around P.
 
@@ -80,9 +79,9 @@ def worst_case_expectation(
     require_same_space(P, cls)
     if eps < 0.0:
         raise EpsNegative(f"eps must be nonnegative, got {eps!r}")
-    result = cls.worst_case(P, eps, h, tolerances)
-    feas = ipm_distance(cls, result.worst_q, P, tolerances).value
-    if feas > eps + tolerances.ball_feasibility:
+    result = cls.worst_case(P, eps, h)
+    feas = ipm_distance(cls, result.worst_q, P).value
+    if feas > eps + BALL_FEASIBILITY:
         raise NumericalBreakdown(
             f"worst-case distribution leaves the ball: d = {feas!r} > eps = {eps!r}"
         )
@@ -94,15 +93,14 @@ def verify_identity(
     cls: FunctionClass,
     eps: float,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> IdentityReport:
     """Compute both sides of the worst-case-equals-penalty identity
     independently and report the residual."""
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    dro = worst_case_expectation(P, cls, eps, h, tolerances)
+    dro = worst_case_expectation(P, cls, eps, h)
     e_p_h = float(P.weights @ h.values)
-    lam = lambda_penalty(P, cls, eps, h, tolerances)
+    lam = lambda_penalty(P, cls, eps, h)
     residual = abs(dro.value - (e_p_h + lam.value))
     return IdentityReport(dro.value, e_p_h, lam.value, residual, lam.exact)
 
@@ -112,7 +110,6 @@ def corollary_bound(
     cls: FunctionClass,
     eps: float,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> BoundReport:
     """Check the centered-gauge upper bound on the worst-case expectation.
 
@@ -122,9 +119,9 @@ def corollary_bound(
     """
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    b_star, cth = centered_theta(cls, h, tolerances)
+    b_star, cth = centered_theta(cls, h)
     rhs = float(P.weights @ h.values) + eps * cth.value
-    lhs = worst_case_expectation(P, cls, eps, h, tolerances).value
+    lhs = worst_case_expectation(P, cls, eps, h).value
     slack = rhs - lhs
     return BoundReport(lhs, rhs, slack, b_star, bool(slack <= 1e-7 * (1.0 + abs(rhs))))
 
@@ -135,7 +132,6 @@ def tightness_report(
     eps: float,
     samples: int,
     seed: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> TightnessReport:
     """Random-pair stress test of the min bound and subadditivity of the
     infimal-convolution penalty."""
@@ -150,10 +146,10 @@ def tightness_report(
         b = rng.uniform(-1.0, 1.0, space.n)
         ha, hb = FunctionVec(space, a), FunctionVec(space, b)
         hab = FunctionVec(space, a + b)
-        lam_a = lambda_penalty(P, cls, eps, ha, tolerances).value
-        lam_b = lambda_penalty(P, cls, eps, hb, tolerances).value
-        lam_ab = lambda_penalty(P, cls, eps, hab, tolerances).value
-        bound = min(j_penalty(P, ha).value, eps * theta(cls, ha, tolerances).value)
+        lam_a = lambda_penalty(P, cls, eps, ha).value
+        lam_b = lambda_penalty(P, cls, eps, hb).value
+        lam_ab = lambda_penalty(P, cls, eps, hab).value
+        bound = min(j_penalty(P, ha).value, eps * theta(cls, ha).value)
         max_min_violation = max(max_min_violation, lam_a - bound)
         max_subadd_violation = max(max_subadd_violation, lam_ab - lam_a - lam_b)
     return TightnessReport(samples, max_min_violation, max_subadd_violation)

@@ -19,7 +19,6 @@ from .errors import (
     UnknownDivergence,
 )
 from .penalties import theta
-from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
     from .balls import Explicit
@@ -158,7 +157,6 @@ def robust_gan_sup(
     eps: float,
     mu: DiscreteDistribution,
     P: DiscreteDistribution,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> GanValue:
     """sup over the ball of the variational objective.
 
@@ -173,7 +171,7 @@ def robust_gan_sup(
     _check_domain(div, H)
     best_value, best_index = -np.inf, 0
     for idx, f in enumerate(H.functions):
-        worst = worst_case_expectation(P, cls, eps, f, tolerances)
+        worst = worst_case_expectation(P, cls, eps, f)
         value = float(worst.value - mu.weights @ div.conj(f.values))
         if value > best_value:
             best_value, best_index = value, idx
@@ -195,12 +193,11 @@ def gan_bound_check(
     eps: float,
     mu: DiscreteDistribution,
     P: DiscreteDistribution,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> GanBoundReport:
     """Robust objective vs plain objective plus the discriminator-complexity
     cap eps * max_h gauge(h); the slack must be nonnegative."""
-    robust = robust_gan_sup(div, H, cls, eps, mu, P, tolerances).value
+    robust = robust_gan_sup(div, H, cls, eps, mu, P).value
     plain = gan_objective(div, H, mu, P).value
-    cap = eps * max(theta(cls, f, tolerances).value for f in H.functions)
+    cap = eps * max(theta(cls, f).value for f in H.functions)
     slack = plain + cap - robust
     return GanBoundReport(robust, plain, cap, slack)

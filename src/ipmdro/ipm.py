@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DiscreteDistribution, FunctionClass, require_same_space
-from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass
@@ -32,9 +31,8 @@ def ipm_distance(
     cls: FunctionClass,
     Q: DiscreteDistribution,
     P: DiscreteDistribution,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> IpmValue:
     """d(Q, P) for the given function class."""
     require_same_space(Q, P)
     require_same_space(Q, cls)
-    return cls.distance(Q, P, tolerances)
+    return cls.distance(Q, P)

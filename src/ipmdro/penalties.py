@@ -17,7 +17,6 @@ from .core import (
     require_same_space,
 )
 from .errors import EpsNonPositive, UnsupportedVariant
-from .solvers import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
     from .balls import Explicit, ZetaBall
@@ -43,16 +42,14 @@ class PenaltyValue:
 # gauges
 
 
-def gauge_explicit(
-    cls: Explicit, h: FunctionVec, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> PenaltyValue:
+def gauge_explicit(cls: Explicit, h: FunctionVec) -> PenaltyValue:
     """Gauge of the convex hull of an explicit set, as a conic-combination LP.
 
     minimize sum(w) over w >= 0 with sum_i w_i f_i = h; infeasibility means h
     lies outside the cone and the gauge is +infinity.
     """
     require_same_space(cls, h)
-    return cls.gauge(h, tolerances)
+    return cls.gauge(h)
 
 
 def theta_closed_form(cls: FunctionClass, h: FunctionVec) -> PenaltyValue:
@@ -73,12 +70,10 @@ def gauge_from_zeta(cls: ZetaBall, h: FunctionVec) -> PenaltyValue:
     return cls.gauge(h)
 
 
-def theta(
-    cls: FunctionClass, h: FunctionVec, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> PenaltyValue:
+def theta(cls: FunctionClass, h: FunctionVec) -> PenaltyValue:
     """Gauge of any supported class variant."""
     require_same_space(cls, h)
-    return cls.gauge(h, tolerances)
+    return cls.gauge(h)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +92,7 @@ def j_penalty(P: DiscreteDistribution, h: FunctionVec) -> PenaltyValue:
 # centered gauges
 
 
-def centered_theta(
-    cls: FunctionClass, h: FunctionVec, tolerances: Tolerances = DEFAULT_TOLERANCES
-):
+def centered_theta(cls: FunctionClass, h: FunctionVec):
     """minimize the gauge of h - b over scalar shifts b.
 
     Returns (b_star, PenaltyValue).  Every structured ball has a closed
@@ -111,7 +104,7 @@ def centered_theta(
     [min h, max h].
     """
     require_same_space(cls, h)
-    return cls.centered_gauge(h, tolerances)
+    return cls.centered_gauge(h)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +116,6 @@ def lambda_penalty(
     cls: FunctionClass,
     eps: float,
     h: FunctionVec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> PenaltyValue:
     """Infimal convolution of the peak-over-mean penalty with eps times the
     class gauge: the exact robustness premium of the worst-case expectation.
@@ -138,4 +130,4 @@ def lambda_penalty(
     require_same_space(P, cls)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
-    return cls.lambda_(P, eps, h, tolerances)
+    return cls.lambda_(P, eps, h)

@@ -16,27 +16,22 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalBreakdown, SizeCapExceeded
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric tolerances; every module reads one instance of these."""
-
-    lp_feasibility: float = 1e-9  # primal residual, scaled by 1 + |rhs|_inf
-    lp_complementarity: float = 1e-7
-    lp_duality_gap: float = 1e-7  # scaled by 1 + |objective value|
-    lp_pivot: float = 1e-11  # pivots below this are a breakdown
-    lp_reduced_cost: float = 1e-9
-    lp_ratio: float = 1e-9  # eligibility threshold in the ratio test
-    lp_phase1: float = 1e-9  # infeasibility cutoff on the phase-1 objective
-    lp_max_iterations: int = 200_000
-    lp_refactor_every: int = 150
-    identity_exact: float = 1e-6
-    identity_iterative: float = 5e-4
-    ball_feasibility: float = 1e-7
-    iconv_stop: float = 1e-11
-    iconv_max_iterations: int = 100_000
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# The certification contract: fixed, and read directly by every module that
+# certifies, compares or bounds a result.
+LP_FEASIBILITY = 1e-9  # primal residual, scaled by 1 + |rhs|_inf
+LP_COMPLEMENTARITY = 1e-7
+LP_DUALITY_GAP = 1e-7  # scaled by 1 + |objective value|
+LP_PIVOT = 1e-11  # pivots below this are a breakdown
+LP_REDUCED_COST = 1e-9
+LP_RATIO = 1e-9  # eligibility threshold in the ratio test
+LP_PHASE1 = 1e-9  # infeasibility cutoff on the phase-1 objective
+LP_MAX_ITERATIONS = 200_000
+LP_REFACTOR_EVERY = 150
+IDENTITY_EXACT = 1e-6
+IDENTITY_ITERATIVE = 5e-4
+BALL_FEASIBILITY = 1e-7
+ICONV_STOP = 1e-11
+ICONV_MAX_ITERATIONS = 100_000
 
 
 class LpStatus(Enum):
@@ -136,12 +131,11 @@ class _Simplex:
     operations, with periodic refactorization.
     """
 
-    def __init__(self, a, b, tols):
+    def __init__(self, a, b):
         self.a = a
         self.at = np.ascontiguousarray(a.T)
         self.b = b
         self.m = a.shape[0]
-        self.tols = tols
         self.basis = None
         self.binv = None
         self.xb = None
@@ -165,15 +159,14 @@ class _Simplex:
 
     def run(self, c, enterable):
         """Pivot until optimal or unbounded; returns the status string."""
-        tols = self.tols
         since_refactor = 0
         while True:
-            if self.iterations > tols.lp_max_iterations:
+            if self.iterations > LP_MAX_ITERATIONS:
                 raise NumericalBreakdown("simplex iteration limit reached")
             y = self.binv.T @ c[self.basis]
             reduced = c - self.at @ y
             reduced[self.basis] = 0.0
-            candidates = np.flatnonzero(enterable & (reduced < -tols.lp_reduced_cost))
+            candidates = np.flatnonzero(enterable & (reduced < -LP_REDUCED_COST))
             if candidates.size == 0:
                 if since_refactor > 0:
                     # confirm optimality against a fresh factorization
@@ -183,7 +176,7 @@ class _Simplex:
                     reduced = c - self.at @ y
                     reduced[self.basis] = 0.0
                     candidates = np.flatnonzero(
-                        enterable & (reduced < -tols.lp_reduced_cost)
+                        enterable & (reduced < -LP_REDUCED_COST)
                     )
                     if candidates.size == 0:
                         return "optimal"
@@ -191,7 +184,7 @@ class _Simplex:
                     return "optimal"
             entering = int(candidates[0])  # Bland: lowest index
             direction = self.binv @ self.a[:, entering]
-            eligible = np.flatnonzero(direction > tols.lp_ratio)
+            eligible = np.flatnonzero(direction > LP_RATIO)
             if eligible.size == 0:
                 return "unbounded"
             ratios = self.xb[eligible] / direction[eligible]
@@ -199,7 +192,7 @@ class _Simplex:
             ties = eligible[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
             leave_row = int(ties[np.argmin(self.basis[ties])])
             pivot = direction[leave_row]
-            if pivot < self.tols.lp_pivot:
+            if pivot < LP_PIVOT:
                 raise NumericalBreakdown(f"pivot {pivot:.3e} below tolerance")
             # elementary update of the basis inverse
             self.binv[leave_row, :] /= pivot
@@ -213,7 +206,7 @@ class _Simplex:
             self.basis[leave_row] = entering
             self.iterations += 1
             since_refactor += 1
-            if since_refactor >= tols.lp_refactor_every:
+            if since_refactor >= LP_REFACTOR_EVERY:
                 self.refactor()
                 since_refactor = 0
 
@@ -247,16 +240,15 @@ class _Simplex:
         return keep
 
 
-def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP with a deterministic two-phase revised simplex.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
-    complementarity residual, and duality gap are verified against the
-    tolerance record, and a violation raises NumericalBreakdown rather than
-    returning a silently wrong answer.
+    complementarity residual, and duality gap are verified against
+    LP_FEASIBILITY, LP_COMPLEMENTARITY and LP_DUALITY_GAP, and a violation
+    raises NumericalBreakdown rather than returning a silently wrong answer.
     """
     _validate(problem)
-    tols = tolerances
     n = problem.n
     c_user = problem.objective
 
@@ -335,7 +327,7 @@ def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES) ->
         a_full = a_std
     n_total = a_full.shape[1]
 
-    sx = _Simplex(a_full, b_std, tols)
+    sx = _Simplex(a_full, b_std)
     sx.set_basis(basis)
     enterable = np.ones(n_total, dtype=bool)
     enterable[n_struct:] = False  # artificials never enter
@@ -347,7 +339,7 @@ def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES) ->
         if status != "optimal":
             raise NumericalBreakdown("phase 1 terminated abnormally")
         phase1_value = float(c_phase1[sx.basis] @ sx.xb)
-        if phase1_value > tols.lp_phase1:
+        if phase1_value > LP_PHASE1:
             return LpSolution(LpStatus.INFEASIBLE, None, None, None, None,
                               iterations=sx.iterations)
         keep = sx.drive_out_artificials(n_struct, enterable)
@@ -356,7 +348,7 @@ def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES) ->
             b_std = b_std[keep]
             kept_basis = sx.basis[keep]
             iterations = sx.iterations
-            sx = _Simplex(a_full, b_std, tols)
+            sx = _Simplex(a_full, b_std)
             sx.set_basis(kept_basis)
             sx.iterations = iterations
             enterable = enterable[:n_struct]
@@ -410,11 +402,11 @@ def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES) ->
         feasibility_residual=feas, complementarity_residual=compl,
         duality_gap=gap, iterations=sx.iterations,
     )
-    if feas > tols.lp_feasibility * rhs_scale:
+    if feas > LP_FEASIBILITY * rhs_scale:
         raise NumericalBreakdown(f"primal residual {feas:.3e} above tolerance")
-    if compl > tols.lp_complementarity:
+    if compl > LP_COMPLEMENTARITY:
         raise NumericalBreakdown(f"complementarity residual {compl:.3e} above tolerance")
-    if gap > tols.lp_duality_gap * (1.0 + abs(value)):
+    if gap > LP_DUALITY_GAP * (1.0 + abs(value)):
         raise NumericalBreakdown(f"duality gap {gap:.3e} above tolerance")
     return solution
 

@@ -23,7 +23,8 @@ from ipmdro.cli import (
     sin_study_config,
 )
 from ipmdro.errors import ConfigError, IpmdroError, SizeCapExceeded
-from ipmdro.solvers import DENSE_LP_CAP, lp_problem, solve_lp
+from ipmdro import balls
+from ipmdro.solvers import DENSE_LP_CAP, LpSolution, LpStatus, lp_problem, solve_lp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,7 +108,7 @@ class TestValidation:
         assert rc == 2
         assert "metric row 1" in capsys.readouterr().err
 
-    def test_unknown_tolerance_field(self, tmp_path):
+    def test_unknown_tolerance_field(self, tmp_path, capsys):
         config = {
             "schema_version": 1,
             "space": {"points": ["a", "b"]},
@@ -117,6 +118,7 @@ class TestValidation:
         path.write_text(json.dumps(config))
         rc = main(["ipm", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert "unknown field 'tolerances'" in capsys.readouterr().err
 
     def test_missing_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -300,11 +302,7 @@ class TestBadInputExitsCleanly:
             "function_class.allow_zero_mass: "),
         "seed-not-integer": ("penalty", line_config(3, seed="abc"), "seed: "),
         "samples-not-integer": ("tightness", line_config(3, samples="many"), "samples: "),
-        "tolerance-not-number": (
-            "penalty", line_config(3, tolerances={"lp_pivot": "tiny"}), "tolerances.lp_pivot: "),
-        "tolerance-not-integer": (
-            "penalty", line_config(3, tolerances={"lp_max_iterations": 1.5}),
-            "tolerances.lp_max_iterations: "),
+        "sample-typo": ("tightness", line_config(3, sample=5), "config: unknown field 'sample'"),
         "class-not-object": (
             "penalty", line_config(3, function_class="sup_norm_ball"), "function_class: "),
     }
@@ -318,6 +316,15 @@ class TestBadInputExitsCleanly:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("ipmdro: ") and needle in err
+
+    def test_unusable_lp_status_exits_three(self, tmp_path, capsys, monkeypatch):
+        unbounded = LpSolution(LpStatus.UNBOUNDED, None, None, None, None)
+        monkeypatch.setattr(balls, "solve_lp", lambda problem: unbounded)
+        path = tmp_path / "penalty.json"
+        path.write_text(json.dumps(line_config(3)))
+        rc = main(["penalty", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "numerical breakdown: penalty LP" in capsys.readouterr().err
 
     def test_dense_cap_is_a_package_error_and_a_value_error(self):
         problem = lp_problem(np.zeros(DENSE_LP_CAP + 1))

@@ -27,7 +27,7 @@ from ipmdro import (
 from ipmdro import cli
 from ipmdro.balls import _QuadraticBall
 from ipmdro.errors import EpsNegative, EpsNonPositive, UnsupportedVariant
-from ipmdro.solvers import DEFAULT_TOLERANCES
+from ipmdro.solvers import IDENTITY_ITERATIVE
 from fleet import (
     even_explicit_class,
     line_space,
@@ -199,7 +199,7 @@ class TestVerifyIdentity:
         cls = RkhsBall(space, gram=cli.gaussian_gram(space, 0.67))
         P = DiscreteDistribution.uniform(space)
         report = verify_identity(P, cls, 0.1, FunctionVec(space, np.sin(6.0 * t)))
-        assert report.residual <= DEFAULT_TOLERANCES.identity_iterative
+        assert report.residual <= IDENTITY_ITERATIVE
 
     def test_eps_zero_rejected(self):
         space = unit_space(3)

@@ -22,8 +22,10 @@ from ipmdro import (
     theta,
     theta_closed_form,
 )
+from ipmdro import balls
 from ipmdro.core import lipschitz_constant
-from ipmdro.errors import EpsNonPositive, NegativeZeta
+from ipmdro.errors import EpsNonPositive, NegativeZeta, NumericalBreakdown
+from ipmdro.solvers import LpSolution, LpStatus
 from fleet import line_space, quadratic_class, sobolev_instance
 from oracles import greedy_l1_worst_case, midrange
 
@@ -296,6 +298,21 @@ class TestLambdaPenalty:
         peak = float(h1.max() - P.weights @ h1)
         tail = eps * gauge_explicit(cls, FunctionVec(space, h2)).value
         assert peak + tail == pytest.approx(val.value, abs=1e-7)
+
+    def test_unusable_lp_status_is_a_breakdown(self, monkeypatch):
+        """A status the penalty or centered-gauge LP cannot have is refused,
+        not read as a solution."""
+        unbounded = LpSolution(LpStatus.UNBOUNDED, None, None, None, None)
+        monkeypatch.setattr(balls, "solve_lp", lambda problem: unbounded)
+        space = line_space(np.random.default_rng(2), 4)
+        P = DiscreteDistribution.uniform(space)
+        h = FunctionVec(space, [0.0, 1.0, 3.0, 2.0])
+        explicit = cross_polytope(space)
+        for cls in (LipschitzBall(space), explicit):
+            with pytest.raises(NumericalBreakdown, match="penalty LP"):
+                lambda_penalty(P, cls, 0.4, h)
+        with pytest.raises(NumericalBreakdown, match="centered gauge LP"):
+            centered_theta(explicit, h)
 
     def _slsqp_reference(self, rng, h, p, mat, eps):
         n = h.size

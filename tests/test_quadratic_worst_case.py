@@ -3,14 +3,11 @@ SLSQP oracle, on the inputs that make an active-set walk degenerate: points
 P gives no weight, a zero-mass Fisher mu, tied maxima of h, a constant h and
 radii past the argmax vertex."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from ipmdro import (
-    DEFAULT_TOLERANCES,
     DiscreteDistribution,
     DroMethod,
     FisherBall,
@@ -21,8 +18,10 @@ from ipmdro import (
     make_space,
     worst_case_expectation,
 )
+from ipmdro import balls
 from ipmdro.core import sobolev_matrix
 from ipmdro.errors import NumericalBreakdown
+from ipmdro.solvers import BALL_FEASIBILITY
 from fleet import path_graph_space, quadratic_class, random_gram, sobolev_instance
 
 KINDS = ("fisher", "rkhs", "sobolev")
@@ -94,7 +93,7 @@ def _check_against_oracle(rng, kind, n, case, eps):
     p, v = P.weights, h.values
     assert result.value == float(result.worst_q.weights @ v)
     distance = ipm_distance(cls, result.worst_q, P).value
-    assert distance <= eps + DEFAULT_TOLERANCES.ball_feasibility
+    assert distance <= eps + BALL_FEASIBILITY
     if p[support].sum() <= 0.0:  # the ball is {P}
         assert result.value == pytest.approx(float(p @ v), abs=1e-12)
         return
@@ -150,12 +149,12 @@ def test_value_is_the_expectation_under_worst_q(kind):
 
 
 @pytest.mark.parametrize("field", ["lp_feasibility", "lp_reduced_cost"])
-def test_failed_kkt_check_is_refused(field):
+def test_failed_kkt_check_is_refused(field, monkeypatch):
     rng = np.random.default_rng(3)
     _, cls, P, h, _, _ = _instance(rng, "rkhs", 6, "zero_weight_p")
-    strict = dataclasses.replace(DEFAULT_TOLERANCES, **{field: -1.0})
+    monkeypatch.setattr(balls, field.upper(), -1.0)
     with pytest.raises(NumericalBreakdown, match=r"quadratic worst case \(n = 6\)"):
-        worst_case_expectation(P, cls, 0.3, h, strict)
+        worst_case_expectation(P, cls, 0.3, h)
 
 
 def _symmetric_instance(kind, n):

@@ -1,5 +1,5 @@
-import dataclasses
-import re
+import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,6 @@ from ipmdro.solvers import (
     FREE,
     NONNEG,
     LpStatus,
-    Tolerances,
     lp_problem,
     minimize_scalar_convex,
     project_simplex,
@@ -181,12 +180,38 @@ class TestGoldenSection:
 
 
 def test_every_tolerance_is_read_by_the_package():
-    """A Tolerances field that no module reads is a knob that does nothing."""
-    source = "\n".join(
-        path.read_text() for path in Path(ipmdro.__file__).parent.glob("*.py")
-    )
-    unread = [
-        f.name for f in dataclasses.fields(Tolerances)
-        if not re.search(rf"\.{f.name}\b", source)
+    """An upper-case constant of solvers.py that no code reads does nothing.
+
+    Only loads count (a bare name or a module attribute): an import, a
+    docstring or the definition itself never reads the value.
+    """
+    package = Path(ipmdro.__file__).parent
+    solvers_tree = ast.parse((package / "solvers.py").read_text())
+    defined = [
+        target.id
+        for node in solvers_tree.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
     ]
-    assert unread == []
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert "LP_FEASIBILITY" in defined
+    assert [name for name in defined if name not in read] == []
+
+
+def test_no_public_function_takes_tolerances():
+    """The certification contract is fixed: no call can loosen it."""
+    takers = []
+    for name in dir(ipmdro):
+        obj = getattr(ipmdro, name)
+        callables = [obj] if inspect.isfunction(obj) else []
+        if inspect.isclass(obj):
+            callables += [f for _, f in inspect.getmembers(obj, inspect.isfunction)]
+        takers += [f"{name}.{f.__name__}" for f in callables
+                   if "tolerances" in inspect.signature(f).parameters]
+    assert takers == []

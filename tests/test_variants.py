@@ -145,16 +145,18 @@ def _every_operation(cls, P, Q, h):
 
 
 def test_quadratic_form_decomposed_at_most_once_per_instance(monkeypatch):
-    """One spectrum serves every operation; Fisher's form is diagonal and
-    needs no decomposition."""
-    eigh = np.linalg.eigh
+    """One spectrum, construction included, serves every operation; Fisher's
+    form is diagonal and needs no decomposition."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(variant)
-        return eigh(*args, **kwargs)
+    def counting(decompose):
+        def counted(*args, **kwargs):
+            calls.append(variant)
+            return decompose(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     for variant in ("fisher", "rkhs", "sobolev"):
         _every_operation(*_instance(variant))
     assert calls == ["rkhs", "sobolev"]
