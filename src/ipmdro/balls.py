@@ -4,9 +4,10 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum and a polyhedral ball's seminorm atoms are built
-once and cached on the instance: on first use, or for RKHS at construction,
-where the same decomposition checks the Gram matrix.
+quadratic ball's spectrum, a polyhedral ball's seminorm atoms and the
+sup-norm ball's cost matrix are built once and cached on the instance: on
+first use, or for RKHS at construction, where the same decomposition checks
+the Gram matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .solvers import (
     FREE,
     ICONV_MAX_ITERATIONS,
     ICONV_STOP,
+    LP_DUALITY_GAP,
     LP_FEASIBILITY,
     LP_REDUCED_COST,
     NONNEG,
@@ -250,7 +252,10 @@ class _Ball(FunctionClass):
 # block has no j, so f[j] reads as zero.  Three LPs are built from the atoms:
 # the penalty LP, whose rows bound each atom, and the distance and worst-case
 # LPs, whose flow columns move one unit of mass onto i_k (and off j_k) at
-# cost cost_k, one pair of opposite columns per atom.
+# cost cost_k, one pair of opposite columns per atom.  The Dudley ball uses
+# all three; the Lipschitz ball only the distance LP, and the sup-norm ball
+# none: their worst case and penalty come from the transport dual below, and
+# the sup norm's distance is the L1 norm.
 
 
 def _sup_block(space):
@@ -387,11 +392,137 @@ class _PolyhedralBall(_Ball):
         return _split_lp(P, eps, h, nv, ub=(a_ub, b_ub))
 
 
+# ---------------------------------------------------------------------------
+# transport balls
+#
+# The sup-norm and Lipschitz balls are, up to a constant shift, the functions
+# that are 1-Lipschitz for a cost c: the metric, or 2 (1 - I) for the sup
+# norm.  So their worst case is an optimal-transport problem with the strong
+# dual  sup_{W_c(Q, P) <= eps} E_Q[h] = min_{lam >= 0} phi(lam),
+#     phi(lam) = lam eps + sum_i p_i max_j (h_j - lam c_ij),
+# and phi is convex and piecewise linear.  A plan j(i) (point i sends its mass
+# to j(i)) gives the piece with intercept sum_i p_i h_j(i) and slope
+# eps - sum_i p_i c_i,j(i), which is phi itself wherever every j(i) is an
+# argmax; the plan j(i) = i gives the last piece, of slope eps.
+
+
+def _transport_dual(cost, p, h, eps, name):
+    """(lam*, phi(lam*), over, under): the least point of phi and two plans
+    optimal there, ``under`` costing at most eps and ``over`` at least eps
+    unless lam* = 0.
+
+    A cutting-plane search: it keeps a piece of negative slope (``over``, from
+    the right slope at 0) and one of nonnegative slope (``under``, first the
+    last piece), evaluates phi and its left and right slopes where they cross
+    and replaces one of them by the piece found there.  It stops at a kink
+    with left slope <= 0 <= right slope, or where phi meets the two pieces,
+    which are then adjacent and cross at the kink.  Argmaxes within 1e-12 of
+    the scale of h are ties, as rounding noise.  Plans cover the points of
+    positive mass; zero-mass points move nothing.  phi has at most
+    n(n - 1) + 1 pieces, so a search longer than n^2 + 2 steps raises
+    NumericalBreakdown.
+    """
+    n = p.size
+    supp = p > 0.0
+    cost, p = cost[supp], p[supp]
+    rows = np.arange(p.size)
+    tol = 1e-12 * (1.0 + float(np.abs(h).max()))
+
+    def piece(plan):  # (intercept, slope)
+        return float(p @ h[plan]), eps - float(p @ cost[rows, plan])
+
+    lam, over, under, model = 0.0, None, np.flatnonzero(supp), -np.inf
+    for _ in range(n * n + 2):
+        gain = h - lam * cost
+        best = gain.max(axis=1)
+        tied = gain >= (best - tol)[:, None]
+        left = np.argmax(np.where(tied, cost, -1.0), axis=1)
+        right = np.argmin(np.where(tied, cost, np.inf), axis=1)
+        phi = lam * eps + float(p @ best)
+        slope_left, slope_right = piece(left)[1], piece(right)[1]
+        if slope_right >= 0.0 and (lam == 0.0 or slope_left <= 0.0):
+            return lam, phi, left, right
+        if over is not None:
+            model = max(a + s * lam for a, s in (piece(over), piece(under)))
+            if phi <= model + tol:
+                return lam, phi, over, under
+        if slope_right < 0.0:
+            over = right
+        else:
+            under = left
+        (a_over, s_over), (a_under, s_under) = piece(over), piece(under)
+        lam = (a_under - a_over) / (s_over - s_under)
+    raise NumericalBreakdown(
+        f"{name} transport dual (n = {n}, lambda = {lam!r}): no kink of phi in "
+        f"{n * n + 2} steps; phi exceeds the two pieces by {phi - model:.3e}"
+    )
+
+
+def _mixing_weight(cost_over, cost_under, eps):
+    """The weight on the plan of cost ``cost_over`` that brings the mixture's
+    cost to eps; clipped to [0, 1] when both plans cost less (lam* = 0)."""
+    if cost_over <= cost_under:
+        return 0.0
+    return min(max((eps - cost_under) / (cost_over - cost_under), 0.0), 1.0)
+
+
 @dataclass(frozen=True, eq=False)
-class SupNormBall(_PolyhedralBall):
+class _TransportBall(_PolyhedralBall):
+    """A polyhedral ball whose worst case and penalty come from the transport
+    dual under its cost matrix ``_cost``; no LP is built for either.  The
+    penalty runs its own search and never reads a worst case, so the two
+    sides of the identity check each other: any split bounds the penalty
+    from above and any Q in the ball bounds it from below.
+    """
+
+    def worst_case(self, P, eps, h):
+        """The two plans at lam*, mixed to cost exactly eps; the value is
+        E_Q[h], certified by the mixture's cost (complementary slackness:
+        all of eps is spent when lam* > 0) and by its gap to phi(lam*)."""
+        n, p, v = self.space.n, P.weights, h.values
+        name = type(self).__name__
+        lam, phi, over, under = _transport_dual(self._cost, p, v, eps, name)
+        src = np.flatnonzero(p > 0.0)
+        moved = p[src]
+        cost_over, cost_under = (float(moved @ self._cost[src, plan]) for plan in (over, under))
+        theta = _mixing_weight(cost_over, cost_under, eps)
+        q = (np.bincount(over, theta * moved, n)
+             + np.bincount(under, (1.0 - theta) * moved, n))
+        value = float(q @ v)
+        spent = theta * cost_over + (1.0 - theta) * cost_under
+        ball = abs(spent - eps) if lam > 0.0 else spent - eps
+        gap = abs(value - phi)
+        if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(phi)):
+            raise NumericalBreakdown(
+                f"{name} worst case (n = {n}, lambda = {lam!r}): ball residual "
+                f"{ball:.3e}, value gap {gap:.3e} above tolerance"
+            )
+        return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
+
+    def lambda_(self, P, eps, h):
+        """The split h2 = h^lam* (the c-transform max_j (h_j - lam* c_ij),
+        which is lam*-Lipschitz for c) at its least-gauge shift b,
+        h1 = h - h2, valued as J_P(h1) + eps * Theta(h2) through the
+        centered gauge; J_P ignores the shift."""
+        v = h.values
+        lam = _transport_dual(self._cost, P.weights, v, eps, type(self).__name__)[0]
+        h2 = (v - lam * self._cost).max(axis=1)
+        b, gauge = self.centered_gauge(FunctionVec(h.space, h2))
+        h2 = h2 - b
+        h1 = v - h2
+        value = float(h1.max() - P.weights @ h1) + eps * gauge.value
+        return PenaltyValue(max(value, 0.0), (h1, h2))
+
+
+@dataclass(frozen=True, eq=False)
+class SupNormBall(_TransportBall):
     """Functions bounded by one in sup norm."""
 
     blocks = (_sup_block,)
+
+    @cached_property
+    def _cost(self):
+        return _frozen_array(2.0 * (1.0 - np.eye(self.space.n)))
 
     def gauge(self, h):
         return PenaltyValue(sup_norm(h.values))
@@ -414,7 +545,7 @@ class SupNormBall(_PolyhedralBall):
 
 
 @dataclass(frozen=True, eq=False)
-class LipschitzBall(_PolyhedralBall):
+class LipschitzBall(_TransportBall):
     """Functions with metric Lipschitz constant at most one."""
 
     blocks = (_lip_block,)
@@ -423,6 +554,11 @@ class LipschitzBall(_PolyhedralBall):
     def __post_init__(self):
         if self.space.metric is None:
             raise MissingMetric("a Lipschitz ball needs a metric on the space")
+
+    @property
+    def _cost(self):
+        """The metric, whose triangle inequality ``make_space`` enforces."""
+        return self.space.metric
 
     def gauge(self, h):
         return PenaltyValue(lipschitz_constant(self.space, h.values))

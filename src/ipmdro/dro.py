@@ -24,6 +24,7 @@ from .solvers import BALL_FEASIBILITY
 class DroMethod(Enum):
     EXACT_LP = "exact_lp"
     ACTIVE_SET = "active_set"
+    TRANSPORT_DUAL = "transport_dual"
 
 
 @dataclass
@@ -67,17 +68,19 @@ def worst_case_expectation(
 ) -> DroResult:
     """sup of E_Q[h] over the radius-eps one-sided ball around P.
 
-    Polyhedral balls (explicit, sup-norm, Lipschitz, Dudley) are one exact
-    LP; quadratic balls (RKHS, Fisher, Sobolev) run an exact active-set walk
-    whose result is certified by its KKT conditions.  The value is E_Q[h] of
-    the returned worst_q, which is checked to lie in the ball within the ball
-    tolerance: its distance to P is computed anew (for the Lipschitz and
-    Dudley balls, the flow distance LP) and a breakdown is raised if it
-    exceeds eps.
+    Explicit sets and the Dudley ball are one exact LP (for Dudley, the flow
+    worst-case LP); the sup-norm and Lipschitz balls search the transport
+    dual for its least point and mix the two optimal plans found there,
+    certified by the mixture's cost and its gap to the dual value; quadratic
+    balls (RKHS, Fisher, Sobolev) run an exact active-set walk whose result
+    is certified by its KKT conditions.  The value is E_Q[h] of the returned
+    worst_q, which is checked to lie in the ball within the ball tolerance:
+    its distance to P is computed anew (for the Lipschitz and Dudley balls,
+    the flow distance LP) and a breakdown is raised if it exceeds eps.
     """
     require_same_space(P, h)
     require_same_space(P, cls)
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise EpsNegative(f"eps must be nonnegative, got {eps!r}")
     result = cls.worst_case(P, eps, h)
     feas = ipm_distance(cls, result.worst_q, P).value

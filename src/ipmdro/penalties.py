@@ -28,9 +28,11 @@ class PenaltyValue:
 
     ``witness`` holds conic-combination weights for gauges, the argmax index
     for the peak-over-mean functional, and an (h1, h2) split for the infimal
-    convolution.  ``exact`` is False for the iterative quadratic-class
-    infimal convolution and for the gauge of a non-convex zeta, which is only
-    an upper bound.
+    convolution: from the penalty LP for explicit sets and the Dudley ball,
+    and h2 the c-transform at the transport dual's least point for the
+    sup-norm and Lipschitz balls.  ``exact`` is False for the iterative
+    quadratic-class infimal convolution and for the gauge of a non-convex
+    zeta, which is only an upper bound.
     """
 
     value: float
@@ -101,7 +103,8 @@ def centered_theta(cls: FunctionClass, h: FunctionVec):
     half that range; the Fisher and RKHS balls take b = 1'Mh / 1'M1 from
     their form M.  Explicit sets get one LP with the shift as a free
     variable; only a zeta ball runs a golden-section search over
-    [min h, max h].
+    [min h, max h].  No flow LP or transport search is involved; the
+    sup-norm penalty shifts its split h2 by the same midpoint rule.
     """
     require_same_space(cls, h)
     return cls.centered_gauge(h)
@@ -120,7 +123,12 @@ def lambda_penalty(
     """Infimal convolution of the peak-over-mean penalty with eps times the
     class gauge: the exact robustness premium of the worst-case expectation.
 
-    Polyhedral classes are solved by one exact LP; quadratic classes run a
+    Explicit sets and the Dudley ball are solved by one exact LP.  The
+    sup-norm and Lipschitz balls search the transport dual
+    min_{lam >= 0} lam eps + sum_i p_i max_j (h_j - lam c_ij) for its least
+    point lam* and value the split h2 = max_j (h_j - lam* c_.j) (shifted to
+    its least gauge), h1 = h - h2, as J_P(h1) + eps * Theta(h2) through the
+    centered gauge.  Quadratic classes run a
     Douglas-Rachford splitting until its iterates settle (or its iteration
     budget runs out), keep the best split seen and are flagged inexact.  The
     penalty never reads the worst case, so the two sides of the identity

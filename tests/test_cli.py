@@ -284,6 +284,22 @@ class TestBadInputExitsCleanly:
         "function-entry-string": (
             "penalty", line_config(3, functions={"h": ["0", "1", "2"]}), "functions.h: "),
         "epsilon-nan": ("dro-sup", line_config(3, epsilon=float("nan")), "epsilon: "),
+        "epsilon-count-fraction": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 2.7}),
+            "epsilon.count: "),
+        "epsilon-count-bool": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": True}),
+            "epsilon.count: "),
+        "epsilon-count-string": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": "3"}),
+            "epsilon.count: "),
+        "epsilon-start-bool": (
+            "sweep-eps", line_config(3, epsilon={"start": True, "stop": 0.5, "count": 3}),
+            "epsilon.start: "),
+        "epsilon-stop-string": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": "0.5", "count": 3}),
+            "epsilon.stop: "),
+        "seed-string": ("penalty", line_config(3, seed="3"), "seed: "),
         "rkhs-bandwidth-string": (
             "penalty",
             line_config(3, function_class={"variant": "rkhs_ball", "gaussian_bandwidth": "wide"}),
@@ -321,7 +337,7 @@ class TestBadInputExitsCleanly:
         unbounded = LpSolution(LpStatus.UNBOUNDED, None, None, None, None)
         monkeypatch.setattr(balls, "solve_lp", lambda problem: unbounded)
         path = tmp_path / "penalty.json"
-        path.write_text(json.dumps(line_config(3)))
+        path.write_text(json.dumps(line_config(3, function_class={"variant": "dudley_ball"})))
         rc = main(["penalty", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical breakdown: penalty LP" in capsys.readouterr().err

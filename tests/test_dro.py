@@ -69,7 +69,7 @@ class TestWorstCaseExpectation:
                 greedy_l1_worst_case(h.values, P.weights, eps), abs=1e-9
             )
             assert result.value == pytest.approx(frozen, abs=1e-9)
-            assert result.method == DroMethod.EXACT_LP
+            assert result.method == DroMethod.TRANSPORT_DUAL
 
     def test_worst_q_stays_in_ball(self):
         rng = np.random.default_rng(1)

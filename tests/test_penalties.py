@@ -308,7 +308,7 @@ class TestLambdaPenalty:
         P = DiscreteDistribution.uniform(space)
         h = FunctionVec(space, [0.0, 1.0, 3.0, 2.0])
         explicit = cross_polytope(space)
-        for cls in (LipschitzBall(space), explicit):
+        for cls in (DudleyBall(space), explicit):
             with pytest.raises(NumericalBreakdown, match="penalty LP"):
                 lambda_penalty(P, cls, 0.4, h)
         with pytest.raises(NumericalBreakdown, match="centered gauge LP"):

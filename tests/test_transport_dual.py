@@ -1,0 +1,213 @@
+"""Differential tests of the transport dual behind the sup-norm and Lipschitz
+balls' worst cases and penalties.
+
+Every value is compared with scipy's HiGHS on LPs written here from the
+definitions, independent of the package's search: the worst case as an
+n^2-variable coupling LP under the ball's cost (the metric, or 2 off the
+diagonal for the sup norm), and the penalty as the infimal convolution over
+(h1, t, s) with the ball's constraint on h - h1 written pair by pair (point by
+point for the sup norm).
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.optimize import linprog
+
+from ipmdro import (
+    DiscreteDistribution,
+    DroMethod,
+    FunctionVec,
+    LipschitzBall,
+    SupNormBall,
+    lambda_penalty,
+    make_space,
+    theta,
+    verify_identity,
+    worst_case_expectation,
+)
+from ipmdro import balls
+from ipmdro.errors import EpsNegative, NumericalBreakdown
+from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT
+
+REL = 1e-9
+
+
+def _highs(c, **kwargs):
+    res = linprog(c, method="highs", **kwargs)
+    assert res.status == 0, res.message
+    return res
+
+
+def coupling_worst_case(h, p, cost, eps):
+    """max sum_ij h_j pi_ij over couplings pi >= 0 with row sums p and
+    transport cost <= eps (pi flattened row-major)."""
+    n = h.size
+    rows = sparse.kron(sparse.eye(n), np.ones((1, n)))
+    res = _highs(-np.tile(h, n), A_ub=cost.reshape(1, -1), b_ub=[eps],
+                 A_eq=rows, b_eq=p)
+    return -res.fun
+
+
+def penalty_lp(h, p, eps, pairs=None, cost=None):
+    """min t - p'h1 + eps * s over h1 <= t and, for h2 = h - h1,
+    |h2_i - h2_j| <= s * cost_ij on the given pairs (Lipschitz) or
+    |h2_i| <= s (sup norm, ``pairs`` None)."""
+    n = h.size
+    t, s = n, n + 1
+    row = []
+    col = []
+    val = []
+    rhs = []
+
+    def add(entries, bound):
+        for j, v in entries:
+            row.append(len(rhs))
+            col.append(j)
+            val.append(v)
+        rhs.append(bound)
+
+    for i in range(n):
+        add([(i, 1.0), (t, -1.0)], 0.0)
+    if pairs is None:
+        for i in range(n):
+            add([(i, -1.0), (s, -1.0)], -h[i])
+            add([(i, 1.0), (s, -1.0)], h[i])
+    else:
+        for i, j in pairs:
+            add([(i, -1.0), (j, 1.0), (s, -cost[i, j])], -(h[i] - h[j]))
+            add([(i, 1.0), (j, -1.0), (s, -cost[i, j])], h[i] - h[j])
+    a_ub = sparse.csr_matrix((val, (row, col)), shape=(len(rhs), n + 2))
+    c = np.concatenate([-p, [1.0, eps]])
+    res = _highs(c, A_ub=a_ub, b_ub=rhs, bounds=[(None, None)] * (n + 1) + [(0, None)])
+    return res.fun
+
+
+def instance(kind, n, seed, variant=None):
+    """(space, pairs, P, h, eps): points in the unit square or on a line
+    (where the adjacent pairs fix the Lipschitz constant)."""
+    rng = np.random.default_rng([n, seed])
+    if kind == "euclid":
+        x = rng.uniform(0.0, 1.0, (n, 2))
+        metric = np.linalg.norm(x[:, None] - x[None, :], axis=2)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        t = np.cumsum(rng.uniform(0.1, 1.0, n))
+        metric = np.abs(t[:, None] - t[None, :])
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    space = make_space([f"x{i}" for i in range(n)], metric=metric)
+    w = rng.dirichlet(np.ones(n))
+    h = rng.uniform(-1.0, 1.0, n)
+    eps = float(rng.uniform(0.05, 0.5))
+    if variant == "ties":
+        h = np.round(2.0 * h) / 2.0
+    elif variant == "zero-mass":
+        w[rng.random(n) < 0.4] = 0.0
+        w[0] += 1e-3
+    elif variant == "large-eps":  # enough to move all mass onto argmax h
+        eps = 2.5 * max(float(metric.max()), 2.0)
+    elif variant == "tiny-eps":
+        eps = 1e-6
+    elif variant == "mass-on-argmax":  # lam* = 0 at any eps
+        w = np.zeros(n)
+        w[int(np.argmax(h))] = 1.0
+    return space, pairs, DiscreteDistribution(space, w / w.sum()), FunctionVec(space, h), eps
+
+
+FLEET = [("euclid", n, 0, None) for n in (2, 7, 20, 40, 60)] + [
+    ("path", n, 1, None) for n in (3, 50, 201)] + [
+    ("euclid", 15, 2, "ties"), ("path", 30, 2, "ties"),
+    ("euclid", 25, 3, "zero-mass"), ("path", 40, 3, "zero-mass"),
+    ("euclid", 12, 4, "large-eps"), ("euclid", 12, 4, "tiny-eps"),
+    ("euclid", 10, 5, "mass-on-argmax"), ("path", 10, 5, "large-eps"),
+]
+
+
+@pytest.mark.parametrize("kind, n, seed, variant", FLEET)
+def test_fleet_matches_highs(kind, n, seed, variant):
+    space, pairs, P, h, eps = instance(kind, n, seed, variant)
+    p, v = P.weights, h.values
+    sup_cost = 2.0 * (1.0 - np.eye(n))
+    for cls, cost, ball_pairs in ((LipschitzBall(space), space.metric, pairs),
+                                  (SupNormBall(space), sup_cost, None)):
+        report = verify_identity(P, cls, eps, h)
+        ref_ball = coupling_worst_case(v, p, cost, eps)
+        ref_penalty = penalty_lp(v, p, eps, ball_pairs, space.metric)
+        assert abs(report.lhs - ref_ball) <= REL * max(1.0, abs(ref_ball))
+        assert abs(report.lambda_value - ref_penalty) <= REL * max(1.0, abs(ref_penalty))
+        assert report.exact
+        assert report.residual <= 1e-12 * (1.0 + float(np.abs(v).max()))
+        h1, h2 = lambda_penalty(P, cls, eps, h).witness
+        split = h1.max() - p @ h1 + eps * theta(cls, FunctionVec(space, h2)).value
+        assert np.allclose(h1 + h2, v, rtol=0.0, atol=1e-12)
+        assert split == pytest.approx(report.lambda_value, abs=1e-12)
+        if variant in ("large-eps", "mass-on-argmax"):  # lam* = 0: h2 constant
+            assert report.lhs == pytest.approx(v.max(), abs=1e-12)
+            assert report.lambda_value == pytest.approx(v.max() - p @ v, abs=1e-12)
+
+
+def test_lipschitz_penalty_past_the_dense_cap():
+    # n(n - 1) pair rows: the penalty LP this replaced was refused here
+    n = 80
+    assert n * (n - 1) > DENSE_LP_CAP
+    space, pairs, P, h, eps = instance("euclid", n, 6)
+    got = lambda_penalty(P, LipschitzBall(space), eps, h)
+    ref = penalty_lp(h.values, P.weights, eps, pairs, space.metric)
+    assert abs(got.value - ref) <= REL * max(1.0, abs(ref))
+    h1, h2 = got.witness
+    assert np.allclose(h1 + h2, h.values, rtol=0.0, atol=1e-12)
+
+
+def test_worst_case_reports_the_transport_dual():
+    space, _, P, h, eps = instance("euclid", 9, 7)
+    for cls in (LipschitzBall(space), SupNormBall(space)):
+        result = worst_case_expectation(P, cls, eps, h)
+        assert result.method == DroMethod.TRANSPORT_DUAL
+        assert result.value == pytest.approx(float(result.worst_q.weights @ h.values), abs=1e-15)
+
+
+@pytest.mark.parametrize("ball", [LipschitzBall, SupNormBall])
+def test_scaled_lambda_shows_in_the_residual(ball, monkeypatch):
+    """A split built at (1 + 1e-3) lam* overstates the penalty.  The worst case
+    reads only the plans and phi(lam*) from the search, so the scaled lam*
+    moves the penalty's side of the identity alone."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    cls = ball(space)
+    assert verify_identity(P, cls, eps, h).residual <= 1e-15
+    real = balls._transport_dual
+
+    def scaled(*args):
+        lam, *rest = real(*args)
+        return (lam * (1.0 + 1e-3), *rest)
+
+    monkeypatch.setattr(balls, "_transport_dual", scaled)
+    assert verify_identity(P, cls, eps, h).residual > IDENTITY_EXACT
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3, 1e-6, -1e-6])
+@pytest.mark.parametrize("ball", [LipschitzBall, SupNormBall])
+def test_moved_mixing_weight_is_refused(ball, shift, monkeypatch):
+    """Off its exact value the mixture leaves or undershoots the ball; at
+    1e-6 the value moves by less than the gap tolerance, so only the ball
+    residual shows it."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    real = balls._mixing_weight
+    monkeypatch.setattr(balls, "_mixing_weight", lambda *args: real(*args) + shift)
+    with pytest.raises(NumericalBreakdown, match=rf"{ball.__name__} worst case "
+                       r"\(n = 12, lambda = .*\): ball residual .*, value gap"):
+        worst_case_expectation(P, ball(space), eps, h)
+
+
+def test_search_without_a_kink_stops_at_its_bound():
+    # a NaN in h, which no public call lets through, hides every kink
+    cost = 2.0 * (1.0 - np.eye(3))
+    h = np.array([np.nan, 0.0, 1.0])
+    with pytest.raises(NumericalBreakdown, match=r"SupNormBall transport dual \(n = 3, "
+                       r"lambda = nan\): no kink of phi in 11 steps; phi exceeds"):
+        balls._transport_dual(cost, np.full(3, 1.0 / 3.0), h, 0.1, "SupNormBall")
+
+
+def test_nan_radius_is_refused():
+    space, _, P, h, _ = instance("euclid", 4, 0)
+    with pytest.raises(EpsNegative):
+        worst_case_expectation(P, SupNormBall(space), float("nan"), h)
