@@ -795,7 +795,7 @@ class _QuadraticBall(_Ball):
         p = P.weights
         supp, mass, m_supp = self._ball_support(p)
         if mass <= 0.0 or eps == 0.0:  # the ball is {P}
-            return DroResult(float(p @ h.values), P, DroMethod.EXACT_LP, 0.0)
+            return DroResult(float(p @ h.values), P, DroMethod.ACTIVE_SET)
         q = p.copy()
         q[supp] = _active_set_walk(m_supp, h.values[supp], p[supp], eps)
         worst = _as_distribution(P.space, q)

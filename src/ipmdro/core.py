@@ -71,9 +71,8 @@ class SampleSpace:
                 raise ValueError("metric must be strictly positive off the diagonal")
             for k in range(n):
                 slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
-                bad = np.argwhere(slack > METRIC_TOL)
-                if bad.size:
-                    i, j = bad[0]
+                if slack.max() > METRIC_TOL:
+                    i, j = np.argwhere(slack > METRIC_TOL)[0]
                     raise TriangleInequalityViolated(
                         f"c({i},{j}) > c({i},{k}) + c({k},{j})"
                     )

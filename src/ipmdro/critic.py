@@ -30,6 +30,10 @@ from .solvers import BALL_FEASIBILITY, IDENTITY_EXACT, IDENTITY_ITERATIVE
 
 @dataclass
 class AlignmentReport:
+    """The result of ``check_alignment``.  ``witness_residual`` is the
+    alignment gap |<mu - P, h> - eps * gauge(h)| of the witness mu; it and
+    ``witness_mu`` are None when h is not aligned."""
+
     lambda_value: float
     eps_theta: float
     aligned: bool
@@ -100,16 +104,17 @@ def check_alignment(
 ) -> AlignmentReport:
     """Decide whether the penalty of h saturates eps times its gauge.
 
-    When it does, the worst-case distribution is extracted as the witness mu
-    and both witness conditions are re-verified: ball membership of mu and
-    the alignment equality <mu - P, h> = eps * gauge(h).  When it does not,
-    the strictly positive gap certifies that no witness exists.
+    When it does, the worst-case distribution is extracted as the witness mu;
+    it lies in the ball by its own certificate (see
+    ``worst_case_expectation``), and the witness residual is the alignment
+    gap |<mu - P, h> - eps * gauge(h)|.  When it does not, the strictly
+    positive gap certifies that no witness exists and no worst case is
+    solved.
     """
     require_same_space(P, h)
     if not eps > 0.0:
         raise EpsNonPositive(f"eps must be positive, got {eps!r}")
     gauge = theta(cls, h).value
-    dro = worst_case_expectation(P, cls, eps, h)
     lam = lambda_penalty(P, cls, eps, h)
     eps_theta = eps * gauge
     exact = lam.exact
@@ -117,13 +122,10 @@ def check_alignment(
     if not np.isfinite(eps_theta):
         return AlignmentReport(lam.value, eps_theta, False, np.inf, None, None, exact)
     gap = eps_theta - lam.value
-    aligned = abs(gap) <= tol
-    if not aligned:
+    if not abs(gap) <= tol:
         return AlignmentReport(lam.value, eps_theta, False, gap, None, None, exact)
-    mu = dro.worst_q
-    ball = ipm_distance(cls, mu, P).value
-    align = abs(float((mu.weights - P.weights) @ h.values) - eps_theta)
-    residual = max(ball - eps, 0.0, align)
+    mu = worst_case_expectation(P, cls, eps, h).worst_q
+    residual = abs(float((mu.weights - P.weights) @ h.values) - eps_theta)
     return AlignmentReport(lam.value, eps_theta, True, gap, mu, residual, exact)
 
 

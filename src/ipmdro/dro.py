@@ -15,10 +15,8 @@ from .core import (
     FunctionVec,
     require_same_space,
 )
-from .errors import EpsNegative, EpsNonPositive, NumericalBreakdown
-from .ipm import ipm_distance
+from .errors import EpsNegative, EpsNonPositive
 from .penalties import centered_theta, j_penalty, lambda_penalty, theta
-from .solvers import BALL_FEASIBILITY
 
 
 class DroMethod(Enum):
@@ -70,25 +68,19 @@ def worst_case_expectation(
 
     Explicit sets and the Dudley ball are one exact LP (for Dudley, the flow
     worst-case LP); the sup-norm and Lipschitz balls search the transport
-    dual for its least point and mix the two optimal plans found there,
-    certified by the mixture's cost and its gap to the dual value; quadratic
-    balls (RKHS, Fisher, Sobolev) run an exact active-set walk whose result
-    is certified by its KKT conditions.  The value is E_Q[h] of the returned
-    worst_q, which is checked to lie in the ball within the ball tolerance:
-    its distance to P is computed anew (for the Lipschitz and Dudley balls,
-    the flow distance LP) and a breakdown is raised if it exceeds eps.
+    dual for its least point and mix the two optimal plans found there;
+    quadratic balls (RKHS, Fisher, Sobolev) run an exact active-set walk.
+    The value is E_Q[h] of the returned worst_q.  Each family certifies that
+    worst_q lies in the ball where it builds it, at the 1e-9 scale of
+    LP_FEASIBILITY: the LP's primal residual on the ball rows, the mixed
+    plan's cost against eps, or the walk's KKT ball residual.  A failed
+    certificate raises NumericalBreakdown; no distance is solved here.
     """
     require_same_space(P, h)
     require_same_space(P, cls)
     if not eps >= 0.0:
         raise EpsNegative(f"eps must be nonnegative, got {eps!r}")
-    result = cls.worst_case(P, eps, h)
-    feas = ipm_distance(cls, result.worst_q, P).value
-    if feas > eps + BALL_FEASIBILITY:
-        raise NumericalBreakdown(
-            f"worst-case distribution leaves the ball: d = {feas!r} > eps = {eps!r}"
-        )
-    return result
+    return cls.worst_case(P, eps, h)
 
 
 def verify_identity(

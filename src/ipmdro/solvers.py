@@ -157,6 +157,17 @@ class _Simplex:
             raise NumericalBreakdown("basic solution lost feasibility")
         np.maximum(self.xb, 0.0, out=self.xb)
 
+    def exchange(self, row, entering, direction, pivot):
+        """Make ``entering`` basic in ``row`` by an elementary update of the
+        basis inverse; ``direction`` is B^-1 times its column and ``pivot``
+        its entry in ``row``.  Returns ``direction`` with that entry zeroed."""
+        self.binv[row, :] /= pivot
+        other = direction.copy()
+        other[row] = 0.0
+        self.binv -= np.outer(other, self.binv[row, :])
+        self.basis[row] = entering
+        return other
+
     def run(self, c, enterable):
         """Pivot until optimal or unbounded; returns the status string."""
         since_refactor = 0
@@ -168,20 +179,12 @@ class _Simplex:
             reduced[self.basis] = 0.0
             candidates = np.flatnonzero(enterable & (reduced < -LP_REDUCED_COST))
             if candidates.size == 0:
-                if since_refactor > 0:
-                    # confirm optimality against a fresh factorization
-                    self.refactor()
-                    since_refactor = 0
-                    y = self.binv.T @ c[self.basis]
-                    reduced = c - self.at @ y
-                    reduced[self.basis] = 0.0
-                    candidates = np.flatnonzero(
-                        enterable & (reduced < -LP_REDUCED_COST)
-                    )
-                    if candidates.size == 0:
-                        return "optimal"
-                else:
+                if since_refactor == 0:
                     return "optimal"
+                # confirm optimality against a fresh factorization
+                self.refactor()
+                since_refactor = 0
+                continue
             entering = int(candidates[0])  # Bland: lowest index
             direction = self.binv @ self.a[:, entering]
             eligible = np.flatnonzero(direction > LP_RATIO)
@@ -194,16 +197,11 @@ class _Simplex:
             pivot = direction[leave_row]
             if pivot < LP_PIVOT:
                 raise NumericalBreakdown(f"pivot {pivot:.3e} below tolerance")
-            # elementary update of the basis inverse
-            self.binv[leave_row, :] /= pivot
-            other = direction.copy()
-            other[leave_row] = 0.0
-            self.binv -= np.outer(other, self.binv[leave_row, :])
+            other = self.exchange(leave_row, entering, direction, pivot)
             theta_star = self.xb[leave_row] / pivot
             self.xb -= theta_star * other
             self.xb[leave_row] = theta_star
             np.maximum(self.xb, 0.0, out=self.xb)
-            self.basis[leave_row] = entering
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= LP_REFACTOR_EVERY:
@@ -227,12 +225,7 @@ class _Simplex:
             if nz.size:
                 entering = int(nz[0])
                 pivot = tableau_row[entering]
-                direction = self.binv @ self.a[:, entering]
-                self.binv[row, :] /= pivot
-                other = direction.copy()
-                other[row] = 0.0
-                self.binv -= np.outer(other, self.binv[row, :])
-                self.basis[row] = entering
+                self.exchange(row, entering, self.binv @ self.a[:, entering], pivot)
                 self.xb = self.binv @ self.b
                 np.maximum(self.xb, 0.0, out=self.xb)
             else:

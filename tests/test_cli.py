@@ -233,11 +233,11 @@ def line_config(n, **overrides):
     return config
 
 
-def euclid_config(n):
+def euclid_config(n, **overrides):
     """A Lipschitz-ball config on n random points of the unit square, which is
     no path metric, so every one of the n(n-1)/2 pairs is a Lipschitz pair."""
     x = np.random.default_rng(0).uniform(size=(n, 2))
-    config = line_config(n)
+    config = line_config(n, **overrides)
     config["space"] = {"points": config["space"]["points"],
                        "metric": np.linalg.norm(x[:, None] - x[None, :], axis=2).tolist()}
     return config
@@ -254,7 +254,9 @@ class TestBadInputExitsCleanly:
     CASES = {
         # 72 * 71 flow columns are more than the dense LP supports
         "dense-cap-ipm": ("ipm", euclid_config(72), "at most 5000 variables"),
-        "dense-cap-dro-sup": ("dro-sup", euclid_config(72), "at most 5000 variables"),
+        "dense-cap-dro-sup": (
+            "dro-sup", euclid_config(72, function_class={"variant": "dudley_ball"}),
+            "at most 5000 variables"),
         "points-not-list": ("ipm", line_config(3, space={"points": 3}), "space.points: "),
         "points-string": ("ipm", line_config(3, space={"points": "abc"}), "space.points: "),
         "metric-not-list": ("ipm", with_space(metric=3), "space.metric: "),
@@ -341,6 +343,16 @@ class TestBadInputExitsCleanly:
         rc = main(["penalty", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical breakdown: penalty LP" in capsys.readouterr().err
+
+    def test_lipschitz_worst_case_runs_past_the_dense_cap(self, tmp_path):
+        """The Lipschitz worst case builds no LP, so the config whose flow LPs
+        the dense cap refuses runs through ``dro-sup``."""
+        path = tmp_path / "euclid.json"
+        path.write_text(json.dumps(euclid_config(72)))
+        out = tmp_path / "out"
+        assert main(["dro-sup", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_rows(out / "dro_sup.csv")
+        assert [row["method"] for row in rows] == ["transport_dual"]
 
     def test_dense_cap_is_a_package_error_and_a_value_error(self):
         problem = lp_problem(np.zeros(DENSE_LP_CAP + 1))

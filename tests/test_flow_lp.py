@@ -216,10 +216,9 @@ def test_oversize_lps_are_refused_before_assembly(monkeypatch):
     h = FunctionVec(space, rng.uniform(-1.0, 1.0, 200))
     with pytest.raises(SizeCapExceeded):
         lambda_penalty(P, DudleyBall(space), 0.1, h)
-    # the Lipschitz penalty builds no LP; its worst case is re-checked by
-    # the flow distance LP, which is refused
+    with pytest.raises(SizeCapExceeded):
+        worst_case_expectation(P, DudleyBall(space), 0.1, h)
+    # the Lipschitz penalty and worst case build no LP; its distance does
     for cls in (LipschitzBall(space), DudleyBall(space)):
-        with pytest.raises(SizeCapExceeded):
-            worst_case_expectation(P, cls, 0.1, h)
         with pytest.raises(SizeCapExceeded):
             ipm_distance(cls, Q, P)

@@ -90,6 +90,7 @@ def _slsqp_worst_case(rng, h, p, form, eps, starts=4):
 def _check_against_oracle(rng, kind, n, case, eps):
     _, cls, P, h, support, form = _instance(rng, kind, n, case)
     result = worst_case_expectation(P, cls, eps, h)
+    assert result.method == DroMethod.ACTIVE_SET
     p, v = P.weights, h.values
     assert result.value == float(result.worst_q.weights @ v)
     distance = ipm_distance(cls, result.worst_q, P).value
@@ -131,6 +132,20 @@ def test_radius_past_the_argmax_vertex_gives_max_h(kind, case):
         result = worst_case_expectation(P, cls, eps, h)
         assert result.method == DroMethod.ACTIVE_SET
         assert result.value == pytest.approx(float(h.values.max()), abs=1e-12)
+        # at eps = 0 the ball is {P}, returned without a walk
+        result = worst_case_expectation(P, cls, 0.0, h)
+        assert result.method == DroMethod.ACTIVE_SET and result.worst_q is P
+
+
+def test_ball_without_mass_is_p():
+    """A Fisher ball whose mu puts no mass where P does holds only P."""
+    space = make_space(["a", "b", "c"])
+    cls = FisherBall(space, mu=DiscreteDistribution(space, [0.0, 0.5, 0.5]),
+                     allow_zero_mass=True)
+    P = DiscreteDistribution.point_mass(space, 0)
+    result = worst_case_expectation(P, cls, 0.4, FunctionVec(space, [0.1, 0.9, 0.5]))
+    assert result.method == DroMethod.ACTIVE_SET and result.worst_q is P
+    assert result.value == 0.1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -4,9 +4,10 @@ balls' worst cases and penalties.
 Every value is compared with scipy's HiGHS on LPs written here from the
 definitions, independent of the package's search: the worst case as an
 n^2-variable coupling LP under the ball's cost (the metric, or 2 off the
-diagonal for the sup norm), and the penalty as the infimal convolution over
-(h1, t, s) with the ball's constraint on h - h1 written pair by pair (point by
-point for the sup norm).
+diagonal for the sup norm), the ball's distance as the n^2-variable
+transport LP under the same cost, and the penalty as the infimal convolution
+over (h1, t, s) with the ball's constraint on h - h1 written pair by pair
+(point by point for the sup norm).
 """
 
 import numpy as np
@@ -17,9 +18,14 @@ from scipy.optimize import linprog
 from ipmdro import (
     DiscreteDistribution,
     DroMethod,
+    Explicit,
     FunctionVec,
     LipschitzBall,
     SupNormBall,
+    check_alignment,
+    corollary_bound,
+    f_divergence_catalog,
+    gan_bound_check,
     lambda_penalty,
     make_space,
     theta,
@@ -28,7 +34,7 @@ from ipmdro import (
 )
 from ipmdro import balls
 from ipmdro.errors import EpsNegative, NumericalBreakdown
-from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT
+from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT, LP_FEASIBILITY
 
 REL = 1e-9
 
@@ -47,6 +53,16 @@ def coupling_worst_case(h, p, cost, eps):
     res = _highs(-np.tile(h, n), A_ub=cost.reshape(1, -1), b_ub=[eps],
                  A_eq=rows, b_eq=p)
     return -res.fun
+
+
+def transport_cost(q, p, cost):
+    """min sum_ij cost_ij pi_ij over couplings pi >= 0 with row sums p and
+    column sums q: the distance of the ball between Q and P."""
+    n = p.size
+    rows = sparse.kron(sparse.eye(n), np.ones((1, n)))
+    cols = sparse.kron(np.ones((1, n)), sparse.eye(n))
+    res = _highs(cost.ravel(), A_eq=sparse.vstack([rows, cols]), b_eq=np.concatenate([p, q]))
+    return res.fun
 
 
 def penalty_lp(h, p, eps, pairs=None, cost=None):
@@ -211,3 +227,47 @@ def test_nan_radius_is_refused():
     space, _, P, h, _ = instance("euclid", 4, 0)
     with pytest.raises(EpsNegative):
         worst_case_expectation(P, SupNormBall(space), float("nan"), h)
+
+
+@pytest.mark.parametrize("n", [120, 200])
+def test_identity_bound_and_alignment_past_the_dense_cap(n):
+    """n(n - 1) pair rows are past the dense cap, where the flow LPs are
+    refused; no check here builds one.  Each ball gets the random h and an
+    aligned one: -c(., k) for the Lipschitz ball, whose every unit of mass
+    moved towards k gains its cost, and a sign vector for the sup norm."""
+    assert n * (n - 1) > DENSE_LP_CAP
+    space, _, P, h, eps = instance("euclid", n, 8)
+    p, v = P.weights, h.values
+    k = int(np.argmax(p @ space.metric))
+    sign = np.where(v > 0.0, 1.0, -1.0)
+    assert p @ space.metric[:, k] > eps and p[sign < 0.0].sum() > eps / 2.0
+    for cls, cost, aligned in (
+            (LipschitzBall(space), space.metric, -space.metric[:, k]),
+            (SupNormBall(space), 2.0 * (1.0 - np.eye(n)), sign)):
+        report = verify_identity(P, cls, eps, h)
+        ref = coupling_worst_case(v, p, cost, eps)
+        assert abs(report.lhs - ref) <= REL * max(1.0, abs(ref))
+        assert report.residual <= 1e-12 * (1.0 + float(np.abs(v).max()))
+        worst_q = worst_case_expectation(P, cls, eps, h).worst_q
+        assert transport_cost(worst_q.weights, p, cost) <= eps + LP_FEASIBILITY
+        bound = corollary_bound(P, cls, eps, h)
+        assert bound.lhs == report.lhs and bound.slack >= 0.0
+        assert not check_alignment(P, cls, eps, h).aligned
+        g = FunctionVec(space, aligned)
+        alignment = check_alignment(P, cls, eps, g)
+        assert alignment.aligned and alignment.witness_residual <= 1e-12
+        witness = alignment.witness_mu.weights
+        assert transport_cost(witness, p, cost) <= eps + LP_FEASIBILITY
+        assert witness @ aligned == pytest.approx(
+            coupling_worst_case(aligned, p, cost, eps), abs=REL)
+
+
+def test_lipschitz_gan_bound_past_the_dense_cap():
+    n = 200
+    space, _, P, _, eps = instance("euclid", n, 9)
+    rng = np.random.default_rng(9)
+    H = Explicit(space, tuple(FunctionVec(space, rng.uniform(-0.9, 0.6, n))
+                              for _ in range(3)))
+    mu = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
+    report = gan_bound_check(f_divergence_catalog("kl"), H, LipschitzBall(space), eps, mu, P)
+    assert np.isfinite(report.robust) and report.slack >= 0.0

@@ -18,6 +18,7 @@ from ipmdro import (
     SupNormBall,
     ZetaBall,
     centered_theta,
+    check_alignment,
     ipm_distance,
     lambda_penalty,
     make_space,
@@ -29,6 +30,7 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.core import class_is_even, lipschitz_constant, sobolev_matrix
 from ipmdro.errors import UnsupportedVariant
+from ipmdro.solvers import BALL_FEASIBILITY
 
 N = 3
 EPS = 0.2
@@ -69,13 +71,20 @@ def _instance(variant):
     return _build(variant, space), P, Q, h
 
 
+def _worst_case_in_ball(cls, P, Q, h):
+    """The worst case, checked to lie in the ball by a distance solved here:
+    ``worst_case_expectation`` leaves that to each family's certificate."""
+    result = worst_case_expectation(P, cls, EPS, h)
+    assert ipm_distance(cls, result.worst_q, P).value <= EPS + BALL_FEASIBILITY
+    return result.value
+
+
 OPERATIONS = {
     "theta": lambda cls, P, Q, h: theta(cls, h).value,
     "theta_closed_form": lambda cls, P, Q, h: theta_closed_form(cls, h).value,
     "centered_theta": lambda cls, P, Q, h: centered_theta(cls, h)[1].value,
     "ipm_distance": lambda cls, P, Q, h: ipm_distance(cls, Q, P).value,
-    "worst_case_expectation":
-        lambda cls, P, Q, h: worst_case_expectation(P, cls, EPS, h).value,
+    "worst_case_expectation": _worst_case_in_ball,
     "lambda_penalty": lambda cls, P, Q, h: lambda_penalty(P, cls, EPS, h).value,
     "class_is_even": lambda cls, P, Q, h: float(class_is_even(cls)),
     "symmetrize_class": lambda cls, P, Q, h: float(symmetrize_class(cls).already_even),
@@ -105,6 +114,26 @@ def test_operation_result_or_refusal(variant, operation):
     else:
         with pytest.raises(refusal):
             call(cls, P, Q, h)
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "zeta"])
+def test_worst_case_and_alignment_solve_no_distance(variant, monkeypatch):
+    """Each ball certifies its worst case where it builds it.  The aligned h
+    is the witness of d(Q, P) at eps = d(Q, P), so the witness path runs."""
+    cls, P, Q, h = _instance(variant)
+    distance = ipm_distance(cls, Q, P)
+
+    def refuse(self, Q, P):
+        raise AssertionError("a distance was solved")
+
+    for ball in vars(balls).values():
+        if isinstance(ball, type) and "distance" in vars(ball):
+            monkeypatch.setattr(ball, "distance", refuse)
+    assert np.isfinite(worst_case_expectation(P, cls, EPS, h).value)
+    for eps, g in ((EPS, h), (distance.value, distance.witness)):
+        report = check_alignment(P, cls, eps, g)
+        assert report.witness_mu is None or report.witness_residual <= 1e-6
+    assert report.aligned
 
 
 def test_sobolev_laplacian_is_exactly_symmetric():
