@@ -611,34 +611,47 @@ class _EllipsoidNorm:
         return float(np.sqrt(max(np.sum(self.eigval * coeff**2), 0.0)))
 
     def project_dual(self, z: np.ndarray, radius: float) -> np.ndarray:
-        """Projection onto {y in range(M): y' M^+ y <= radius^2}."""
-        zc = self.eigvec.T @ z
-        y = np.where(self.positive, zc, 0.0)
-        lam = self.eigval
-        pos = self.positive
+        """Projection onto {y in range(M): y' M^+ y <= radius^2}.
+
+        The KKT form is y = V diag(lam / (lam + t)) V'z on the positive
+        eigenvalues, with t = 0 when z's range part is inside the ball and
+        otherwise t > 0 the root of f(t) = sum zc_i^2 lam_i / (lam_i + t)^2
+        = radius^2.  Newton's method runs on 1/sqrt(f) - 1/radius, increasing
+        and concave in t (the trust-region secular equation, More and
+        Sorensen 1983), from t = 0 left of the root, so its iterates rise
+        monotonically to the root; it stops once sqrt(f) <= radius * (1 +
+        1e-15) or the step falls below 1e-16 * (lam.max() + t).  Not settling
+        within 50 steps raises NumericalBreakdown.
+        """
         if radius <= 0.0:
             return np.zeros_like(z)
-        inside = np.sum(np.where(pos, y**2 / np.where(pos, lam, 1.0), 0.0))
-        if inside <= radius**2:
-            return self.eigvec @ y
-        # root of sum z_i^2 lam_i / (lam_i + t)^2 = radius^2, decreasing in t
-        def excess(t):
-            denom = lam + t
-            return float(np.sum(np.where(pos, zc**2 * lam / denom**2, 0.0)))
-
-        hi = float(lam.max())
-        while excess(hi) > radius**2:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) > radius**2:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        y = np.where(pos, zc * lam / (lam + t), 0.0)
-        return self.eigvec @ y
+        pos = self.positive
+        zc = (self.eigvec.T @ z)[pos]
+        lam = self.eigval[pos]
+        coeff = np.zeros(z.size)
+        f = float(np.sum(zc * zc / lam))
+        if f <= radius * radius:
+            coeff[pos] = zc
+            return self.eigvec @ coeff
+        c2 = zc * zc * lam  # f(t) = sum c2 / (lam + t)^2
+        top = float(lam.max())
+        t = 0.0
+        for _ in range(50):
+            norm = np.sqrt(f)
+            if norm <= radius * (1.0 + 1e-15):
+                break
+            step = (norm / radius - 1.0) * f / float(np.sum(c2 / (lam + t) ** 3))
+            t += step
+            f = float(np.sum(c2 / (lam + t) ** 2))
+            if step <= 1e-16 * (top + t):
+                break
+        else:
+            raise NumericalBreakdown(
+                f"dual-ball projection (n = {z.size}, radius = {radius!r}): no "
+                f"root in 50 Newton steps, sqrt(f) - radius = {np.sqrt(f) - radius:.3e}"
+            )
+        coeff[pos] = zc * lam / (lam + t)
+        return self.eigvec @ coeff
 
     def prox(self, z: np.ndarray, weight: float) -> np.ndarray:
         """prox of weight * sqrt(v' M v) at z (Moreau decomposition)."""
@@ -805,7 +818,10 @@ class _QuadraticBall(_Ball):
         """Douglas-Rachford splitting of [max(h1) - E_P[h1]] +
         eps * sqrt((h-h1)' M (h-h1)) over h1.
 
-        Iterative: the result carries exact=False and the best split seen.
+        Each iteration takes one simplex projection for the peak part and one
+        prox of the gauge, whose dual-ball projection finds its scalar root
+        by Newton's method (``_EllipsoidNorm.project_dual``).  Iterative: the
+        result carries exact=False and the best split seen.
         """
         norm = self._norm
         v = h.values

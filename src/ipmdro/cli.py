@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -678,7 +679,7 @@ def _jsonable(value):
         value = float(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
 

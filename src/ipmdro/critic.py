@@ -139,8 +139,10 @@ def two_sided_check(
     """Verify both robustness displays for an aligned classifier.
 
     Requires an even class and requires h_star to be aligned for P_minus
-    with P_plus as the certifying witness; the infimum over the P_plus ball
-    is computed as minus the supremum of -h_star, valid by evenness.
+    with P_plus as the certifying witness.  The supremum over the P_minus
+    ball is E_mu[h_star] of the worst case that ``check_alignment`` returned
+    as its witness mu; the infimum over the P_plus ball is computed as minus
+    the supremum of -h_star, valid by evenness.
     """
     require_same_space(P_minus, P_plus)
     require_same_space(P_minus, h_star)
@@ -166,7 +168,7 @@ def two_sided_check(
             f"(ball excess {max(ball - eps, 0.0)!r}, alignment gap {witness_gap!r})"
         )
 
-    sup_minus = worst_case_expectation(P_minus, cls, eps, h_star).value
+    sup_minus = float(report.witness_mu.weights @ h_star.values)
     inf_plus = -worst_case_expectation(P_plus, cls, eps, h_star.negated()).value
     inf_expected = float(P_plus.weights @ h_star.values) - eps_theta
     sup_expected = float(P_minus.weights @ h_star.values) + eps_theta

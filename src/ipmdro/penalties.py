@@ -130,7 +130,9 @@ def lambda_penalty(
     its least gauge), h1 = h - h2, as J_P(h1) + eps * Theta(h2) through the
     centered gauge.  Quadratic classes run a
     Douglas-Rachford splitting until its iterates settle (or its iteration
-    budget runs out), keep the best split seen and are flagged inexact.  The
+    budget runs out), keep the best split seen and are flagged inexact; each
+    iteration's gauge prox projects onto the dual ball through one Newton
+    root of the secular equation.  The
     penalty never reads the worst case, so the two sides of the identity
     stay independent.
     """

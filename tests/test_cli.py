@@ -15,6 +15,7 @@ from ipmdro import (
 )
 from ipmdro.cli import (
     CLASS_VARIANTS,
+    _jsonable,
     canonical_dict,
     gaussian_gram,
     load_config,
@@ -169,6 +170,12 @@ class TestDeterminismAndRoundTrip:
         serialized = json.dumps(parsed.to_dict(), sort_keys=True)
         reparsed = parse_config(json.loads(serialized))
         assert reparsed.to_dict() == parsed.to_dict()
+
+    def test_non_finite_numbers_serialize_as_their_repr(self):
+        values = [float("inf"), float("-inf"), float("nan"),
+                  np.float64("inf"), np.float64("-inf"), np.float64("nan")]
+        assert _jsonable({"v": values, "t": (1.5, np.float64(2.5))}) == {
+            "v": ["inf", "-inf", "nan"] * 2, "t": [1.5, 2.5]}
 
     def test_canonical_dict_sorts_keys(self):
         assert list(canonical_dict({"b": 1, "a": 2})) == ["a", "b"]

@@ -179,6 +179,22 @@ class TestTwoSided:
             report = two_sided_check(P, mu, cls, eps, h)
             assert report.residual <= 1e-6
 
+    def test_each_worst_case_solved_once(self, monkeypatch):
+        # the P_minus side is read off check_alignment's witness, not re-solved
+        rng = np.random.default_rng(6)
+        P, cls, eps, h, mu = aligned_instance(rng, 4)
+        solves = []
+        real = type(cls).worst_case
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(cls), "worst_case", counted)
+        report = two_sided_check(P, mu, cls, eps, h)
+        assert report.residual <= 1e-6
+        assert len(solves) == 2
+
     def test_not_even_rejected(self):
         space = make_space(["a", "b"])
         lopsided = Explicit(space, (FunctionVec(space, [1.0, 0.0]),))
