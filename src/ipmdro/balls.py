@@ -177,15 +177,28 @@ class Explicit(FunctionClass):
         )
 
     def lambda_(self, P, eps, h):
-        n = P.space.n
-        nv = n + 1 + self.size  # h1, t, conic weights w of h - h1
-        a_eq = np.zeros((n, nv))
-        a_eq[:, :n] = np.eye(n)
-        a_eq[:, n + 1 :] = self.matrix.T
-        a_ub = np.zeros((n, nv))
-        a_ub[:, :n] = np.eye(n)
-        a_ub[:, n] = -1.0
-        return _split_lp(P, eps, h, nv, eq=(a_eq, h.values), ub=(a_ub, np.zeros(n)))
+        """Penalty LP over the conic weights w >= 0 of h2 = M'w and a free
+        shift s, with h1 = h - M'w and t = max h + s substituted:
+
+            maximize -(M p + eps)'w - s  s.t.  -M'w - s <= max h - h,
+
+        so the penalty is max h - E_P h - opt.  Every right-hand side is
+        non-negative, so the slack basis is feasible and phase 1 never runs.
+        """
+        members, v = self.matrix, h.values
+        top = float(v.max())
+        a_ub = np.hstack([-members.T, -np.ones((v.size, 1))])
+        sol = _solve_exact_lp(
+            lp_problem(
+                np.concatenate([-(members @ P.weights) - eps, [-1.0]]),
+                ub=(a_ub, top - v),
+                bounds=[NONNEG] * self.size + [FREE],
+            ),
+            "penalty LP",
+        )
+        h2 = members.T @ sol.x[: self.size]
+        value = top - float(P.weights @ v) - sol.value
+        return PenaltyValue(max(value, 0.0), (v - h2, h2))
 
     def is_even(self, probe_seed: int = 97) -> bool:
         return self.symmetrized().already_even

@@ -307,7 +307,6 @@ def parse_config(data: dict) -> ProblemConfig:
         _fail("function_class", f"expected an object with a variant, got {class_spec!r}")
 
     return ProblemConfig(
-        raw=canonical_dict(data),
         seed=_integer("seed", data.get("seed", 0)),
         space=space,
         distributions=distributions,
@@ -323,11 +322,16 @@ def parse_config(data: dict) -> ProblemConfig:
             str(x) for x in _list("discriminators", data.get("discriminators", []))
         ],
         samples=samples,
+        raw=canonical_dict(data),  # last: each field's own check speaks first
     )
 
 
 def canonical_dict(data):
-    """Canonical JSON-ready form: parse -> serialize is a fixed point."""
+    """Canonical JSON-ready form: parse -> serialize is a fixed point.
+
+    JSON (RFC 8259) has no NaN or Infinity, though Python's ``json.load``
+    reads both, so a config holding either is refused.
+    """
     if isinstance(data, dict):
         return {str(k): canonical_dict(v) for k, v in sorted(data.items())}
     if isinstance(data, (list, tuple)):
@@ -335,6 +339,8 @@ def canonical_dict(data):
     if isinstance(data, bool) or data is None or isinstance(data, (int, str)):
         return data
     if isinstance(data, float):
+        if not math.isfinite(data):
+            raise ConfigError(f"config: {data!r} is not a JSON number")
         return data
     raise ConfigError(f"config: unsupported value {data!r}")
 
@@ -652,15 +658,15 @@ def emit_report(subcommand, rows, witnesses, config, out_dir) -> list:
             writer.writerow(headers)
             for row in rows:
                 writer.writerow([_format_cell(row[k]) for k in headers])
-        payload = {
+        payload = {  # config.raw is JSON-ready already (canonical_dict)
             "schema_version": SCHEMA_VERSION,
             "subcommand": subcommand,
             "config": config.to_dict(),
-            "rows": rows,
-            "witnesses": witnesses,
+            "rows": _jsonable(rows),
+            "witnesses": _jsonable(witnesses),
         }
         with open(json_path, "w", encoding="utf-8", newline="") as handle:
-            json.dump(_jsonable(payload), handle, sort_keys=True,
+            json.dump(payload, handle, sort_keys=True,
                       separators=(",", ": "), indent=1)
             handle.write("\n")
     except OSError as exc:

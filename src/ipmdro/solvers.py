@@ -27,6 +27,9 @@ LP_RATIO = 1e-9  # eligibility threshold in the ratio test
 LP_PHASE1 = 1e-9  # infeasibility cutoff on the phase-1 objective
 LP_MAX_ITERATIONS = 200_000
 LP_REFACTOR_EVERY = 150
+LP_REFACTOR_FEASIBILITY = 1e-7  # least refactored basic value, scaled by 1 + |b|_inf
+LP_RATIO_TIE = 1e-12  # ratios this close to the least tie, scaled by 1 + |least|
+LP_DRIVE_OUT_PIVOT = 1e-9  # least tableau entry that drives an artificial out
 IDENTITY_EXACT = 1e-6
 IDENTITY_ITERATIVE = 5e-4
 BALL_FEASIBILITY = 1e-7
@@ -118,114 +121,128 @@ def _validate(p: LpProblem) -> None:
     if p.bounds.shape != (n, 2):
         raise DimensionMismatch("bounds must be (n, 2)")
     for arr in (p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub):
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("LP data must be finite (bounds excepted)")
-    if np.any(np.isnan(p.bounds)):
+    if np.isnan(p.bounds).any():
         raise ValueError("bounds may be infinite but not NaN")
 
 
 class _Simplex:
     """Revised simplex on  min c'x s.t. Ax = b, x >= 0  with Bland's rule.
 
-    The basis inverse is held densely and updated by elementary row
-    operations, with periodic refactorization.
+    Columns from ``first_artificial`` on are artificials: they may be basic
+    but never enter.  The basis inverse is held densely and updated by
+    elementary row operations, with periodic refactorization.  ``stage``
+    names the phase in every breakdown.
     """
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, basis, first_artificial, stage, unit_basis=False):
         self.a = a
         self.at = np.ascontiguousarray(a.T)
         self.b = b
         self.m = a.shape[0]
-        self.basis = None
-        self.binv = None
-        self.xb = None
+        self.first_artificial = first_artificial
+        self.stage = stage
         self.iterations = 0
+        self.basis = basis
+        scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
+        self.least_basic = -LP_REFACTOR_FEASIBILITY * scale
+        if unit_basis:  # every basic column is a unit column: B = I exactly
+            self.binv = np.eye(self.m)
+            self.xb = np.maximum(b, 0.0)
+        else:
+            self.refactor()
 
-    def set_basis(self, basis):
-        self.basis = np.asarray(basis, dtype=int).copy()
-        self.refactor()
+    def breakdown(self, message) -> NumericalBreakdown:
+        m, n = self.a.shape
+        return NumericalBreakdown(
+            f"solve_lp {self.stage} ({m} rows, {n} columns, "
+            f"iteration {self.iterations}): {message}"
+        )
 
     def refactor(self):
-        bmat = self.a[:, self.basis]
         try:
-            self.binv = np.linalg.inv(bmat)
+            self.binv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(f"singular basis: {exc}") from exc
+            raise self.breakdown(f"singular basis: {exc}") from exc
         self.xb = self.binv @ self.b
-        scale = 1.0 + float(np.max(np.abs(self.b))) if self.b.size else 1.0
-        if self.xb.size and self.xb.min() < -1e-7 * scale:
-            raise NumericalBreakdown("basic solution lost feasibility")
+        if self.xb.size and self.xb.min() < self.least_basic:
+            raise self.breakdown("basic solution lost feasibility")
         np.maximum(self.xb, 0.0, out=self.xb)
 
     def exchange(self, row, entering, direction, pivot):
         """Make ``entering`` basic in ``row`` by an elementary update of the
         basis inverse; ``direction`` is B^-1 times its column and ``pivot``
-        its entry in ``row``.  Returns ``direction`` with that entry zeroed."""
-        self.binv[row, :] /= pivot
-        other = direction.copy()
-        other[row] = 0.0
-        self.binv -= np.outer(other, self.binv[row, :])
+        its entry in ``row``.  Zeroes that entry of ``direction`` in place."""
+        binv = self.binv
+        pivot_row = binv[row]
+        pivot_row /= pivot
+        direction[row] = 0.0
+        binv -= direction[:, None] * pivot_row
         self.basis[row] = entering
-        return other
 
-    def run(self, c, enterable):
+    def run(self, c):
         """Pivot until optimal or unbounded; returns the status string."""
+        at, first_artificial = self.at, self.first_artificial
         since_refactor = 0
         while True:
             if self.iterations > LP_MAX_ITERATIONS:
-                raise NumericalBreakdown("simplex iteration limit reached")
-            y = self.binv.T @ c[self.basis]
-            reduced = c - self.at @ y
-            reduced[self.basis] = 0.0
-            candidates = np.flatnonzero(enterable & (reduced < -LP_REDUCED_COST))
-            if candidates.size == 0:
+                raise self.breakdown("simplex iteration limit reached")
+            basis, binv, xb = self.basis, self.binv, self.xb
+            reduced = c - at @ (binv.T @ c[basis])
+            reduced[basis] = 0.0
+            reduced[first_artificial:] = 0.0  # artificials never enter
+            improving = reduced < -LP_REDUCED_COST
+            entering = improving.argmax()  # Bland: lowest index
+            if not improving[entering]:
                 if since_refactor == 0:
                     return "optimal"
                 # confirm optimality against a fresh factorization
                 self.refactor()
                 since_refactor = 0
                 continue
-            entering = int(candidates[0])  # Bland: lowest index
-            direction = self.binv @ self.a[:, entering]
-            eligible = np.flatnonzero(direction > LP_RATIO)
-            if eligible.size == 0:
+            direction = binv @ at[entering]
+            eligible = (direction > LP_RATIO).nonzero()[0]
+            if not eligible.size:
                 return "unbounded"
-            ratios = self.xb[eligible] / direction[eligible]
-            theta = ratios.min()
-            ties = eligible[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
-            leave_row = int(ties[np.argmin(self.basis[ties])])
+            ratios = xb[eligible] / direction[eligible]
+            least = ratios.argmin()
+            theta = float(ratios[least])
+            ties = ratios <= theta + LP_RATIO_TIE * (1.0 + abs(theta))
+            if np.count_nonzero(ties) > 1:  # Bland: lowest basic index
+                tied = eligible[ties]
+                leave_row = tied[basis[tied].argmin()]
+            else:
+                leave_row = eligible[least]
             pivot = direction[leave_row]
             if pivot < LP_PIVOT:
-                raise NumericalBreakdown(f"pivot {pivot:.3e} below tolerance")
-            other = self.exchange(leave_row, entering, direction, pivot)
-            theta_star = self.xb[leave_row] / pivot
-            self.xb -= theta_star * other
-            self.xb[leave_row] = theta_star
-            np.maximum(self.xb, 0.0, out=self.xb)
+                raise self.breakdown(f"pivot {pivot:.3e} below tolerance")
+            self.exchange(leave_row, entering, direction, pivot)
+            theta_star = xb[leave_row] / pivot
+            xb -= theta_star * direction
+            xb[leave_row] = theta_star
+            np.maximum(xb, 0.0, out=xb)
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= LP_REFACTOR_EVERY:
                 self.refactor()
                 since_refactor = 0
 
-    def drive_out_artificials(self, first_artificial, enterable):
+    def drive_out_artificials(self):
         """Pivot zero-level artificials out of the basis; drop dependent rows.
 
-        Returns the list of surviving row indices (into the original row
-        order) so callers can map duals back.
+        Returns the mask of surviving rows (in the original row order) so
+        callers can map duals back.
         """
+        first_artificial = self.first_artificial
         keep = np.ones(self.m, dtype=bool)
-        for row in range(self.m):
-            if self.basis[row] < first_artificial:
-                continue
-            tableau_row = self.binv[row, :] @ self.a
-            tableau_row[~enterable] = 0.0
-            nz = np.flatnonzero(np.abs(tableau_row) > 1e-9)
-            nz = nz[nz < first_artificial]
+        for row in (self.basis >= first_artificial).nonzero()[0]:
+            tableau_row = (self.binv[row, :] @ self.a)[:first_artificial]
+            nz = np.flatnonzero(np.abs(tableau_row) > LP_DRIVE_OUT_PIVOT)
             if nz.size:
                 entering = int(nz[0])
                 pivot = tableau_row[entering]
-                self.exchange(row, entering, self.binv @ self.a[:, entering], pivot)
+                self.exchange(row, entering, self.binv @ self.at[entering], pivot)
                 self.xb = self.binv @ self.b
                 np.maximum(self.xb, 0.0, out=self.xb)
             else:
@@ -233,127 +250,113 @@ class _Simplex:
         return keep
 
 
+def _bound_transform(lo, up, has_lo, has_up):
+    """x = transform @ x~ + const_x with x~ >= 0, from the finite-bound masks.
+
+    Lower-only and boxed (or fixed) variables are shifted, x = lo + x~;
+    upper-only ones negated, x = up - x~; free ones split in two columns,
+    x = x~+ - x~-.  Returns (transform, const_x, box_cols), the last the
+    column of each boxed variable, whose x~ <= up - lo becomes a row.
+    """
+    n = lo.size
+    free = ~(has_lo | has_up)
+    width = free + 1
+    first_col = width.cumsum() - width
+    transform = np.zeros((n, n + np.count_nonzero(free)))
+    transform[np.arange(n), first_col] = np.where(has_lo | free, 1.0, -1.0)
+    if transform.shape[1] > n:
+        transform[free, first_col[free] + 1] = -1.0
+    const_x = np.where(has_lo, lo, np.where(has_up, up, 0.0))
+    return transform, const_x, first_col[has_lo & has_up]
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP with a deterministic two-phase revised simplex.
+
+    The bounds become x~ >= 0 by shifting, negating or splitting each
+    variable, and each boxed or fixed one adds the row x~ <= up - lo.  Each
+    row is normalised to a non-negative right-hand side and gets a unit slack
+    or artificial column, so the starting basis is the identity.  Phase 1
+    runs only when some row needs an artificial.  Both phases price with
+    Bland's rule.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
     LP_FEASIBILITY, LP_COMPLEMENTARITY and LP_DUALITY_GAP, and a violation
     raises NumericalBreakdown rather than returning a silently wrong answer.
+    Every breakdown names the phase, the standard-form shape and the
+    iteration.
     """
     _validate(problem)
-    n = problem.n
     c_user = problem.objective
+    lo, up = problem.bounds.T
+    # lo > up, lo = +inf and up = -inf each leave a variable no value
+    if ((lo > up) | (lo == np.inf) | (up == -np.inf)).any():
+        return LpSolution(LpStatus.INFEASIBLE, None, None, None, None)
 
     # --- variable transform to x~ >= 0 -------------------------------------
-    col_var: list[tuple[int, float]] = []  # (user var, sign)
-    const_x = np.zeros(n)
-    two_sided: list[tuple[int, float]] = []  # (transformed col, rhs)
-    for j in range(n):
-        lo, up = problem.bounds[j]
-        if lo > up:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, None, None)
-        if np.isneginf(lo) and np.isposinf(up):
-            col_var.append((j, 1.0))
-            col_var.append((j, -1.0))
-        elif np.isposinf(up):
-            const_x[j] = lo
-            col_var.append((j, 1.0))
-        elif np.isneginf(lo):
-            const_x[j] = up
-            col_var.append((j, -1.0))
-        else:
-            const_x[j] = lo
-            col_var.append((j, 1.0))
-            two_sided.append((len(col_var) - 1, up - lo))
-
-    nt = len(col_var)
-    transform = np.zeros((n, nt))
-    for k, (j, s) in enumerate(col_var):
-        transform[j, k] = s
-
-    m_eq = problem.a_eq.shape[0]
-    a_eq_t = problem.a_eq @ transform
-    b_eq_t = problem.b_eq - problem.a_eq @ const_x
-    a_ub_rows = [problem.a_ub @ transform]
-    b_ub_rows = [problem.b_ub - problem.a_ub @ const_x]
-    for k, rhs in two_sided:
-        row = np.zeros((1, nt))
-        row[0, k] = 1.0
-        a_ub_rows.append(row)
-        b_ub_rows.append(np.array([rhs]))
-    a_ub_t = np.vstack(a_ub_rows)
-    b_ub_t = np.concatenate(b_ub_rows)
-    m_ub = a_ub_t.shape[0]
+    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+    transform, const_x, box_cols = _bound_transform(lo, up, has_lo, has_up)
+    nt = transform.shape[1]
+    m_eq, m_user = problem.a_eq.shape[0], problem.a_ub.shape[0]
+    m_ub = m_user + box_cols.size
     m = m_eq + m_ub
-
     n_struct = nt + m_ub  # transformed vars + slacks
-    a_std = np.zeros((m, n_struct))
-    a_std[:m_eq, :nt] = a_eq_t
-    a_std[m_eq:, :nt] = a_ub_t
-    a_std[m_eq:, nt:] = np.eye(m_ub)
-    b_std = np.concatenate([b_eq_t, b_ub_t])
-
-    row_sign = np.ones(m)
+    b_std = np.concatenate([
+        problem.b_eq - problem.a_eq @ const_x,
+        problem.b_ub - problem.a_ub @ const_x,
+        (up - lo)[has_lo & has_up],
+    ])
+    # each row is negated where needed so that b_std >= 0; an equality row,
+    # or an inequality row whose slack was negated, starts on an artificial
+    # column, every other row on its slack
     neg = b_std < 0
-    a_std[neg] *= -1.0
-    b_std[neg] *= -1.0
-    row_sign[neg] = -1.0
+    row_sign = np.where(neg, -1.0, 1.0)
+    b_std *= row_sign
+    rows = np.arange(m)
+    art_rows = (neg | (rows < m_eq)).nonzero()[0]
+    n_art = art_rows.size
+
+    a_full = np.zeros((m, n_struct + n_art))
+    a_full[:m_eq, :nt] = problem.a_eq @ transform
+    a_full[m_eq : m_eq + m_user, :nt] = problem.a_ub @ transform
+    a_full[rows[m_eq + m_user :], box_cols] = 1.0
+    basis = rows + (nt - m_eq)  # the slack column of each inequality row
+    a_full[rows[m_eq:], basis[m_eq:]] = 1.0
+    a_full[:, :n_struct] *= row_sign[:, None]
+    art_cols = n_struct + np.arange(n_art)
+    a_full[art_rows, art_cols] = 1.0
+    basis[art_rows] = art_cols
+    n_total = a_full.shape[1]
+    sx = _Simplex(a_full, b_std, basis, n_struct, "phase 1", unit_basis=True)
 
     # --- phase 1 ------------------------------------------------------------
-    basis = np.empty(m, dtype=int)
-    needs_artificial = np.ones(m, dtype=bool)
-    for r in range(m_eq, m):
-        slack_col = nt + (r - m_eq)
-        if a_std[r, slack_col] > 0.0:  # slack survived sign normalization
-            basis[r] = slack_col
-            needs_artificial[r] = False
-    art_rows = np.flatnonzero(needs_artificial)
-    n_art = art_rows.size
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for k, r in enumerate(art_rows):
-            art_block[r, k] = 1.0
-            basis[r] = n_struct + k
-        a_full = np.hstack([a_std, art_block])
-    else:
-        a_full = a_std
-    n_total = a_full.shape[1]
-
-    sx = _Simplex(a_full, b_std)
-    sx.set_basis(basis)
-    enterable = np.ones(n_total, dtype=bool)
-    enterable[n_struct:] = False  # artificials never enter
-
     if n_art:
         c_phase1 = np.zeros(n_total)
         c_phase1[n_struct:] = 1.0
-        status = sx.run(c_phase1, enterable)
-        if status != "optimal":
-            raise NumericalBreakdown("phase 1 terminated abnormally")
+        if sx.run(c_phase1) != "optimal":
+            raise sx.breakdown("terminated abnormally")
         phase1_value = float(c_phase1[sx.basis] @ sx.xb)
         if phase1_value > LP_PHASE1:
             return LpSolution(LpStatus.INFEASIBLE, None, None, None, None,
                               iterations=sx.iterations)
-        keep = sx.drive_out_artificials(n_struct, enterable)
+        keep = sx.drive_out_artificials()
         if not keep.all():
             a_full = a_full[keep][:, :n_struct]
             b_std = b_std[keep]
-            kept_basis = sx.basis[keep]
             iterations = sx.iterations
-            sx = _Simplex(a_full, b_std)
-            sx.set_basis(kept_basis)
+            sx = _Simplex(a_full, b_std, sx.basis[keep], n_struct, "phase 2")
             sx.iterations = iterations
-            enterable = enterable[:n_struct]
             n_total = n_struct
-        row_index = np.flatnonzero(keep)
+        row_index = keep.nonzero()[0]
     else:
         row_index = np.arange(m)
+    sx.stage = "phase 2"
 
     # --- phase 2 ------------------------------------------------------------
     c_min = np.zeros(n_total)
     c_min[:nt] = -(c_user @ transform)
-    status = sx.run(c_min, enterable)
+    status = sx.run(c_min)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, None, None,
                           iterations=sx.iterations)
@@ -369,25 +372,25 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     y_rows[row_index] = y
     dual_all = -row_sign * y_rows  # max-form duals
     dual_eq = dual_all[:m_eq]
-    dual_ub = dual_all[m_eq : m_eq + problem.a_ub.shape[0]]
+    dual_ub = dual_all[m_eq : m_eq + m_user]
 
     # --- certification -------------------------------------------------------
+    sx.stage = "certification"
     rhs_scale = 1.0
     for arr in (problem.b_eq, problem.b_ub):
         if arr.size:
-            rhs_scale = max(rhs_scale, 1.0 + float(np.max(np.abs(arr))))
+            rhs_scale = max(rhs_scale, 1.0 + float(np.abs(arr).max()))
     feas = 0.0
     if m_eq:
-        feas = max(feas, float(np.max(np.abs(problem.a_eq @ x_user - problem.b_eq))))
-    if problem.a_ub.shape[0]:
-        feas = max(feas, float(np.max(problem.a_ub @ x_user - problem.b_ub)))
-    lo, up = problem.bounds[:, 0], problem.bounds[:, 1]
+        feas = max(feas, float(np.abs(problem.a_eq @ x_user - problem.b_eq).max()))
+    if m_user:
+        feas = max(feas, float((problem.a_ub @ x_user - problem.b_ub).max()))
     with np.errstate(invalid="ignore"):
-        feas = max(feas, float(np.max(np.where(np.isfinite(lo), lo - x_user, 0.0))))
-        feas = max(feas, float(np.max(np.where(np.isfinite(up), x_user - up, 0.0))))
+        feas = max(feas, float(np.where(has_lo, lo - x_user, 0.0).max()))
+        feas = max(feas, float(np.where(has_up, x_user - up, 0.0).max()))
 
     reduced = c_min - a_full.T @ y if n_total else c_min
-    compl = float(np.max(np.abs(reduced * x_std))) if n_total else 0.0
+    compl = float(np.abs(reduced * x_std).max()) if n_total else 0.0
     gap = abs(float(c_min @ x_std) - float(y @ b_std))
 
     solution = LpSolution(
@@ -396,11 +399,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         duality_gap=gap, iterations=sx.iterations,
     )
     if feas > LP_FEASIBILITY * rhs_scale:
-        raise NumericalBreakdown(f"primal residual {feas:.3e} above tolerance")
+        raise sx.breakdown(f"primal residual {feas:.3e} above tolerance")
     if compl > LP_COMPLEMENTARITY:
-        raise NumericalBreakdown(f"complementarity residual {compl:.3e} above tolerance")
+        raise sx.breakdown(f"complementarity residual {compl:.3e} above tolerance")
     if gap > LP_DUALITY_GAP * (1.0 + abs(value)):
-        raise NumericalBreakdown(f"duality gap {gap:.3e} above tolerance")
+        raise sx.breakdown(f"duality gap {gap:.3e} above tolerance")
     return solution
 
 

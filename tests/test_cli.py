@@ -293,6 +293,14 @@ class TestBadInputExitsCleanly:
         "function-entry-string": (
             "penalty", line_config(3, functions={"h": ["0", "1", "2"]}), "functions.h: "),
         "epsilon-nan": ("dro-sup", line_config(3, epsilon=float("nan")), "epsilon: "),
+        # json.load reads NaN and Infinity, which JSON has not
+        "point-label-nan": (
+            "ipm", with_space(points=[float("nan"), "x1", "x2"]),
+            "config: nan is not a JSON number"),
+        "class-field-infinite": (
+            "penalty",
+            line_config(3, function_class={"variant": "rkhs_ball", "gaussian_bandwidth": float("inf")}),
+            "config: inf is not a JSON number"),
         "epsilon-count-fraction": (
             "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 2.7}),
             "epsilon.count: "),

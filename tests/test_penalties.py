@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from ipmdro import (
     DiscreteDistribution,
@@ -25,7 +25,7 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.core import lipschitz_constant
 from ipmdro.errors import EpsNonPositive, NegativeZeta, NumericalBreakdown
-from ipmdro.solvers import LpSolution, LpStatus
+from ipmdro.solvers import LpSolution, LpStatus, solve_lp
 from fleet import line_space, quadratic_class, sobolev_instance
 from oracles import greedy_l1_worst_case, midrange
 
@@ -298,6 +298,44 @@ class TestLambdaPenalty:
         peak = float(h1.max() - P.weights @ h1)
         tail = eps * gauge_explicit(cls, FunctionVec(space, h2)).value
         assert peak + tail == pytest.approx(val.value, abs=1e-7)
+
+    def test_explicit_penalty_matches_highs_on_the_split_lp(self, monkeypatch):
+        """The penalty LP over the conic weights w and the shift s, against
+        HiGHS on the split LP it replaced: max p'h1 - t - eps sum(w) over h1
+        and t free, w >= 0, with h1 + M'w = h and h1 <= t.  The sets are
+        random, so not even, and P has points of zero mass."""
+        posed = []
+        monkeypatch.setattr(balls, "solve_lp",
+                            lambda problem: posed.append(problem) or solve_lp(problem))
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+            space = unit_space(n)
+            members = rng.standard_normal((m, n))
+            cls = Explicit(space, tuple(FunctionVec(space, row) for row in members))
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+            p[int(rng.integers(n))] += 0.1
+            P = DiscreteDistribution(space, p / p.sum())
+            h = FunctionVec(space, rng.standard_normal(n))
+            eps = float(rng.uniform(0.01, 2.0))
+            posed.clear()
+            val = lambda_penalty(P, cls, eps, h)
+            # one LP of inequality rows with b >= 0: the slack basis is feasible
+            (lp,) = posed
+            assert lp.b_eq.size == 0 and lp.b_ub.min() >= 0.0
+            ref = linprog(
+                -np.concatenate([P.weights, [-1.0], np.full(m, -eps)]),
+                A_eq=np.hstack([np.eye(n), np.zeros((n, 1)), members.T]), b_eq=h.values,
+                A_ub=np.hstack([np.eye(n), -np.ones((n, 1)), np.zeros((n, m))]),
+                b_ub=np.zeros(n), bounds=[(None, None)] * (n + 1) + [(0, None)] * m,
+                method="highs",
+            )
+            assert ref.status == 0
+            assert val.value == pytest.approx(max(ref.fun, 0.0), abs=1e-9, rel=1e-9)
+            h1, h2 = val.witness
+            assert np.allclose(h1 + h2, h.values, rtol=0.0, atol=1e-12)
+            tail = eps * gauge_explicit(cls, FunctionVec(space, h2)).value
+            assert h1.max() - P.weights @ h1 + tail == pytest.approx(val.value, abs=1e-9)
 
     def test_unusable_lp_status_is_a_breakdown(self, monkeypatch):
         """A status the penalty or centered-gauge LP cannot have is refused,

@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import linprog
 
 import ipmdro
-from ipmdro.errors import DimensionMismatch
+from ipmdro import solvers
+from ipmdro.errors import DimensionMismatch, NumericalBreakdown
 from ipmdro.solvers import (
     FREE,
     NONNEG,
@@ -133,6 +134,184 @@ class TestSolveLp:
         second = solve_lp(p)
         assert np.array_equal(first.x, second.x)
         assert first.value == second.value
+
+
+def highs(problem):
+    """HiGHS on the same LP: (status, value).  Presolve is off: it reads some
+    unbounded LPs of the fleet below, built around a feasible point, as
+    infeasible."""
+    ref = linprog(
+        -problem.objective,
+        A_ub=problem.a_ub if problem.b_ub.size else None,
+        b_ub=problem.b_ub if problem.b_ub.size else None,
+        A_eq=problem.a_eq if problem.b_eq.size else None,
+        b_eq=problem.b_eq if problem.b_eq.size else None,
+        bounds=[tuple(b) for b in problem.bounds],
+        method="highs",
+        options={"presolve": False},
+    )
+    status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(ref.status, LpStatus.OPTIMAL)
+    return status, (-ref.fun if status == LpStatus.OPTIMAL else None)
+
+
+def bounded_dual_value(problem, sol, tol=1e-8):
+    """The dual objective of max c'x, A_eq x = b_eq, A_ub x <= b_ub,
+    lo <= x <= up at the returned duals: b'y plus each reduced cost r_j times
+    the bound it presses on (up where r_j > 0, lo where r_j < 0).  A reduced
+    cost may press only on a finite bound, and the row duals of <= rows are
+    non-negative."""
+    lo, up = problem.bounds.T
+    r = problem.objective - problem.a_eq.T @ sol.dual_eq - problem.a_ub.T @ sol.dual_ub
+    r[np.abs(r) <= tol] = 0.0
+    assert np.all(np.isfinite(up[r > 0])) and np.all(np.isfinite(lo[r < 0]))
+    assert np.all(sol.dual_ub >= -tol)
+    bound = np.where(r > 0, up, np.where(r < 0, lo, 0.0))
+    return float(problem.b_eq @ sol.dual_eq + problem.b_ub @ sol.dual_ub + r @ bound)
+
+
+BOUND_KINDS = ("nonneg", "lower", "upper", "boxed", "fixed", "free")
+
+
+def bounded_fleet_problem(rng):
+    """A random LP around a point x0 inside its bounds, drawing every kind of
+    bound, duplicated equality rows and inequality rows with either sign of
+    right-hand side; about one in eight is made infeasible with lo > up."""
+    n = int(rng.integers(1, 8))
+    kinds = rng.choice(BOUND_KINDS, size=n)
+    lo = np.where(kinds == "nonneg", 0.0, rng.uniform(-2.0, 1.0, n))
+    up = lo + rng.uniform(0.0, 2.0, n)
+    lo[np.isin(kinds, ("upper", "free"))] = -np.inf
+    up[np.isin(kinds, ("nonneg", "lower", "free"))] = np.inf
+    up[kinds == "fixed"] = lo[kinds == "fixed"]
+    # x0 lies inside the box, or up to a unit inside a one-sided bound
+    step = rng.uniform(0.0, 1.0, n) * np.where(np.isfinite(up - lo), up - lo, 1.0)
+    x0 = np.where(np.isfinite(lo), lo + step, np.where(np.isfinite(up), up - step, step - 0.5))
+    a_eq = rng.standard_normal((int(rng.integers(0, 3)), n))
+    if a_eq.shape[0] and rng.random() < 0.5:  # a dependent row
+        a_eq = np.vstack([a_eq, rng.choice([-2.0, 1.0]) * a_eq[:1]])
+    a_ub = rng.standard_normal((int(rng.integers(0, 5)), n))
+    b_ub = a_ub @ x0 + rng.choice([0.0, 0.5], a_ub.shape[0]) * rng.random(a_ub.shape[0])
+    if rng.random() < 0.125:
+        j = int(rng.integers(n))
+        lo[j], up[j] = 1.0, 0.5
+    c = rng.standard_normal(n)
+    return lp_problem(c, eq=(a_eq, a_eq @ x0), ub=(a_ub, b_ub), bounds=np.column_stack([lo, up]))
+
+
+class TestBoundedFleetAgainstHighs:
+    """Every branch of the bound transform and every phase-1 path, checked
+    against HiGHS, the user bounds and the dual objective."""
+
+    def test_fleet(self, monkeypatch):
+        dropped, pivoted_out = [], []
+        drive_out = solvers._Simplex.drive_out_artificials
+
+        def counting_drive_out(sx):
+            basic_artificials = int(np.sum(sx.basis >= sx.first_artificial))
+            keep = drive_out(sx)
+            dropped.append(int(np.sum(~keep)))
+            pivoted_out.append(basic_artificials - dropped[-1])
+            return keep
+
+        monkeypatch.setattr(solvers._Simplex, "drive_out_artificials", counting_drive_out)
+        rng = np.random.default_rng(11)
+        statuses = []
+        for _ in range(400):
+            problem = bounded_fleet_problem(rng)
+            sol = solve_lp(problem)
+            status, value = highs(problem)
+            assert sol.status == status
+            statuses.append(status)
+            if status != LpStatus.OPTIMAL:
+                continue
+            assert sol.value == pytest.approx(value, abs=1e-7, rel=1e-7)
+            lo, up = problem.bounds.T
+            x = sol.x
+            assert np.all(x >= lo - 1e-9) and np.all(x <= up + 1e-9)
+            scale = 1.0 + max(np.abs(problem.b_eq).max(initial=0.0),
+                              np.abs(problem.b_ub).max(initial=0.0))
+            assert np.all(np.abs(problem.a_eq @ x - problem.b_eq) <= 1e-9 * scale)
+            assert np.all(problem.a_ub @ x - problem.b_ub <= 1e-9 * scale)
+            assert bounded_dual_value(problem, sol) == pytest.approx(
+                sol.value, abs=1e-7, rel=1e-7)
+        # the fleet reaches each outcome and both drive-out branches
+        assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(statuses)
+        assert sum(dropped) > 0 and sum(pivoted_out) > 0
+
+    def test_empty_bounds_are_infeasible_before_any_pivot(self):
+        for bounds in ([(1.0, 0.5)], [(np.inf, np.inf)], [(-np.inf, -np.inf)]):
+            sol = solve_lp(lp_problem([1.0], bounds=bounds))
+            assert sol.status == LpStatus.INFEASIBLE and sol.iterations == 0
+
+    def test_fixed_variable_reads_its_value(self):
+        sol = solve_lp(lp_problem([1.0, 1.0], ub=([[1.0, 1.0]], [5.0]),
+                                  bounds=[(2.5, 2.5), FREE]))
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x[0] == 2.5 and sol.value == pytest.approx(5.0, abs=1e-12)
+
+
+def loop_bound_transform(bounds):
+    """The per-variable loop that classified the bounds before the masks:
+    the reference for ``solvers._bound_transform``."""
+    n = len(bounds)
+    col_var, const_x, box_cols = [], np.zeros(n), []
+    for j, (lo, up) in enumerate(bounds):
+        if np.isneginf(lo) and np.isposinf(up):
+            col_var += [(j, 1.0), (j, -1.0)]
+        elif np.isposinf(up):
+            const_x[j] = lo
+            col_var.append((j, 1.0))
+        elif np.isneginf(lo):
+            const_x[j] = up
+            col_var.append((j, -1.0))
+        else:
+            const_x[j] = lo
+            col_var.append((j, 1.0))
+            box_cols.append(len(col_var) - 1)
+    transform = np.zeros((n, len(col_var)))
+    for k, (j, sign) in enumerate(col_var):
+        transform[j, k] = sign
+    return transform, const_x, box_cols
+
+
+def test_bound_transform_matches_the_per_variable_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        bounds = bounded_fleet_problem(rng).bounds
+        lo, up = bounds.T
+        if np.any(lo > up):
+            continue
+        got = solvers._bound_transform(lo, up, np.isfinite(lo), np.isfinite(up))
+        want = loop_bound_transform(bounds)
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tolist() == want[2]
+
+
+class TestBreakdownNamesPhaseAndShape:
+    """max x1 + x2 s.t. x1 + x2 = 1, x1 <= 0.7, x >= 0: two rows, and three
+    columns (two variables, one slack) plus one artificial for the equality."""
+
+    PROBLEM = lp_problem([1.0, 1.0], eq=([[1.0, 1.0]], [1.0]), ub=([[1.0, 0.0]], [0.7]))
+
+    def test_phase_1_pivot(self, monkeypatch):
+        monkeypatch.setattr(solvers, "LP_PIVOT", 10.0)
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp phase 1 \(2 rows, 4 columns, "
+                           r"iteration 0\): pivot 1\.000e\+00 below tolerance$"):
+            solve_lp(self.PROBLEM)
+
+    def test_phase_2_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(solvers, "LP_MAX_ITERATIONS", 1)
+        # no equality row and b >= 0: no artificial, so phase 2 is the first
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp phase 2 \(3 rows, 5 columns, "
+                           r"iteration 2\): simplex iteration limit reached$"):
+            solve_lp(lp_problem([1.0, 1.0], ub=(np.eye(3, 2) + np.eye(3, 2, -1), [1.0, 2.0, 1.0])))
+
+    def test_certification(self, monkeypatch):
+        monkeypatch.setattr(solvers, "LP_DUALITY_GAP", -1.0)
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp certification \(2 rows, "
+                           r"4 columns, iteration \d+\): duality gap"):
+            solve_lp(self.PROBLEM)
 
 
 class TestProjectSimplex:
