@@ -237,12 +237,26 @@ class _Ball(FunctionClass):
         return []
 
     def discretize(self, budget: int, seed: int) -> Explicit:
+        """Scale Gaussian draws onto the boundary after the leading vertices.
+
+        A draw with a zero gauge has no boundary point and is skipped; after
+        100 draws per sample in the budget the class is taken to have no
+        boundary reachable this way (a zeta that vanishes everywhere, or a
+        seminorm on one point), and NumericalBreakdown is raised.
+        """
         if budget < 2:
             raise ValueError("budget must be at least 2")
         n = self.space.n
         rng = np.random.default_rng(seed)
         samples = self._boundary_vertices()[:budget]
+        draws = 0
         while len(samples) < budget:
+            if draws == 100 * budget:
+                raise NumericalBreakdown(
+                    f"{type(self).__name__}.discretize: {draws} draws found "
+                    f"{len(samples)} of {budget} boundary points"
+                )
+            draws += 1
             g = rng.standard_normal(n)
             if self.seminorm:
                 g = g - g.mean()

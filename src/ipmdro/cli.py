@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .balls import (
     SobolevBall,
     SupNormBall,
 )
-from .core import DiscreteDistribution, FunctionVec, SampleSpace, make_space
+from .core import DiscreteDistribution, FunctionVec, SampleSpace, lipschitz_constant, make_space
 from .critic import check_alignment, critic_loss
 from .dro import tightness_report, verify_identity, worst_case_expectation
 from .errors import ConfigError, IpmdroError, NumericalBreakdown
@@ -167,11 +168,8 @@ def _rkhs_class(config, spec):
         if gram.shape[0] != space.n:
             _fail("function_class.gram", f"needs {space.n} rows")
     elif "gaussian_bandwidth" in spec:
-        bandwidth = spec["gaussian_bandwidth"]
-        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)):
-            _fail("function_class.gaussian_bandwidth",
-                  f"expected a number, got {bandwidth!r}")
-        gram = gaussian_gram(space, float(bandwidth))
+        bandwidth = _real("function_class.gaussian_bandwidth", spec["gaussian_bandwidth"])
+        gram = gaussian_gram(space, bandwidth)
     else:
         _fail("function_class", "rkhs_ball needs gram or gaussian_bandwidth")
     return RkhsBall(space, gram=gram)
@@ -242,26 +240,11 @@ def parse_config(data: dict) -> ProblemConfig:
         graph = tuple(graph)
     try:
         space = make_space(points, metric, graph)
-    except IpmdroError as exc:
-        raise ConfigError(f"space: {exc}") from exc
-    except ValueError as exc:
+    except (IpmdroError, ValueError) as exc:
         raise ConfigError(f"space: {exc}") from exc
 
-    distributions = {}
-    for name, raw in _object("distributions", data.get("distributions", {})).items():
-        values = _float_list(f"distributions.{name}", raw, n)
-        try:
-            distributions[name] = DiscreteDistribution(space, np.array(values))
-        except (IpmdroError, ValueError) as exc:
-            raise ConfigError(f"distributions.{name}: {exc}") from exc
-
-    functions = {}
-    for name, raw in _object("functions", data.get("functions", {})).items():
-        values = _float_list(f"functions.{name}", raw, n)
-        try:
-            functions[name] = FunctionVec(space, np.array(values))
-        except (IpmdroError, ValueError) as exc:
-            raise ConfigError(f"functions.{name}: {exc}") from exc
+    distributions = _vectors("distributions", data, space, DiscreteDistribution)
+    functions = _vectors("functions", data, space, FunctionVec)
 
     eps_spec = data.get("epsilon")
     if eps_spec is None:
@@ -326,6 +309,18 @@ def parse_config(data: dict) -> ProblemConfig:
     )
 
 
+def _vectors(field, data, space, kind):
+    """The named vectors of one config object, each built as ``kind(space, values)``."""
+    vectors = {}
+    for name, raw in _object(field, data.get(field, {})).items():
+        values = _float_list(f"{field}.{name}", raw, space.n)
+        try:
+            vectors[name] = kind(space, np.array(values))
+        except (IpmdroError, ValueError) as exc:
+            raise ConfigError(f"{field}.{name}: {exc}") from exc
+    return vectors
+
+
 def canonical_dict(data):
     """Canonical JSON-ready form: parse -> serialize is a fixed point.
 
@@ -377,99 +372,116 @@ def _reference(config) -> DiscreteDistribution:
     return config.distribution(config.p_name)
 
 
-def run_penalty(config: ProblemConfig):
+def _h_eps_cells(config: ProblemConfig, needs, cells):
+    """Rows and witnesses of the (h, eps) cells: one row per function named
+    in ``h`` and radius in ``epsilon``, h by h.
+
+    ``cells(P, cls, h, epsilons)`` does its per-h work once and yields
+    ``(columns, witness)`` for each radius in turn.  A row is ``h``, ``eps``
+    and the columns; a witness other than None is kept under
+    ``"<h>:eps=<eps!r>"``.
+    """
     cls = config.function_class()
     P = _reference(config)
-    if not config.h_names:
-        _fail("h", "at least one function name is required")
-    if not config.epsilons:
-        _fail("epsilon", "required for penalties")
+    if not config.h_names or not config.epsilons:
+        _fail("h/epsilon", f"{needs} function names and epsilons")
     rows, witnesses = [], {}
     for name in config.h_names:
-        h = config.function(name)
-        gauge = theta(cls, h)
-        peak = j_penalty(P, h)
-        b_star, centered = centered_theta(cls, h)
-        for eps in config.epsilons:
-            lam = lambda_penalty(P, cls, eps, h)
-            rows.append(
-                {
-                    "h": name,
-                    "eps": eps,
-                    "theta": gauge.value,
-                    "j_p": peak.value,
-                    "b_star": b_star,
-                    "centered_theta": centered.value,
-                    "lambda": lam.value,
-                    "lambda_exact": lam.exact,
-                }
-            )
-            if lam.witness is not None:
-                h1, h2 = lam.witness
-                witnesses[f"{name}:eps={eps!r}"] = {
-                    "h1": list(map(float, h1)),
-                    "h2": list(map(float, h2)),
-                }
+        h_cells = cells(P, cls, config.function(name), config.epsilons)
+        for eps, (columns, witness) in zip(config.epsilons, h_cells):
+            rows.append({"h": name, "eps": eps, **columns})
+            if witness is not None:
+                witnesses[f"{name}:eps={eps!r}"] = witness
     return rows, witnesses
+
+
+def _split_witness(witness):
+    """A penalty's (h1, h2) split as a report witness; None stays None."""
+    if witness is None:
+        return None
+    h1, h2 = witness
+    return {"h1": list(map(float, h1)), "h2": list(map(float, h2))}
+
+
+def _penalty_cells(P, cls, h, epsilons):
+    gauge, peak = theta(cls, h), j_penalty(P, h)
+    b_star, centered = centered_theta(cls, h)
+    for eps in epsilons:
+        lam = lambda_penalty(P, cls, eps, h)
+        columns = {
+            "theta": gauge.value,
+            "j_p": peak.value,
+            "b_star": b_star,
+            "centered_theta": centered.value,
+            "lambda": lam.value,
+            "lambda_exact": lam.exact,
+        }
+        yield columns, _split_witness(lam.witness)
+
+
+def _dro_sup_cells(P, cls, h, epsilons):
+    for eps in epsilons:
+        result = worst_case_expectation(P, cls, eps, h)
+        columns = {
+            "value": result.value,
+            "method": result.method.value,
+            "gap_estimate": result.gap_estimate,
+        }
+        yield columns, {"worst_q": list(map(float, result.worst_q.weights))}
+
+
+def _identity_cells(P, cls, h, epsilons):
+    for eps in epsilons:
+        report = verify_identity(P, cls, eps, h)
+        columns = {
+            "lhs": report.lhs,
+            "e_p_h": report.e_p_h,
+            "lambda": report.lambda_value,
+            "residual": report.residual,
+            "exact": report.exact,
+        }
+        yield columns, None
+
+
+def _critic_cells(P, cls, h, epsilons, mu=None):
+    for eps in epsilons:
+        report = check_alignment(P, cls, eps, h)
+        columns = {
+            "lambda": report.lambda_value,
+            "eps_theta": report.eps_theta,
+            "aligned": report.aligned,
+            "gap": report.gap,
+            "witness_residual": report.witness_residual,
+        }
+        if mu is not None:
+            columns["critic_loss"] = critic_loss(P, mu, eps, cls, h)
+        if report.witness_mu is None:
+            yield columns, None
+        else:
+            yield columns, {"witness_mu": list(map(float, report.witness_mu.weights))}
+
+
+def run_penalty(config: ProblemConfig):
+    return _h_eps_cells(config, "penalty needs", _penalty_cells)
 
 
 def run_dro_sup(config: ProblemConfig):
-    cls = config.function_class()
-    P = _reference(config)
-    if not config.h_names or not config.epsilons:
-        _fail("h/epsilon", "dro-sup needs function names and epsilons")
-    rows, witnesses = [], {}
-    for name in config.h_names:
-        h = config.function(name)
-        for eps in config.epsilons:
-            result = worst_case_expectation(P, cls, eps, h)
-            rows.append(
-                {
-                    "h": name,
-                    "eps": eps,
-                    "value": result.value,
-                    "method": result.method.value,
-                    "gap_estimate": result.gap_estimate,
-                }
-            )
-            witnesses[f"{name}:eps={eps!r}"] = {
-                "worst_q": list(map(float, result.worst_q.weights))
-            }
-    return rows, witnesses
-
-
-def _identity_rows(config: ProblemConfig):
-    cls = config.function_class()
-    P = _reference(config)
-    if not config.h_names or not config.epsilons:
-        _fail("h/epsilon", "identity checks need function names and epsilons")
-    rows = []
-    for name in config.h_names:
-        h = config.function(name)
-        for eps in config.epsilons:
-            report = verify_identity(P, cls, eps, h)
-            rows.append(
-                {
-                    "h": name,
-                    "eps": eps,
-                    "lhs": report.lhs,
-                    "e_p_h": report.e_p_h,
-                    "lambda": report.lambda_value,
-                    "residual": report.residual,
-                    "exact": report.exact,
-                }
-            )
-    return rows, {}
+    return _h_eps_cells(config, "dro-sup needs", _dro_sup_cells)
 
 
 def run_verify_identity(config: ProblemConfig):
-    return _identity_rows(config)
+    return _h_eps_cells(config, "identity checks need", _identity_cells)
 
 
 def run_sweep_eps(config: ProblemConfig):
     if len(config.epsilons) < 2:
         _fail("epsilon", "sweep-eps needs an epsilon grid")
-    return _identity_rows(config)
+    return _h_eps_cells(config, "identity checks need", _identity_cells)
+
+
+def run_critic_check(config: ProblemConfig):
+    mu = config.distribution(config.mu_name) if config.mu_name else None
+    return _h_eps_cells(config, "critic-check needs", partial(_critic_cells, mu=mu))
 
 
 def run_tightness(config: ProblemConfig):
@@ -489,36 +501,6 @@ def run_tightness(config: ProblemConfig):
             }
         )
     return rows, {}
-
-
-def run_critic_check(config: ProblemConfig):
-    cls = config.function_class()
-    P = _reference(config)
-    mu = config.distribution(config.mu_name) if config.mu_name else None
-    if not config.h_names or not config.epsilons:
-        _fail("h/epsilon", "critic-check needs function names and epsilons")
-    rows, witnesses = [], {}
-    for name in config.h_names:
-        h = config.function(name)
-        for eps in config.epsilons:
-            report = check_alignment(P, cls, eps, h)
-            row = {
-                "h": name,
-                "eps": eps,
-                "lambda": report.lambda_value,
-                "eps_theta": report.eps_theta,
-                "aligned": report.aligned,
-                "gap": report.gap,
-                "witness_residual": report.witness_residual,
-            }
-            if mu is not None:
-                row["critic_loss"] = critic_loss(P, mu, eps, cls, h)
-            rows.append(row)
-            if report.witness_mu is not None:
-                witnesses[f"{name}:eps={eps!r}"] = {
-                    "witness_mu": list(map(float, report.witness_mu.weights))
-                }
-    return rows, witnesses
 
 
 def run_gan_bound(config: ProblemConfig):
@@ -586,8 +568,6 @@ def sin_study_config() -> ProblemConfig:
 
 
 def run_repro_sin(config: ProblemConfig):
-    from .core import lipschitz_constant
-
     cls = config.function_class()
     P = _reference(config)
     h = config.function("h")
@@ -596,8 +576,7 @@ def run_repro_sin(config: ProblemConfig):
     eps_lip = eps * lipschitz_constant(config.space, h.values)
     lam = lambda_penalty(P, cls, eps, h)
     peak = j_penalty(P, h1)
-    residual = FunctionVec(config.space, h.values - h1.values)
-    upper = peak.value + eps * lipschitz_constant(config.space, residual.values)
+    upper = peak.value + eps * lipschitz_constant(config.space, h.values - h1.values)
     rows = [
         {
             "eps": eps,
@@ -608,14 +587,7 @@ def run_repro_sin(config: ProblemConfig):
             "gap": eps_lip - lam.value,
         }
     ]
-    h1_opt, h2_opt = lam.witness
-    witnesses = {
-        "lambda_split": {
-            "h1": list(map(float, h1_opt)),
-            "h2": list(map(float, h2_opt)),
-        }
-    }
-    return rows, witnesses
+    return rows, {"lambda_split": _split_witness(lam.witness)}
 
 
 SUBCOMMANDS = {

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import (
     AsymmetricMetric,
     DimensionMismatch,
+    EpsNegative,
+    EpsNonPositive,
     MissingGraph,
     MissingMetric,
     SelfLoop,
@@ -109,18 +111,24 @@ def require_same_space(a, b) -> None:
         raise DimensionMismatch("objects live on different sample spaces")
 
 
-def graph_is_connected(space: SampleSpace, active=None) -> bool:
-    """Connectivity of the undirected support of the edge list.
+def check_radius(eps, allow_zero: bool = False) -> None:
+    """Refuse a ball radius that is not a finite positive number (finite and
+    nonnegative with ``allow_zero``): EpsNonPositive, or EpsNegative when
+    zero is allowed.  NaN and infinite radii are refused too."""
+    if allow_zero:
+        if not 0.0 <= eps < np.inf:
+            raise EpsNegative(f"eps must be finite and nonnegative, got {eps!r}")
+    elif not 0.0 < eps < np.inf:
+        raise EpsNonPositive(f"eps must be finite and positive, got {eps!r}")
 
-    ``active`` optionally masks edges (parallel to ``space.graph``).
-    """
+
+def graph_is_connected(space: SampleSpace) -> bool:
+    """Connectivity of the undirected support of the edge list."""
     if space.graph is None:
         raise MissingGraph("space has no graph")
     n = space.n
     adj = [[] for _ in range(n)]
-    for k, (i, j, _) in enumerate(space.graph):
-        if active is not None and not active[k]:
-            continue
+    for i, j, _ in space.graph:
         adj[i].append(j)
         adj[j].append(i)
     seen = np.zeros(n, dtype=bool)
@@ -165,10 +173,6 @@ class DiscreteDistribution:
         w = np.zeros(space.n)
         w[index] = 1.0
         return cls(space, w)
-
-    def expect(self, values) -> float:
-        v = values.values if isinstance(values, FunctionVec) else np.asarray(values)
-        return float(self.weights @ v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +335,8 @@ def discretize_structured_class(cls: FunctionClass, budget: int, seed: int):
     Samples are drawn deterministically from the seed and form nested sets as
     the budget grows: the first ``m`` samples for budget ``m' > m`` coincide
     with the budget-``m`` output.  Every sample has gauge 1, so the resulting
-    explicit set is a subset of the structured class.
+    explicit set is a subset of the structured class.  A class whose draws
+    find no boundary point within 100 draws per sample raises
+    NumericalBreakdown.
     """
     return cls.discretize(budget, seed)

@@ -18,11 +18,12 @@ from .core import (
     DiscreteDistribution,
     FunctionClass,
     FunctionVec,
+    check_radius,
     class_is_even,
     require_same_space,
 )
 from .dro import worst_case_expectation
-from .errors import EpsNonPositive, NotAligned, NotEven
+from .errors import NotAligned, NotEven
 from .ipm import ipm_distance
 from .penalties import lambda_penalty, theta
 from .solvers import BALL_FEASIBILITY, IDENTITY_EXACT, IDENTITY_ITERATIVE
@@ -69,8 +70,7 @@ def critic_loss(
     """E_P[h] - E_mu[h] + eps * gauge(h)."""
     require_same_space(P, mu)
     require_same_space(P, h)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     gap = float((P.weights - mu.weights) @ h.values)
     return gap + eps * theta(cls, h).value
 
@@ -88,8 +88,7 @@ def critic_infimum(
     the unbounded regime the distance witness is the certifying scaling ray.
     """
     require_same_space(P, mu)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     dist = ipm_distance(cls, mu, P)
     if dist.value <= eps + BALL_FEASIBILITY:
         return CriticInfimumReport(True, 0.0, None)
@@ -112,8 +111,7 @@ def check_alignment(
     solved.
     """
     require_same_space(P, h)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     gauge = theta(cls, h).value
     lam = lambda_penalty(P, cls, eps, h)
     eps_theta = eps * gauge
@@ -146,8 +144,7 @@ def two_sided_check(
     """
     require_same_space(P_minus, P_plus)
     require_same_space(P_minus, h_star)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     if not class_is_even(cls):
         raise NotEven("the two-sided display needs an even class")
 

@@ -13,9 +13,9 @@ from .core import (
     DiscreteDistribution,
     FunctionClass,
     FunctionVec,
+    check_radius,
     require_same_space,
 )
-from .errors import EpsNegative, EpsNonPositive
 from .penalties import centered_theta, j_penalty, lambda_penalty, theta
 
 
@@ -78,8 +78,7 @@ def worst_case_expectation(
     """
     require_same_space(P, h)
     require_same_space(P, cls)
-    if not eps >= 0.0:
-        raise EpsNegative(f"eps must be nonnegative, got {eps!r}")
+    check_radius(eps, allow_zero=True)
     return cls.worst_case(P, eps, h)
 
 
@@ -91,8 +90,7 @@ def verify_identity(
 ) -> IdentityReport:
     """Compute both sides of the worst-case-equals-penalty identity
     independently and report the residual."""
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     dro = worst_case_expectation(P, cls, eps, h)
     e_p_h = float(P.weights @ h.values)
     lam = lambda_penalty(P, cls, eps, h)
@@ -110,15 +108,18 @@ def corollary_bound(
 
     The left side is the worst case over the ball itself, computed by
     ``worst_case_expectation``; the right side is E_P[h] plus eps times the
-    centered gauge of h.
+    centered gauge of h.  ``equality`` holds when the right side is finite
+    and the slack is within 1e-7 of it; an infinite centered gauge (h - b
+    outside the class's cone for every shift b) gives an infinite slack and
+    never equality.
     """
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     b_star, cth = centered_theta(cls, h)
     rhs = float(P.weights @ h.values) + eps * cth.value
     lhs = worst_case_expectation(P, cls, eps, h).value
     slack = rhs - lhs
-    return BoundReport(lhs, rhs, slack, b_star, bool(slack <= 1e-7 * (1.0 + abs(rhs))))
+    equality = bool(np.isfinite(rhs) and slack <= 1e-7 * (1.0 + abs(rhs)))
+    return BoundReport(lhs, rhs, slack, b_star, equality)
 
 
 def tightness_report(

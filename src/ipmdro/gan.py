@@ -11,13 +11,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import DiscreteDistribution, FunctionClass, require_same_space
+from .core import DiscreteDistribution, FunctionClass, check_radius, require_same_space
 from .dro import worst_case_expectation
-from .errors import (
-    DiscriminatorOutOfDomain,
-    EpsNonPositive,
-    UnknownDivergence,
-)
+from .errors import DiscriminatorOutOfDomain, UnknownDivergence
 from .penalties import theta
 
 if TYPE_CHECKING:
@@ -166,8 +162,7 @@ def robust_gan_sup(
     """
     require_same_space(mu, P)
     require_same_space(mu, H)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     _check_domain(div, H)
     best_value, best_index = -np.inf, 0
     for idx, f in enumerate(H.functions):

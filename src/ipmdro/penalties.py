@@ -14,9 +14,10 @@ from .core import (
     DiscreteDistribution,
     FunctionClass,
     FunctionVec,
+    check_radius,
     require_same_space,
 )
-from .errors import EpsNonPositive, UnsupportedVariant
+from .errors import UnsupportedVariant
 
 if TYPE_CHECKING:
     from .balls import Explicit, ZetaBall
@@ -138,6 +139,5 @@ def lambda_penalty(
     """
     require_same_space(P, h)
     require_same_space(P, cls)
-    if not eps > 0.0:
-        raise EpsNonPositive(f"eps must be positive, got {eps!r}")
+    check_radius(eps)
     return cls.lambda_(P, eps, h)

@@ -84,6 +84,40 @@ class TestSubcommandFixtures:
         assert float(rows[0]["slack"]) >= -1e-7
 
 
+# per subcommand: the CSV header row, then the JSON witness keys with the
+# keys of each witness
+REPORT_LAYOUT = {
+    "ipm": ("q,p,value", {}),
+    "penalty": ("h,eps,theta,j_p,b_star,centered_theta,lambda,lambda_exact",
+                {"h:eps=0.3": ["h1", "h2"], "h:eps=1.0": ["h1", "h2"]}),
+    "dro-sup": ("h,eps,value,method,gap_estimate",
+                {"h:eps=0.3": ["worst_q"], "h:eps=1.0": ["worst_q"]}),
+    "verify-identity": ("h,eps,lhs,e_p_h,lambda,residual,exact", {}),
+    "tightness": ("eps,samples,max_min_violation,max_subadditivity_violation", {}),
+    "critic-check": ("h,eps,lambda,eps_theta,aligned,gap,witness_residual,critic_loss",
+                     {"h:eps=1.0": ["witness_mu"]}),
+    "gan-bound": ("divergence,eps,robust,plain,cap,slack", {}),
+    "sweep-eps": ("h,eps,lhs,e_p_h,lambda,residual,exact", {}),
+    "repro-sin": ("eps,eps_lip,lambda_lp,lambda_upper_decomposition,j_p_h1,gap",
+                  {"lambda_split": ["h1", "h2"]}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(REPORT_LAYOUT))
+def test_report_layout(subcommand, tmp_path):
+    """Every subcommand on its bundled config (repro-sin on its built-in
+    study) keeps its columns and its witness keys."""
+    out = tmp_path / "out"
+    config = [] if subcommand == "repro-sin" else [
+        "--config", str(CONFIG_DIR / FIXTURES[subcommand])]
+    assert main([subcommand, *config, "--out", str(out)]) == 0
+    stem = subcommand.replace("-", "_")
+    header, witnesses = REPORT_LAYOUT[subcommand]
+    assert (out / f"{stem}.csv").read_text().splitlines()[0] == header
+    payload = json.loads((out / f"{stem}.json").read_text())
+    assert {key: sorted(value) for key, value in payload["witnesses"].items()} == witnesses
+
+
 class TestReproSin:
     def test_builtin_study(self, tmp_path):
         out = tmp_path / "out"
@@ -293,6 +327,18 @@ class TestBadInputExitsCleanly:
         "function-entry-string": (
             "penalty", line_config(3, functions={"h": ["0", "1", "2"]}), "functions.h: "),
         "epsilon-nan": ("dro-sup", line_config(3, epsilon=float("nan")), "epsilon: "),
+        "penalty-no-h": (
+            "penalty", line_config(3, h=[]),
+            "h/epsilon: penalty needs function names and epsilons"),
+        "penalty-no-epsilon": (
+            "penalty", line_config(3, epsilon=[]),
+            "h/epsilon: penalty needs function names and epsilons"),
+        "critic-check-no-h": (
+            "critic-check", line_config(3, h=[]),
+            "h/epsilon: critic-check needs function names and epsilons"),
+        "verify-identity-no-epsilon": (
+            "verify-identity", line_config(3, epsilon=[]),
+            "h/epsilon: identity checks need function names and epsilons"),
         # json.load reads NaN and Infinity, which JSON has not
         "point-label-nan": (
             "ipm", with_space(points=[float("nan"), "x1", "x2"]),

@@ -17,12 +17,13 @@ from ipmdro import (
     symmetrize_class,
     theta,
 )
-from ipmdro.core import lipschitz_constant, metric_is_path
+from ipmdro.core import lipschitz_constant, metric_is_path, require_same_space
 from ipmdro.errors import (
     AsymmetricMetric,
     DimensionMismatch,
     GraphDisconnected,
     HomogeneityViolated,
+    NumericalBreakdown,
     SelfLoop,
     SingularGram,
     TriangleInequalityViolated,
@@ -188,6 +189,30 @@ class TestZetaBall:
         assert ball.degree == 2.0
 
 
+    def test_one_sided_zeta_is_not_even(self):
+        space = make_space(["a", "b", "c"])
+        ball = ZetaBall(space, zeta=lambda v: float(np.maximum(v, 0.0).sum()), degree=1.0)
+        assert not ball.is_even()
+
+    def test_centered_gauge_of_a_constant_is_zero(self):
+        space = make_space(["a", "b", "c"])
+        ball = ZetaBall(space, zeta=lambda v: float(v @ v), degree=2.0, convex=True)
+        b, gauge = ball.centered_gauge(FunctionVec(space, [0.7, 0.7, 0.7]))
+        assert b == 0.7 and gauge.value == 0.0
+
+
+class TestRequireSameSpace:
+    def test_different_labels_refused(self):
+        h = FunctionVec(make_space(["a", "b"]), [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="different sample spaces"):
+            theta(SupNormBall(make_space(["a", "c"])), h)
+
+    def test_equal_labels_accepted(self):
+        """Two space objects with the same labels count as one space."""
+        h = FunctionVec(make_space(["a", "b"]), [1.0, 2.0])
+        require_same_space(SupNormBall(make_space(["a", "b"])), h)
+
+
 class TestSobolevConstruction:
     def test_disconnected_graph_rejected(self):
         space = make_space(["a", "b", "c"], graph=((0, 1, 1.0),))
@@ -263,6 +288,24 @@ class TestDiscretize:
         cls = Explicit(space, (FunctionVec(space, [1.0, 0.0]),))
         with pytest.raises(UnsupportedVariant):
             discretize_structured_class(cls, 4, seed=0)
+
+    @pytest.mark.parametrize("zeta", [lambda v: 0.0, lambda v: -float(v @ v)],
+                             ids=["zero", "negative"])
+    def test_no_boundary_point_is_a_breakdown(self, zeta):
+        """A zeta that is zero everywhere, or negative everywhere (its gauge
+        raises NegativeZeta), has no boundary point to scale a draw onto;
+        the draws stop at the cap instead of running forever."""
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            assert len(calls) < 10_000, "discretize kept drawing"
+            return zeta(v)
+
+        space = make_space(["a", "b", "c"])
+        ball = ZetaBall(space, zeta=counted, degree=2.0)
+        with pytest.raises(NumericalBreakdown, match="ZetaBall.*300 draws.*0 of 3"):
+            discretize_structured_class(ball, 3, seed=0)
 
     def test_budget_too_small(self):
         space = make_space(["a", "b"])

@@ -93,6 +93,18 @@ class TestCheckAlignment:
         assert gap == pytest.approx(report.eps_theta, abs=1e-6)
         assert report.witness_residual <= 1e-6
 
+    def test_infinite_gauge_misaligned(self):
+        """h outside the cone of the class: eps * gauge is infinite, so h is
+        not aligned and no worst case is solved for a witness."""
+        space = make_space(["a", "b", "c"])
+        e_a, e_b = (FunctionVec(space, row) for row in np.eye(3)[:2])
+        P = DiscreteDistribution.uniform(space)
+        report = check_alignment(P, Explicit(space, (e_a, e_a.negated())), 0.5, e_b)
+        assert report.eps_theta == np.inf and report.gap == np.inf
+        assert np.isfinite(report.lambda_value)
+        assert not report.aligned
+        assert report.witness_mu is None and report.witness_residual is None
+
     def test_nonzero_constant_misaligned(self):
         space = make_space(["a", "b", "c"])
         P = DiscreteDistribution.uniform(space)

@@ -305,6 +305,17 @@ class TestCorollaryBound:
         assert report.lhs <= e_p_h + 2.001
         assert report.slack >= 0.9
 
+    def test_infinite_bound_is_no_equality(self):
+        """{+-e_a} spans no shift of e_b, so the centered gauge of e_b and the
+        right side are infinite: a bound, never an equality."""
+        space = unit_space(3)
+        e_a, e_b = (FunctionVec(space, row) for row in np.eye(3)[:2])
+        P = DiscreteDistribution(space, [0.2, 0.5, 0.3])
+        report = corollary_bound(P, Explicit(space, (e_a, e_a.negated())), 0.5, e_b)
+        assert np.isfinite(report.lhs)
+        assert report.rhs == np.inf and report.slack == np.inf
+        assert not report.equality
+
     def test_slack_nonnegative_fleet(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

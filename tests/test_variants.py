@@ -19,17 +19,25 @@ from ipmdro import (
     ZetaBall,
     centered_theta,
     check_alignment,
+    corollary_bound,
+    critic_infimum,
+    critic_loss,
+    f_divergence_catalog,
+    gan_bound_check,
     ipm_distance,
     lambda_penalty,
     make_space,
+    robust_gan_sup,
     symmetrize_class,
     theta,
     theta_closed_form,
+    two_sided_check,
+    verify_identity,
     worst_case_expectation,
 )
 from ipmdro import balls
 from ipmdro.core import class_is_even, lipschitz_constant, sobolev_matrix
-from ipmdro.errors import UnsupportedVariant
+from ipmdro.errors import EpsNegative, EpsNonPositive, UnsupportedVariant
 from ipmdro.solvers import BALL_FEASIBILITY
 
 N = 3
@@ -114,6 +122,38 @@ def test_operation_result_or_refusal(variant, operation):
     else:
         with pytest.raises(refusal):
             call(cls, P, Q, h)
+
+
+def _gan(call):
+    return lambda cls, P, Q, h, eps: call(f_divergence_catalog("chi2"),
+                                          Explicit(P.space, (h,)), cls, eps, Q, P)
+
+
+# every public operation that takes a radius; only the worst case admits zero
+RADIUS_OPERATIONS = {
+    "lambda_penalty": lambda cls, P, Q, h, eps: lambda_penalty(P, cls, eps, h),
+    "worst_case_expectation": lambda cls, P, Q, h, eps: worst_case_expectation(P, cls, eps, h),
+    "verify_identity": lambda cls, P, Q, h, eps: verify_identity(P, cls, eps, h),
+    "corollary_bound": lambda cls, P, Q, h, eps: corollary_bound(P, cls, eps, h),
+    "critic_loss": lambda cls, P, Q, h, eps: critic_loss(P, Q, eps, cls, h),
+    "critic_infimum": lambda cls, P, Q, h, eps: critic_infimum(P, Q, eps, cls),
+    "check_alignment": lambda cls, P, Q, h, eps: check_alignment(P, cls, eps, h),
+    "two_sided_check": lambda cls, P, Q, h, eps: two_sided_check(P, Q, cls, eps, h),
+    "robust_gan_sup": _gan(robust_gan_sup),
+    "gan_bound_check": _gan(gan_bound_check),
+}
+
+
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+@pytest.mark.parametrize("operation", sorted(RADIUS_OPERATIONS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_radius_refused(variant, operation, eps):
+    """An infinite or NaN radius is refused before any class operation runs,
+    rather than turning into a NaN penalty or a NaN critic loss."""
+    cls, P, Q, h = _instance(variant)
+    refusal = EpsNegative if operation == "worst_case_expectation" else EpsNonPositive
+    with pytest.raises(refusal, match="finite"):
+        RADIUS_OPERATIONS[operation](cls, P, Q, h, eps)
 
 
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "zeta"])
