@@ -51,11 +51,11 @@ def _fail(field, message):
 def _float_list(field, raw, length=None):
     if not isinstance(raw, (list, tuple)):
         _fail(field, "expected a list of numbers")
-    # the exact type test first: the ABC check is slow on a large metric
-    if not all(type(x) is float or type(x) is int
-               or (isinstance(x, numbers.Real) and not isinstance(x, bool)) for x in raw):
+    # one ABC check per entry type, not per entry: a metric row has one or two
+    if not all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+               for kind in set(map(type, raw))):
         _fail(field, "entries must be numbers")
-    values = [float(x) for x in raw]
+    values = list(map(float, raw))
     if length is not None and len(values) != length:
         _fail(field, f"has length {len(values)}, expected {length}")
     return values
@@ -84,6 +84,15 @@ def _real(field, raw):
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
         _fail(field, f"expected a number, got {raw!r}")
     return float(raw)
+
+
+def _refuse_repeats(field, what, values):
+    """Refuse a list that holds one value twice, naming the first repeat."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            _fail(field, f"repeats the {what} {value!r}")
+        seen.add(value)
 
 
 def _integer(field, raw):
@@ -266,6 +275,7 @@ def parse_config(data: dict) -> ProblemConfig:
         _fail("epsilon", "expected a number, list, or grid object")
     if not np.all(np.isfinite(epsilons)):
         _fail("epsilon", f"must be finite, got {epsilons!r}")
+    _refuse_repeats("epsilon", "radius", epsilons)
 
     h_spec = data.get("h")
     if h_spec is None:
@@ -274,6 +284,7 @@ def parse_config(data: dict) -> ProblemConfig:
         h_names = [h_spec]
     else:
         h_names = [str(x) for x in _list("h", h_spec)]
+    _refuse_repeats("h", "name", h_names)
 
     pairs = []
     for k, pair in enumerate(_list("pairs", data.get("pairs", []))):
@@ -325,11 +336,16 @@ def canonical_dict(data):
     """Canonical JSON-ready form: parse -> serialize is a fixed point.
 
     JSON (RFC 8259) has no NaN or Infinity, though Python's ``json.load``
-    reads both, so a config holding either is refused.
+    reads both, so a config holding either is refused.  A flat list of plain
+    ints and floats (a metric row, a weight vector) is checked and copied in
+    one pass; any other list, and one that fails that check, is canonicalized
+    entry by entry, which names the first non-finite entry.
     """
     if isinstance(data, dict):
         return {str(k): canonical_dict(v) for k, v in sorted(data.items())}
     if isinstance(data, (list, tuple)):
+        if _finite_numbers(data):
+            return list(data)
         return [canonical_dict(v) for v in data]
     if isinstance(data, bool) or data is None or isinstance(data, (int, str)):
         return data
@@ -338,6 +354,21 @@ def canonical_dict(data):
             raise ConfigError(f"config: {data!r} is not a JSON number")
         return data
     raise ConfigError(f"config: unsupported value {data!r}")
+
+
+def _finite_numbers(values) -> bool:
+    """Whether ``values`` holds only plain ints and floats, all finite.
+
+    One pass at C speed: a sum is finite only if every entry is.  False for
+    any other entry type, and also where finite entries overflow the sum or
+    an int is too large for a float; callers then check entry by entry.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return math.isfinite(sum(values))
+    except OverflowError:
+        return False
 
 
 def load_config(path) -> ProblemConfig:
@@ -552,12 +583,12 @@ def sin_study_config() -> ProblemConfig:
         "seed": 0,
         "space": {
             "points": [f"t={x:.2f}" for x in t],
-            "metric": [[float(v) for v in row] for row in metric],
+            "metric": metric.tolist(),
         },
-        "distributions": {"p": [float(w) for w in weights]},
+        "distributions": {"p": weights.tolist()},
         "functions": {
-            "h": [float(v) for v in np.sin(2.0 * t) + t],
-            "h1": [float(v) for v in np.sin(2.0 * t)],
+            "h": (np.sin(2.0 * t) + t).tolist(),
+            "h1": np.sin(2.0 * t).tolist(),
         },
         "function_class": {"variant": "lipschitz_ball"},
         "epsilon": 1.0,
@@ -617,7 +648,12 @@ def _format_cell(value) -> str:
 
 def emit_report(subcommand, rows, witnesses, config, out_dir) -> list:
     """Write <subcommand>.csv (one row per instance/epsilon cell) and
-    <subcommand>.json (full payload incl. witnesses), byte-deterministically."""
+    <subcommand>.json (full payload incl. witnesses), byte-deterministically.
+
+    The JSON bytes are those of ``json.dump(payload, indent=1, sort_keys=True,
+    separators=(",", ": "))`` and a newline, written chunk by chunk by
+    ``_json_chunks``.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -638,8 +674,7 @@ def emit_report(subcommand, rows, witnesses, config, out_dir) -> list:
             "witnesses": _jsonable(witnesses),
         }
         with open(json_path, "w", encoding="utf-8", newline="") as handle:
-            json.dump(payload, handle, sort_keys=True,
-                      separators=(",", ": "), indent=1)
+            handle.writelines(_json_chunks(payload))
             handle.write("\n")
     except OSError as exc:
         raise ConfigError(f"out: cannot write report: {exc}") from exc
@@ -650,6 +685,8 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if _finite_numbers(value):
+            return list(value)
         return [_jsonable(v) for v in value]
     if isinstance(value, np.bool_):
         return bool(value)
@@ -660,6 +697,74 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
+
+
+# CPython's json.dump runs its pure-Python encoder, one generator step per
+# number, whenever ``indent`` is set.  _json_chunks writes the same text and
+# joins each flat list of numbers or strings in one pass.
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    """json.dumps's text for a str, None, bool, int or float."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _flat_json(values, sep):
+    """The entries of a flat list of plain numbers or of strings, joined by
+    ``sep`` in one pass; None for any other list."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        text = sep.join(map(repr, values))
+        return None if "n" in text else text  # nan, inf: json writes NaN, Infinity
+    if kinds == {str}:
+        return sep.join(map(_json_string, values))
+    return None
+
+
+def _json_chunks(value, level=0):
+    """The text of ``json.dumps(value, indent=1, sort_keys=True,
+    separators=(",", ": "))`` in chunks, one per flat list or scalar; dict
+    keys must be strings, as every report key is."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        pad = "\n" + " " * (level + 1)
+        flat = _flat_json(value, "," + pad)
+        if flat is not None:
+            yield "[" + pad + flat
+        else:
+            for k, item in enumerate(value):
+                yield ("," if k else "[") + pad
+                yield from _json_chunks(item, level + 1)
+        yield "\n" + " " * level + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        pad = "\n" + " " * (level + 1)
+        for k, (key, item) in enumerate(sorted(value.items())):
+            yield ("," if k else "{") + pad + _json_string(key) + ": "
+            yield from _json_chunks(item, level + 1)
+        yield "\n" + " " * level + "}"
+    else:
+        yield _json_scalar(value)
 
 
 # ---------------------------------------------------------------------------

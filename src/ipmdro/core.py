@@ -39,10 +39,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class SampleSpace:
     """Finite ground set with an optional metric and an optional weighted graph.
 
-    Point labels are opaque strings; all numerics operate on indices.  The
-    graph is a tuple of ``(i, j, w)`` edges with ``w > 0``; each stored edge
-    contributes to the discrete gradient at its source ``i``, so callers who
-    want a symmetric neighbourhood list both orientations.
+    Point labels are opaque strings, unique within the space (a repeated
+    label is a ValueError naming it); all numerics operate on indices.  The
+    metric must be finite, symmetric, zero exactly on the diagonal and
+    satisfy the triangle inequality, each to ``METRIC_TOL``; the triangle
+    check makes one pass per intermediate point ``k`` in one reused n x n
+    buffer.  The graph is a tuple of ``(i, j, w)`` edges with ``w > 0``; each
+    stored edge contributes to the discrete gradient at its source ``i``, so
+    callers who want a symmetric neighbourhood list both orientations.
     """
 
     points: tuple
@@ -53,6 +57,12 @@ class SampleSpace:
         points = tuple(str(p) for p in self.points)
         if len(points) < 1:
             raise DimensionMismatch("a sample space needs at least one point")
+        if len(set(points)) != len(points):
+            seen = set()
+            for p in points:
+                if p in seen:
+                    raise ValueError(f"repeated point label {p!r}")
+                seen.add(p)
         object.__setattr__(self, "points", points)
         n = len(points)
 
@@ -71,8 +81,10 @@ class SampleSpace:
             off = ~np.eye(n, dtype=bool)
             if n > 1 and np.min(c[off]) <= 0.0:
                 raise ValueError("metric must be strictly positive off the diagonal")
-            for k in range(n):
-                slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
+            slack = np.empty_like(c)
+            for k in range(n):  # slack = c - (c[:, k] + c[k, :]), in place
+                np.add(c[:, k : k + 1], c[k : k + 1, :], out=slack)
+                np.subtract(c, slack, out=slack)
                 if slack.max() > METRIC_TOL:
                     i, j = np.argwhere(slack > METRIC_TOL)[0]
                     raise TriangleInequalityViolated(

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipmdro import (
     DudleyBall,
@@ -15,8 +16,12 @@ from ipmdro import (
 )
 from ipmdro.cli import (
     CLASS_VARIANTS,
+    SCHEMA_VERSION,
+    SUBCOMMANDS,
+    _json_chunks,
     _jsonable,
     canonical_dict,
+    emit_report,
     gaussian_gram,
     load_config,
     main,
@@ -214,6 +219,28 @@ class TestDeterminismAndRoundTrip:
     def test_canonical_dict_sorts_keys(self):
         assert list(canonical_dict({"b": 1, "a": 2})) == ["a", "b"]
 
+    @staticmethod
+    def list_with(bad, where):
+        if where == "mixed":
+            return [0, 1.5, bad, 2]
+        if where == "nested":
+            return [[1.0, 2.0], [3.0, bad]]
+        floats = [0.25 * k for k in range(1000)]
+        at = {"start": 0, "middle": 500, "end": 999}[where]
+        return floats[:at] + [bad] + floats[at + 1:]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["start", "middle", "end", "mixed", "nested"])
+    def test_canonical_dict_refuses_non_finite_numbers(self, bad, where):
+        with pytest.raises(ConfigError) as info:
+            canonical_dict({"metric": self.list_with(bad, where)})
+        assert str(info.value) == f"config: {bad!r} is not a JSON number"
+
+    def test_canonical_dict_keeps_finite_lists_whose_sum_overflows(self):
+        data = {"big": [1e308, 1e308], "huge_int": [10**400, 1.0], "mixed": [0, 1.5]}
+        assert canonical_dict(data) == data
+        assert _jsonable(data["big"]) == [1e308, 1e308]
+
     def test_seventeen_digit_cells(self, tmp_path):
         out = tmp_path / "out"
         main(["penalty", "--config", str(CONFIG_DIR / FIXTURES["penalty"]), "--out", str(out)])
@@ -221,6 +248,45 @@ class TestDeterminismAndRoundTrip:
         # 1/3-type values keep full double precision in the table
         lam = float(rows[1]["lambda"])
         assert abs(lam - 5.0 / 6.0) <= 1e-15
+
+
+json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072e-308, 1e308])
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200)
+                | json_floats | st.text(alphabet=st.characters(max_codepoint=127)) | st.text())
+json_flat_lists = (st.lists(json_floats) | st.lists(st.integers()) | st.lists(st.text())
+                   | st.lists(st.integers() | json_floats))
+json_values = st.recursive(
+    json_scalars | json_flat_lists,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=20)
+
+
+def json_dump_text(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+class TestJsonWriter:
+    """The report writer reproduces json.dump(indent=1, sort_keys=True) byte
+    for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=json_values)
+    def test_matches_json_dumps(self, payload):
+        assert "".join(_json_chunks(payload)) == json_dump_text(payload)
+
+    @pytest.mark.parametrize("subcommand", sorted(REPORT_LAYOUT))
+    def test_report_matches_json_dump(self, subcommand, tmp_path):
+        if subcommand == "repro-sin":
+            config = sin_study_config()
+        else:
+            config = load_config(CONFIG_DIR / FIXTURES[subcommand])
+        rows, witnesses = SUBCOMMANDS[subcommand](config)
+        json_path = emit_report(subcommand, rows, witnesses, config, tmp_path)[1]
+        payload = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
+                   "config": config.to_dict(), "rows": _jsonable(rows),
+                   "witnesses": _jsonable(witnesses)}
+        assert json_path.read_text(encoding="utf-8") == json_dump_text(payload) + "\n"
 
 
 class TestGaussianGram:
@@ -327,6 +393,15 @@ class TestBadInputExitsCleanly:
         "function-entry-string": (
             "penalty", line_config(3, functions={"h": ["0", "1", "2"]}), "functions.h: "),
         "epsilon-nan": ("dro-sup", line_config(3, epsilon=float("nan")), "epsilon: "),
+        # a repeated label, name or radius would make rows or diagnostics ambiguous
+        "point-label-repeated": (
+            "ipm", with_space(points=[1, "1", "x2"]), "space: repeated point label '1'"),
+        "h-repeated": ("penalty", line_config(3, h=["h", "h"]), "h: repeats the name 'h'"),
+        "epsilon-repeated": (
+            "penalty", line_config(3, epsilon=[0.1, 0.1]), "epsilon: repeats the radius 0.1"),
+        "epsilon-grid-repeated": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.5, "stop": 0.5, "count": 3}),
+            "epsilon: repeats the radius 0.5"),
         "penalty-no-h": (
             "penalty", line_config(3, h=[]),
             "h/epsilon: penalty needs function names and epsilons"),
@@ -420,6 +495,32 @@ class TestBadInputExitsCleanly:
         with pytest.raises(SizeCapExceeded) as info:
             solve_lp(problem)
         assert isinstance(info.value, IpmdroError) and isinstance(info.value, ValueError)
+
+
+class TestSizeSweep:
+    """The CLI at the top of the north-star size sweep: 400 Euclidean points,
+    whose metric, witnesses and report run to 160,000 numbers."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("euclid") / "euclid.json"
+        path.write_text(json.dumps(euclid_config(self.N)))
+        return path
+
+    def test_penalty_witnesses_cover_every_point(self, config_path, tmp_path):
+        assert main(["penalty", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        witnesses = json.loads((tmp_path / "penalty.json").read_text())["witnesses"]
+        assert witnesses
+        for split in witnesses.values():
+            assert [len(split["h1"]), len(split["h2"])] == [self.N, self.N]
+
+    def test_verify_identity_closes(self, config_path, tmp_path):
+        assert main(["verify-identity", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "verify_identity.csv")
+        assert rows and all(float(row["residual"]) <= 1e-6 for row in rows)
 
 
 class TestClassBuilders:

@@ -17,7 +17,7 @@ from ipmdro import (
     symmetrize_class,
     theta,
 )
-from ipmdro.core import lipschitz_constant, metric_is_path, require_same_space
+from ipmdro.core import METRIC_TOL, lipschitz_constant, metric_is_path, require_same_space
 from ipmdro.errors import (
     AsymmetricMetric,
     DimensionMismatch,
@@ -46,8 +46,41 @@ class TestMakeSpace:
 
     def test_triangle_violation(self):
         metric = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        with pytest.raises(TriangleInequalityViolated):
+        with pytest.raises(TriangleInequalityViolated, match=r"^c\(0,2\) > c\(0,1\) \+ c\(1,2\)$"):
             make_space(["a", "b", "c"], metric=metric)
+
+    def test_triangle_check_matches_the_reference_loop(self):
+        """The in-place check refuses exactly the matrices the plain loop
+        refuses, naming the same first violating triple."""
+        rng = np.random.default_rng(5)
+        refused = 0
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            a = rng.uniform(0.5, 2.0, (n, n))
+            c = a + a.T
+            np.fill_diagonal(c, 0.0)
+            expected = None
+            for k in range(n):
+                slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
+                if slack.max() > METRIC_TOL:
+                    i, j = np.argwhere(slack > METRIC_TOL)[0]
+                    expected = f"c({i},{j}) > c({i},{k}) + c({k},{j})"
+                    break
+            labels = [str(i) for i in range(n)]
+            if expected is None:
+                make_space(labels, metric=c)
+                continue
+            refused += 1
+            with pytest.raises(TriangleInequalityViolated) as info:
+                make_space(labels, metric=c)
+            assert str(info.value) == expected
+        assert 0 < refused < 60
+
+    def test_repeated_label(self):
+        with pytest.raises(ValueError, match="^repeated point label 'a'$"):
+            make_space(["a", "a", "b"])
+        with pytest.raises(ValueError, match="^repeated point label '1'$"):
+            make_space([1, "1"])
 
     def test_sin_grid_space(self):
         t = np.linspace(-4.0, 4.0, 201)
