@@ -54,12 +54,9 @@ from .ipm import IpmValue, ipm_distance
 from .penalties import (
     PenaltyValue,
     centered_theta,
-    gauge_explicit,
-    gauge_from_zeta,
     j_penalty,
     lambda_penalty,
     theta,
-    theta_closed_form,
 )
 from .solvers import (
     LpProblem,

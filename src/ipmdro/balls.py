@@ -134,6 +134,9 @@ class Explicit(FunctionClass):
         return len(self.functions)
 
     def gauge(self, h):
+        """The conic LP min sum(w) over w >= 0 with sum_i w_i f_i = h, its
+        witness w; +infinity when h lies outside the members' cone (the LP
+        is infeasible)."""
         m = self.size
         sol = solve_lp(lp_problem(-np.ones(m), eq=(self.matrix.T, h.values)))
         if sol.status == LpStatus.INFEASIBLE:
@@ -200,7 +203,7 @@ class Explicit(FunctionClass):
         value = top - float(P.weights @ v) - sol.value
         return PenaltyValue(max(value, 0.0), (v - h2, h2))
 
-    def is_even(self, probe_seed: int = 97) -> bool:
+    def is_even(self) -> bool:
         return self.symmetrized().already_even
 
     def symmetrized(self) -> SymmetrizeResult:
@@ -806,8 +809,10 @@ class _QuadraticBall(_Ball):
         return b, self.gauge(FunctionVec(h.space, h.values - b))
 
     def distance(self, Q, P):
-        """sqrt(d' M+ d) for d = q - p, witnessed by M+ d over the distance;
-        infinite once d leaves range(M)."""
+        """sqrt(d' M+ d) for d = q - p, witnessed by M+ d over the distance.
+        Once d leaves range(M) the distance is infinite, witnessed by d's
+        null-space component w: M w = 0, so every multiple of w lies in the
+        ball, while <d, w> is the squared null mass, which is positive."""
         delta = Q.weights - P.weights
         norm = self._norm
         pos = norm.positive
@@ -815,7 +820,8 @@ class _QuadraticBall(_Ball):
         atol, rtol = norm.null_tol
         null_mass = float(np.sqrt(np.sum(coeff[~pos] ** 2)))
         if null_mass > atol * (1.0 + rtol * float(np.abs(delta).sum())):
-            return IpmValue(np.inf, None)
+            null = norm.eigvec[:, ~pos] @ coeff[~pos]
+            return IpmValue(np.inf, FunctionVec(Q.space, null))
         value = float(np.sqrt(max(np.sum(coeff[pos] ** 2 / norm.eigval[pos]), 0.0)))
         witness = None
         if value > 1e-14:
@@ -1018,6 +1024,9 @@ class ZetaBall(_Ball):
                 )
 
     def gauge(self, h):
+        """zeta(h)**(1/k), the gauge of the sublevel set {zeta <= 1}.  For a
+        non-convex zeta this is only an upper bound on the gauge of the
+        class's convex hull, and the value is flagged ``exact=False``."""
         z = float(self.zeta(h.values))
         if z < 0.0:
             raise NegativeZeta(f"zeta returned {z!r}")
@@ -1039,8 +1048,8 @@ class ZetaBall(_Ball):
         )
         return float(b), PenaltyValue(float(val))
 
-    def is_even(self, probe_seed: int = 97) -> bool:
-        rng = np.random.default_rng(probe_seed)
+    def is_even(self) -> bool:
+        rng = np.random.default_rng(97)
         for _ in range(16):
             h = rng.standard_normal(self.space.n)
             a, b = float(self.zeta(h)), float(self.zeta(-h))

@@ -55,7 +55,10 @@ def _float_list(field, raw, length=None):
     if not all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
                for kind in set(map(type, raw))):
         _fail(field, "entries must be numbers")
-    values = list(map(float, raw))
+    try:
+        values = list(map(float, raw))
+    except OverflowError:
+        _fail(field, "an entry is too large for a float")
     if length is not None and len(values) != length:
         _fail(field, f"has length {len(values)}, expected {length}")
     return values
@@ -83,7 +86,10 @@ def _name(field, raw):
 def _real(field, raw):
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
         _fail(field, f"expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        _fail(field, "too large for a float")
 
 
 def _refuse_repeats(field, what, values):
@@ -259,7 +265,7 @@ def parse_config(data: dict) -> ProblemConfig:
     if eps_spec is None:
         epsilons = []
     elif isinstance(eps_spec, (int, float)) and not isinstance(eps_spec, bool):
-        epsilons = [float(eps_spec)]
+        epsilons = [_real("epsilon", eps_spec)]
     elif isinstance(eps_spec, list):
         epsilons = _float_list("epsilon", eps_spec)
     elif isinstance(eps_spec, dict):
@@ -270,6 +276,9 @@ def parse_config(data: dict) -> ProblemConfig:
         count = _integer("epsilon.count", eps_spec["count"])
         if count < 1:
             _fail("epsilon.count", "must be at least 1")
+        # numpy refuses an array of more than intp.max bytes, 8 per radius
+        if count > np.iinfo(np.intp).max // 8:
+            _fail("epsilon.count", f"{count} radii do not fit in an array")
         epsilons = [float(x) for x in np.linspace(start, stop, count)]
     else:
         _fail("epsilon", "expected a number, list, or grid object")
@@ -427,9 +436,7 @@ def _h_eps_cells(config: ProblemConfig, needs, cells):
 
 
 def _split_witness(witness):
-    """A penalty's (h1, h2) split as a report witness; None stays None."""
-    if witness is None:
-        return None
+    """A penalty's (h1, h2) split as a report witness."""
     h1, h2 = witness
     return {"h1": list(map(float, h1)), "h2": list(map(float, h2))}
 
@@ -603,7 +610,9 @@ def run_repro_sin(config: ProblemConfig):
     P = _reference(config)
     h = config.function("h")
     h1 = config.function("h1")
-    eps = config.epsilons[0]
+    if len(config.epsilons) != 1:
+        _fail("epsilon", "repro-sin needs exactly one radius")
+    (eps,) = config.epsilons
     eps_lip = eps * lipschitz_constant(config.space, h.values)
     lam = lambda_penalty(P, cls, eps, h)
     peak = j_penalty(P, h1)

@@ -251,7 +251,7 @@ class FunctionClass:
             f"infimal convolution not implemented for {type(self).__name__}"
         )
 
-    def is_even(self, probe_seed: int = 97) -> bool:
+    def is_even(self) -> bool:
         if self.structured:
             return True
         raise UnsupportedVariant(f"evenness undefined for {type(self).__name__}")
@@ -332,13 +332,14 @@ def symmetrize_class(cls: FunctionClass) -> SymmetrizeResult:
     return cls.symmetrized()
 
 
-def class_is_even(cls: FunctionClass, probe_seed: int = 97) -> bool:
+def class_is_even(cls: FunctionClass) -> bool:
     """Whether the class is closed under negation.
 
     Structured balls are even by construction; explicit sets are checked
-    member by member; a zeta ball is probed on random functions.
+    member by member; a zeta ball is probed on 16 random functions drawn
+    from a fixed seed, so the answer is deterministic.
     """
-    return cls.is_even(probe_seed)
+    return cls.is_even()
 
 
 def discretize_structured_class(cls: FunctionClass, budget: int, seed: int):

@@ -85,7 +85,9 @@ def critic_infimum(
 
     The loss is positively homogeneous along rays, so the infimum is 0 when
     mu lies in the one-sided eps-ball around P and -infinity otherwise; in
-    the unbounded regime the distance witness is the certifying scaling ray.
+    the unbounded regime the distance witness is the certifying scaling ray,
+    a function with negative loss.  For an infinite quadratic-ball distance
+    that ray is the null-space component of mu - P, of gauge 0.
     """
     require_same_space(P, mu)
     check_radius(eps)

@@ -19,8 +19,8 @@ class IpmValue:
     The witness is the maximizing member (explicit classes) or a function
     vector in the ball that attains the value (every ball: the closed-form
     duals, and for the Lipschitz and Dudley balls the duals of the flow LP
-    scaled into the ball).
-    It is None where the value is infinite or zero for a quadratic ball.
+    scaled into the ball).  An infinite quadratic-ball distance has a ray of
+    gauge 0 as witness, and a zero one has None.
     """
 
     value: float

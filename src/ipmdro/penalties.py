@@ -6,7 +6,6 @@ and their infimal convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,10 +16,6 @@ from .core import (
     check_radius,
     require_same_space,
 )
-from .errors import UnsupportedVariant
-
-if TYPE_CHECKING:
-    from .balls import Explicit, ZetaBall
 
 
 @dataclass
@@ -45,36 +40,10 @@ class PenaltyValue:
 # gauges
 
 
-def gauge_explicit(cls: Explicit, h: FunctionVec) -> PenaltyValue:
-    """Gauge of the convex hull of an explicit set, as a conic-combination LP.
-
-    minimize sum(w) over w >= 0 with sum_i w_i f_i = h; infeasibility means h
-    lies outside the cone and the gauge is +infinity.
-    """
-    require_same_space(cls, h)
-    return cls.gauge(h)
-
-
-def theta_closed_form(cls: FunctionClass, h: FunctionVec) -> PenaltyValue:
-    """Closed-form gauge for the six structured balls."""
-    require_same_space(cls, h)
-    if not cls.structured:
-        raise UnsupportedVariant(f"no closed-form gauge for {type(cls).__name__}")
-    return cls.gauge(h)
-
-
-def gauge_from_zeta(cls: ZetaBall, h: FunctionVec) -> PenaltyValue:
-    """Gauge of a homogeneous-penalty sublevel set: zeta(h)**(1/k).
-
-    For non-convex zeta this is only an upper bound on the true gauge; the
-    returned value is then flagged ``exact=False``.
-    """
-    require_same_space(cls, h)
-    return cls.gauge(h)
-
-
 def theta(cls: FunctionClass, h: FunctionVec) -> PenaltyValue:
-    """Gauge of any supported class variant."""
+    """Gauge Theta_F(h) = inf {t > 0 : h / t in F} of any class variant, as
+    computed by its ``gauge`` method: closed forms for the six structured
+    balls, a conic LP for an explicit set, zeta(h)**(1/k) for a zeta ball."""
     require_same_space(cls, h)
     return cls.gauge(h)
 

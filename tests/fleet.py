@@ -13,7 +13,6 @@ from ipmdro import (
     FunctionVec,
     RkhsBall,
     SobolevBall,
-    gauge_explicit,
     make_space,
     theta,
 )
@@ -129,7 +128,7 @@ def aligned_instance(rng, n, half_size=2, eps_hi=0.4):
         if np.max(np.abs(target)) < 1e-6:
             continue
         h = FunctionVec(space, target)
-        gauge = gauge_explicit(cls, h)
+        gauge = theta(cls, h)
         if not np.isfinite(gauge.value) or gauge.value < 1e-6:
             continue
         support = gauge.witness > 1e-9

@@ -357,6 +357,16 @@ def with_space(**fields):
 FISHER_Z = {"variant": "fisher_ball", "mu": "z"}
 
 
+def sin_config(epsilon):
+    """A 3-point repro-sin config with the functions h and h1; no epsilon
+    field when ``epsilon`` is None."""
+    config = line_config(3, functions={"h": [0.0, 1.0, 0.0], "h1": [0.0, 0.5, 0.0]},
+                         epsilon=epsilon)
+    if epsilon is None:
+        del config["epsilon"]
+    return config
+
+
 class TestBadInputExitsCleanly:
     CASES = {
         # 72 * 71 flow columns are more than the dense LP supports
@@ -459,6 +469,30 @@ class TestBadInputExitsCleanly:
         "sample-typo": ("tightness", line_config(3, sample=5), "config: unknown field 'sample'"),
         "class-not-object": (
             "penalty", line_config(3, function_class="sup_norm_ball"), "function_class: "),
+        # an integer too large for a float is refused where it is read
+        "function-entry-overflow": (
+            "penalty", line_config(3, functions={"h": [10**400, 1, 2]}), "functions.h: "),
+        "epsilon-overflow": ("penalty", line_config(3, epsilon=10**400), "epsilon: "),
+        "epsilon-start-overflow": (
+            "sweep-eps", line_config(3, epsilon={"start": 10**400, "stop": 0.5, "count": 3}),
+            "epsilon.start: "),
+        "rkhs-bandwidth-overflow": (
+            "penalty",
+            line_config(3, function_class={"variant": "rkhs_ball", "gaussian_bandwidth": 10**400}),
+            "function_class.gaussian_bandwidth: "),
+        "graph-endpoint-overflow": (
+            "ipm", with_space(graph=[[0, 10**400, 1.0]]), "space.graph edge 0: "),
+        "epsilon-count-overflow": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 10**400}),
+            "epsilon.count: "),
+        "epsilon-count-past-index-range": (
+            "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 2**63}),
+            "epsilon.count: "),
+        "repro-sin-no-epsilon": (
+            "repro-sin", sin_config(epsilon=None), "epsilon: repro-sin needs exactly one radius"),
+        "repro-sin-two-radii": (
+            "repro-sin", sin_config(epsilon=[0.5, 1.0]),
+            "epsilon: repro-sin needs exactly one radius"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -55,6 +55,21 @@ class TestCriticLoss:
         assert scaled == pytest.approx(10.0 * base, abs=1e-9)
         assert base < 0.0
 
+    def test_infinite_quadratic_distance_is_certified(self):
+        """The model puts mass where the Fisher mu has none, so the distance
+        is infinite; the certificate is the null-space part of mu - P, a ray
+        of gauge 0 along which the loss falls."""
+        space = make_space(["a", "b", "c"])
+        cls = FisherBall(space, mu=DiscreteDistribution(space, [0.5, 0.5, 0.0]),
+                         allow_zero_mass=True)
+        P = DiscreteDistribution(space, [0.4, 0.4, 0.2])
+        model = DiscreteDistribution(space, [0.2, 0.2, 0.6])
+        report = critic_infimum(P, model, 0.3, cls)
+        assert not report.bounded and report.value == -np.inf
+        ray = report.certificate
+        assert theta(cls, ray).value == 0.0
+        assert critic_loss(P, model, 0.3, cls, ray) == pytest.approx(-0.16, abs=1e-12)
+
     def test_bounded_regime_nonnegative(self):
         rng = np.random.default_rng(0)
         space = make_space([str(i) for i in range(4)])

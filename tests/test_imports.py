@@ -1,8 +1,10 @@
-"""The runtime is numpy-only: scipy and hypothesis are test oracles."""
+"""Import-level guarantees: the runtime is numpy-only (scipy and hypothesis are
+test oracles), and the package exports exactly the names pinned here."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import ipmdro
@@ -19,3 +21,26 @@ def test_import_pulls_in_no_test_only_dependency():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# Every name the package exports; adding or removing one is an API decision.
+PUBLIC_API = {
+    "AlignmentReport", "BoundReport", "CriticInfimumReport", "DiscreteDistribution",
+    "DroMethod", "DroResult", "DudleyBall", "Explicit", "FDivergence", "FisherBall",
+    "FunctionClass", "FunctionVec", "GanBoundReport", "GanValue", "IdentityReport",
+    "IpmValue", "LipschitzBall", "LpProblem", "LpSolution", "LpStatus", "PenaltyValue",
+    "RkhsBall", "SampleSpace", "SobolevBall", "SupNormBall", "SymmetrizeResult",
+    "TightnessReport", "TwoSidedReport", "ZetaBall", "centered_theta", "check_alignment",
+    "corollary_bound", "critic_infimum", "critic_loss", "discretize_structured_class",
+    "f_divergence_catalog", "gan_bound_check", "gan_objective", "ipm_distance",
+    "j_penalty", "lambda_penalty", "lp_problem", "make_space", "minimize_scalar_convex",
+    "project_simplex", "robust_gan_sup", "solve_lp", "symmetrize_class", "theta",
+    "tightness_report", "two_sided_check", "verify_identity", "worst_case_expectation",
+}
+
+
+def test_public_api_is_pinned():
+    """Submodules are attributes of the package too, but not exports."""
+    exported = {name for name, value in vars(ipmdro).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_API

@@ -14,13 +14,10 @@ from ipmdro import (
     ZetaBall,
     centered_theta,
     discretize_structured_class,
-    gauge_explicit,
-    gauge_from_zeta,
     j_penalty,
     lambda_penalty,
     make_space,
     theta,
-    theta_closed_form,
 )
 from ipmdro import balls
 from ipmdro.core import lipschitz_constant
@@ -48,13 +45,13 @@ class TestGaugeExplicit:
     def test_cross_polytope_is_l1(self):
         space = unit_space(3)
         cls = cross_polytope(space)
-        assert gauge_explicit(cls, FunctionVec(space, [1.0, -1.0, 0.0])).value == pytest.approx(
+        assert theta(cls, FunctionVec(space, [1.0, -1.0, 0.0])).value == pytest.approx(
             2.0, abs=1e-9
         )
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = rng.uniform(-2, 2, 3)
-            got = gauge_explicit(cls, FunctionVec(space, h))
+            got = theta(cls, FunctionVec(space, h))
             assert got.value == pytest.approx(np.abs(h).sum(), abs=1e-9)
             # witness reproduces the value
             assert got.witness.sum() == pytest.approx(got.value, abs=1e-7)
@@ -63,31 +60,31 @@ class TestGaugeExplicit:
     def test_zero_function(self):
         space = unit_space(3)
         cls = Explicit(space, (FunctionVec(space, [1.0, 0.0, 0.0]),))
-        assert gauge_explicit(cls, FunctionVec(space, np.zeros(3))).value == 0.0
+        assert theta(cls, FunctionVec(space, np.zeros(3))).value == 0.0
 
     def test_outside_cone_is_infinite(self):
         space = unit_space(3)
         cls = Explicit(space, (FunctionVec(space, [1.0, 0.0, 0.0]),))
-        assert gauge_explicit(cls, FunctionVec(space, [0.0, 1.0, 0.0])).value == np.inf
+        assert theta(cls, FunctionVec(space, [0.0, 1.0, 0.0])).value == np.inf
 
 
 class TestThetaClosedForm:
     def test_sup_norm(self):
         space = unit_space(3)
-        val = theta_closed_form(SupNormBall(space), FunctionVec(space, [0.0, 1.0, 2.0]))
+        val = theta(SupNormBall(space), FunctionVec(space, [0.0, 1.0, 2.0]))
         assert val.value == 2.0
 
     def test_fisher_uniform(self):
         space = unit_space(3)
         cls = FisherBall(space, mu=DiscreteDistribution.uniform(space))
-        val = theta_closed_form(cls, FunctionVec(space, [0.0, 1.0, 2.0]))
+        val = theta(cls, FunctionVec(space, [0.0, 1.0, 2.0]))
         assert val.value == pytest.approx(np.sqrt(5.0 / 3.0), abs=1e-12)
 
     def test_lipschitz_sin_grid(self):
         t = np.linspace(-4.0, 4.0, 201)
         space = make_space([f"{x:.2f}" for x in t], metric=np.abs(t[:, None] - t[None, :]))
         h = FunctionVec(space, np.sin(2.0 * t) + t)
-        val = theta_closed_form(LipschitzBall(space), h)
+        val = theta(LipschitzBall(space), h)
         assert 2.95 <= val.value <= 3.0
         assert val.value == pytest.approx(2.998, abs=2e-3)
 
@@ -103,8 +100,8 @@ class TestGaugeFromZeta:
         rng = np.random.default_rng(1)
         for _ in range(10):
             h = FunctionVec(space, rng.uniform(-2, 2, 4))
-            assert gauge_from_zeta(zeta, h).value == pytest.approx(
-                theta_closed_form(fisher, h).value, abs=1e-12
+            assert theta(zeta, h).value == pytest.approx(
+                theta(fisher, h).value, abs=1e-12
             )
 
     def test_matches_dudley(self):
@@ -119,25 +116,25 @@ class TestGaugeFromZeta:
         )
         for _ in range(10):
             h = FunctionVec(space, rng.uniform(-2, 2, 4))
-            assert gauge_from_zeta(zeta, h).value == pytest.approx(
-                theta_closed_form(dudley, h).value, abs=1e-12
+            assert theta(zeta, h).value == pytest.approx(
+                theta(dudley, h).value, abs=1e-12
             )
 
     def test_zero_at_zero(self):
         space = unit_space(3)
         zeta = ZetaBall(space, zeta=lambda v: float(v @ v), degree=2.0, convex=True)
-        assert gauge_from_zeta(zeta, FunctionVec(space, np.zeros(3))).value == 0.0
+        assert theta(zeta, FunctionVec(space, np.zeros(3))).value == 0.0
 
     def test_negative_zeta_raises(self):
         space = unit_space(3)
         ball = ZetaBall(space, zeta=lambda v: float(-(v @ v)), degree=2.0)
         with pytest.raises(NegativeZeta):
-            gauge_from_zeta(ball, FunctionVec(space, [1.0, 2.0, 3.0]))
+            theta(ball, FunctionVec(space, [1.0, 2.0, 3.0]))
 
     def test_nonconvex_flagged_upper_bound(self):
         space = unit_space(3)
         ball = ZetaBall(space, zeta=lambda v: float(np.abs(v).max() ** 2), degree=2.0)
-        value = gauge_from_zeta(ball, FunctionVec(space, [0.0, 1.0, 2.0]))
+        value = theta(ball, FunctionVec(space, [0.0, 1.0, 2.0]))
         assert not value.exact
 
 
@@ -296,7 +293,7 @@ class TestLambdaPenalty:
         val = lambda_penalty(P, cls, eps, h)
         h1, h2 = val.witness
         peak = float(h1.max() - P.weights @ h1)
-        tail = eps * gauge_explicit(cls, FunctionVec(space, h2)).value
+        tail = eps * theta(cls, FunctionVec(space, h2)).value
         assert peak + tail == pytest.approx(val.value, abs=1e-7)
 
     def test_explicit_penalty_matches_highs_on_the_split_lp(self, monkeypatch):
@@ -334,7 +331,7 @@ class TestLambdaPenalty:
             assert val.value == pytest.approx(max(ref.fun, 0.0), abs=1e-9, rel=1e-9)
             h1, h2 = val.witness
             assert np.allclose(h1 + h2, h.values, rtol=0.0, atol=1e-12)
-            tail = eps * gauge_explicit(cls, FunctionVec(space, h2)).value
+            tail = eps * theta(cls, FunctionVec(space, h2)).value
             assert h1.max() - P.weights @ h1 + tail == pytest.approx(val.value, abs=1e-9)
 
     def test_unusable_lp_status_is_a_breakdown(self, monkeypatch):
@@ -464,11 +461,11 @@ class TestPenaltyProperties:
         mu = DiscreteDistribution.uniform(space)
         cls = FisherBall(space, mu=mu)
         h = FunctionVec(space, rng.uniform(-1, 1, 4))
-        exact = theta_closed_form(cls, h).value
+        exact = theta(cls, h).value
         previous = np.inf
         for budget in (8, 32, 128, 512):
             sampled = discretize_structured_class(cls, budget, seed=13)
-            approx = gauge_explicit(sampled, h).value
+            approx = theta(sampled, h).value
             assert approx >= exact - 1e-9
             assert approx <= previous + 1e-9  # nested samples only improve
             previous = approx

@@ -172,6 +172,21 @@ def test_failed_kkt_check_is_refused(field, monkeypatch):
         worst_case_expectation(P, cls, 0.3, h)
 
 
+def test_walk_past_its_segment_cap_is_refused(monkeypatch):
+    """Segments on which every point has an event at the current mu flip
+    point 0 in and out forever; the walk stops at 4n + 4 segments."""
+    def flipping(D, g, p, free):
+        fixed = int((~free).sum())
+        return -free.astype(float), -p, -np.ones(fixed), np.zeros(fixed)
+
+    monkeypatch.setattr(balls, "_segment", flipping)
+    rng = np.random.default_rng(3)
+    _, cls, P, h, _, _ = _instance(rng, "rkhs", 6, "zero_weight_p")
+    with pytest.raises(NumericalBreakdown, match=r"^quadratic worst case \(n = 6\): "
+                       r"no optimal segment in 28$"):
+        worst_case_expectation(P, cls, 10.0, h)
+
+
 def _symmetric_instance(kind, n):
     """A uniform mu (or a Gram matrix with equal off-diagonal entries) and a
     uniform P on the second half of the points: coordinates of equal h move

@@ -313,6 +313,33 @@ class TestBreakdownNamesPhaseAndShape:
                            r"4 columns, iteration \d+\): duality gap"):
             solve_lp(self.PROBLEM)
 
+    def test_singular_basis(self, monkeypatch):
+        """Phase 1 pivots twice, then refactors to confirm its optimum."""
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp phase 1 \(2 rows, 4 columns, "
+                           r"iteration 2\): singular basis: Singular matrix$"):
+            solve_lp(self.PROBLEM)
+
+    def test_refactored_basis_lost_feasibility(self, monkeypatch):
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a))
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp phase 1 \(2 rows, 4 columns, "
+                           r"iteration 2\): basic solution lost feasibility$"):
+            solve_lp(self.PROBLEM)
+
+    @pytest.mark.parametrize("constant, residual", [
+        ("LP_FEASIBILITY", "primal residual"),
+        ("LP_COMPLEMENTARITY", "complementarity residual"),
+    ])
+    def test_certification_residuals(self, constant, residual, monkeypatch):
+        monkeypatch.setattr(solvers, constant, -1.0)
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp certification \(2 rows, "
+                           rf"4 columns, iteration 2\): {residual} 0\.000e\+00 above tolerance$"):
+            solve_lp(self.PROBLEM)
+
 
 class TestProjectSimplex:
     def test_already_on_simplex(self):

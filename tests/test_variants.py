@@ -30,7 +30,6 @@ from ipmdro import (
     robust_gan_sup,
     symmetrize_class,
     theta,
-    theta_closed_form,
     two_sided_check,
     verify_identity,
     worst_case_expectation,
@@ -89,7 +88,6 @@ def _worst_case_in_ball(cls, P, Q, h):
 
 OPERATIONS = {
     "theta": lambda cls, P, Q, h: theta(cls, h).value,
-    "theta_closed_form": lambda cls, P, Q, h: theta_closed_form(cls, h).value,
     "centered_theta": lambda cls, P, Q, h: centered_theta(cls, h)[1].value,
     "ipm_distance": lambda cls, P, Q, h: ipm_distance(cls, Q, P).value,
     "worst_case_expectation": _worst_case_in_ball,
@@ -102,8 +100,6 @@ VARIANTS = ("explicit", "sup_norm", "lipschitz", "dudley", "fisher", "rkhs",
             "sobolev", "zeta")
 
 REFUSED = {
-    ("explicit", "theta_closed_form"): UnsupportedVariant,
-    ("zeta", "theta_closed_form"): UnsupportedVariant,
     ("zeta", "ipm_distance"): UnsupportedVariant,
     ("zeta", "worst_case_expectation"): UnsupportedVariant,
     ("zeta", "lambda_penalty"): UnsupportedVariant,
