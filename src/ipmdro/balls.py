@@ -4,10 +4,10 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum, a polyhedral ball's seminorm atoms and the
-sup-norm ball's cost matrix are built once and cached on the instance: on
-first use, or for RKHS at construction, where the same decomposition checks
-the Gram matrix.
+quadratic ball's spectrum, the Lipschitz and Dudley balls' seminorm atoms
+and the sup-norm ball's cost matrix are built once and cached on the
+instance: on first use, or for RKHS at construction, where the same
+decomposition checks the Gram matrix.
 """
 
 from __future__ import annotations
@@ -83,24 +83,6 @@ def _solve_exact_lp(problem, what="ball LP (P is feasible)"):
     return _require_optimal(solve_lp(problem), what)
 
 
-def _split_lp(P, eps, h, nv, **constraints) -> PenaltyValue:
-    """Exact LP for the infimal convolution over a polyhedral class.
-
-    Variables are the split h1 (free), the epigraph scalar t >= max(h1), and
-    the class-specific gauge variables (nonnegative); the objective maximizes
-    p'h1 - t - eps * (sum of gauge variables), whose negative is the penalty.
-    """
-    n = P.space.n
-    c = np.zeros(nv)
-    c[:n] = P.weights
-    c[n] = -1.0
-    c[n + 1 :] = -eps
-    bounds = [FREE] * (n + 1) + [NONNEG] * (nv - n - 1)
-    sol = _solve_exact_lp(lp_problem(c, bounds=bounds, **constraints), "penalty LP")
-    h1 = sol.x[:n]
-    return PenaltyValue(max(-sol.value, 0.0), (h1, h.values - h1))
-
-
 # ---------------------------------------------------------------------------
 # explicit sets
 
@@ -142,7 +124,7 @@ class Explicit(FunctionClass):
         if sol.status == LpStatus.INFEASIBLE:
             return PenaltyValue(np.inf, None)
         _require_optimal(sol, "gauge LP")
-        return PenaltyValue(max(-sol.value, 0.0), sol.x)
+        return PenaltyValue(max(0.0, -sol.value), sol.x)
 
     def centered_gauge(self, h):
         m = self.size
@@ -158,7 +140,7 @@ class Explicit(FunctionClass):
             return 0.0, PenaltyValue(np.inf, None)
         _require_optimal(sol, "centered gauge LP")
         b = float(sol.x[m])
-        return b, PenaltyValue(max(-sol.value, 0.0), sol.x[:m])
+        return b, PenaltyValue(max(0.0, -sol.value), sol.x[:m])
 
     def distance(self, Q, P):
         gaps = self.matrix @ (Q.weights - P.weights)
@@ -265,7 +247,7 @@ class _Ball(FunctionClass):
                 g = g - g.mean()
             try:
                 scale = self.gauge(FunctionVec(self.space, g)).value
-            except NegativeZeta:  # zeta < 0 on the whole ray: no boundary point
+            except NegativeZeta:  # zeta < 0 or NaN on the ray: no boundary point
                 continue
             if scale <= 1e-12:
                 continue
@@ -275,17 +257,17 @@ class _Ball(FunctionClass):
 
 
 # ---------------------------------------------------------------------------
-# polyhedral balls
+# flow LPs
 #
-# A polyhedral ball is the unit ball of a sum of seminorm blocks.  A block is
+# The Dudley ball is the unit ball of the sup norm plus the Lipschitz
+# constant, a sum of two seminorm blocks.  A block is
 # max_k |f[i_k] - f[j_k]| / cost_k over its atoms (i_k, j_k, cost_k); the sup
 # block has no j, so f[j] reads as zero.  Three LPs are built from the atoms:
 # the penalty LP, whose rows bound each atom, and the distance and worst-case
 # LPs, whose flow columns move one unit of mass onto i_k (and off j_k) at
-# cost cost_k, one pair of opposite columns per atom.  The Dudley ball uses
-# all three; the Lipschitz ball only the distance LP, and the sup-norm ball
-# none: their worst case and penalty come from the transport dual below, and
-# the sup norm's distance is the L1 norm.
+# cost cost_k, one pair of opposite columns per atom.  The Dudley ball poses
+# all three; the Lipschitz ball, one block, only the distance LP.  Each LP's
+# size is checked against the dense cap before its matrices are allocated.
 
 
 def _sup_block(space):
@@ -342,84 +324,27 @@ def _flow_columns(n, atoms):
     return flows, costs
 
 
-@dataclass(frozen=True, eq=False)
-class _PolyhedralBall(_Ball):
-    """Unit ball of the sum of the seminorm ``blocks`` (functions of the
-    space returning each block's atoms, in sup, Lipschitz order).
-
-    The distance is the dual norm, a min-cost flow: the least t such that
-    q - p is the sum of block flows each costing at most t.  The worst case
-    maximizes <h, q> over the q whose q - p has such flows of cost at most
-    eps.  Each LP's size is checked against the dense cap before its matrices
-    are allocated.
-    """
-
-    blocks = ()
-
-    @cached_property
-    def _atoms(self):
-        return [block(self.space) for block in self.blocks]
-
-    def centered_gauge(self, h):
-        """Closed form: the sup block is least, at half the range of h, when
-        b is the midpoint of that range; the Lipschitz block ignores b."""
-        if _sup_block not in self.blocks:
-            return 0.0, self.gauge(h)
-        v = h.values
-        value = 0.5 * float(v.max() - v.min())
-        if _lip_block in self.blocks:
-            value += lipschitz_constant(self.space, v)
-        return float(0.5 * (v.max() + v.min())), PenaltyValue(value)
-
-    def distance(self, Q, P):
-        n, atoms = self.space.n, self._atoms
-        nb, nf = len(atoms), 2 * _atom_count(atoms)
-        check_dense_size(nf + 1, n + nb)
-        flows, costs = _flow_columns(n, atoms)
-        sol = _solve_exact_lp(  # maximize -t over (flows, t)
-            lp_problem(
-                np.concatenate([np.zeros(nf), [-1.0]]),
-                eq=(np.hstack([flows, np.zeros((n, 1))]), Q.weights - P.weights),
-                ub=(np.hstack([costs, -np.ones((nb, 1))]), np.zeros(nb)),
-            ),
-            "flow distance LP",
-        )
-        # The duals meet the ball's constraints only up to the LP's
-        # reduced-cost tolerance, so they are scaled back into the ball; the
-        # witness then bounds the distance from below as the flows do above.
-        f = FunctionVec(self.space, -sol.dual_eq)
-        witness = FunctionVec(self.space, f.values / max(self.gauge(f).value, 1.0))
-        return IpmValue(max(-sol.value, 0.0), witness)
-
-    def worst_case(self, P, eps, h):
-        n, atoms = self.space.n, self._atoms
-        nb, nf = len(atoms), 2 * _atom_count(atoms)
-        check_dense_size(n + nf, n + 1 + nb)
-        flows, costs = _flow_columns(n, atoms)
-        a_eq = np.zeros((n + 1, n + nf))  # q - flows = p, sum(q) = 1
-        a_eq[:n, :n] = np.eye(n)
-        a_eq[:n, n:] = -flows
-        a_eq[n, :n] = 1.0
-        a_ub = np.zeros((nb, n + nf))
-        a_ub[:, n:] = costs
-        sol = _solve_exact_lp(
-            lp_problem(
-                np.concatenate([h.values, np.zeros(nf)]),
-                eq=(a_eq, np.concatenate([P.weights, [1.0]])),
-                ub=(a_ub, np.full(nb, eps)),
-            )
-        )
-        return DroResult(
-            float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
-        )
-
-    def lambda_(self, P, eps, h):
-        """Infimal-convolution LP: one seminorm epigraph variable per block."""
-        n, atoms = self.space.n, self._atoms
-        nv = n + 1 + len(atoms)
-        check_dense_size(nv, n + 2 * _atom_count(atoms))
-        a_ub, b_ub = _penalty_rows(n, atoms, h.values)
-        return _split_lp(P, eps, h, nv, ub=(a_ub, b_ub))
+def _flow_distance(ball, atoms, Q, P):
+    """The dual norm of q - p, a min-cost flow: the least t such that q - p
+    is the sum of the flows of the blocks ``atoms``, each costing at most t."""
+    n = ball.space.n
+    nb, nf = len(atoms), 2 * _atom_count(atoms)
+    check_dense_size(nf + 1, n + nb)
+    flows, costs = _flow_columns(n, atoms)
+    sol = _solve_exact_lp(  # maximize -t over (flows, t)
+        lp_problem(
+            np.concatenate([np.zeros(nf), [-1.0]]),
+            eq=(np.hstack([flows, np.zeros((n, 1))]), Q.weights - P.weights),
+            ub=(np.hstack([costs, -np.ones((nb, 1))]), np.zeros(nb)),
+        ),
+        "flow distance LP",
+    )
+    # The duals meet the ball's constraints only up to the LP's reduced-cost
+    # tolerance, so they are scaled back into the ball; the witness then
+    # bounds the distance from below as the flows do above.
+    f = FunctionVec(ball.space, -sol.dual_eq)
+    witness = FunctionVec(ball.space, f.values / max(ball.gauge(f).value, 1.0))
+    return IpmValue(max(0.0, -sol.value), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +422,8 @@ def _mixing_weight(cost_over, cost_under, eps):
 
 
 @dataclass(frozen=True, eq=False)
-class _TransportBall(_PolyhedralBall):
-    """A polyhedral ball whose worst case and penalty come from the transport
+class _TransportBall(_Ball):
+    """A ball whose worst case and penalty come from the transport
     dual under its cost matrix ``_cost``; no LP is built for either.  The
     penalty runs its own search and never reads a worst case, so the two
     sides of the identity check each other: any split bounds the penalty
@@ -548,14 +473,17 @@ class _TransportBall(_PolyhedralBall):
 class SupNormBall(_TransportBall):
     """Functions bounded by one in sup norm."""
 
-    blocks = (_sup_block,)
-
     @cached_property
     def _cost(self):
         return _frozen_array(2.0 * (1.0 - np.eye(self.space.n)))
 
     def gauge(self, h):
         return PenaltyValue(sup_norm(h.values))
+
+    def centered_gauge(self, h):
+        """The midpoint b of h's range, where the sup norm is half the range."""
+        v = h.values
+        return float(0.5 * (v.max() + v.min())), PenaltyValue(0.5 * float(v.max() - v.min()))
 
     def distance(self, Q, P):
         delta = Q.weights - P.weights
@@ -578,7 +506,6 @@ class SupNormBall(_TransportBall):
 class LipschitzBall(_TransportBall):
     """Functions with metric Lipschitz constant at most one."""
 
-    blocks = (_lip_block,)
     seminorm = True
 
     def __post_init__(self):
@@ -590,23 +517,81 @@ class LipschitzBall(_TransportBall):
         """The metric, whose triangle inequality ``make_space`` enforces."""
         return self.space.metric
 
+    @cached_property
+    def _atoms(self):
+        return [_lip_block(self.space)]
+
     def gauge(self, h):
         return PenaltyValue(lipschitz_constant(self.space, h.values))
 
+    def centered_gauge(self, h):
+        """A seminorm: the shift is 0."""
+        return 0.0, self.gauge(h)
+
+    def distance(self, Q, P):
+        return _flow_distance(self, self._atoms, Q, P)
+
 
 @dataclass(frozen=True, eq=False)
-class DudleyBall(_PolyhedralBall):
-    """Functions with sup norm plus Lipschitz constant at most one."""
-
-    blocks = (_sup_block, _lip_block)
+class DudleyBall(_Ball):
+    """Functions with sup norm plus Lipschitz constant at most one: the unit
+    ball of the sup and Lipschitz blocks, whose three flow LPs it poses."""
 
     def __post_init__(self):
         if self.space.metric is None:
             raise MissingMetric("a Dudley ball needs a metric on the space")
 
+    @cached_property
+    def _atoms(self):
+        return [_sup_block(self.space), _lip_block(self.space)]
+
     def gauge(self, h):
         v = h.values
         return PenaltyValue(sup_norm(v) + lipschitz_constant(self.space, v))
+
+    def centered_gauge(self, h):
+        """The sup part is least, at half the range of h, when b is the
+        midpoint of that range; the Lipschitz part ignores b."""
+        v = h.values
+        value = 0.5 * float(v.max() - v.min()) + lipschitz_constant(self.space, v)
+        return float(0.5 * (v.max() + v.min())), PenaltyValue(value)
+
+    def distance(self, Q, P):
+        return _flow_distance(self, self._atoms, Q, P)
+
+    def worst_case(self, P, eps, h):
+        """max <h, q> over the q whose q - p is the sum of block flows, each
+        costing at most eps."""
+        n, atoms = self.space.n, self._atoms
+        nb, nf = len(atoms), 2 * _atom_count(atoms)
+        check_dense_size(n + nf, n + 1 + nb)
+        flows, costs = _flow_columns(n, atoms)
+        sum_q = np.concatenate([np.ones(n), np.zeros(nf)])
+        sol = _solve_exact_lp(  # q - flows = p, sum(q) = 1
+            lp_problem(
+                np.concatenate([h.values, np.zeros(nf)]),
+                eq=(np.vstack([np.hstack([np.eye(n), -flows]), sum_q]),
+                    np.concatenate([P.weights, [1.0]])),
+                ub=(np.hstack([np.zeros((nb, n)), costs]), np.full(nb, eps)),
+            )
+        )
+        return DroResult(
+            float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
+        )
+
+    def lambda_(self, P, eps, h):
+        """Infimal-convolution LP over the split h1 (free), the epigraph
+        scalar t >= max(h1) and one seminorm epigraph variable per block
+        (nonnegative): it maximizes p'h1 - t - eps * (sum of the block
+        variables), whose negative is the penalty."""
+        n, atoms = self.space.n, self._atoms
+        check_dense_size(n + 1 + len(atoms), n + 2 * _atom_count(atoms))
+        c = np.concatenate([P.weights, [-1.0], np.full(len(atoms), -eps)])
+        bounds = [FREE] * (n + 1) + [NONNEG] * len(atoms)
+        problem = lp_problem(c, ub=_penalty_rows(n, atoms, h.values), bounds=bounds)
+        sol = _solve_exact_lp(problem, "penalty LP")
+        h1 = sol.x[:n]
+        return PenaltyValue(max(0.0, -sol.value), (h1, h.values - h1))
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1003,7 @@ class ZetaBall(_Ball):
             h = rng.standard_normal(self.space.n)
             lhs = float(self.zeta(a * h))
             rhs = a ** self.degree * float(self.zeta(h))
-            if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
+            if np.isnan(lhs) or np.isnan(rhs) or abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
                 raise HomogeneityViolated(
                     f"zeta(a*h) = {lhs!r} but a^k*zeta(h) = {rhs!r}"
                 )
@@ -1028,7 +1013,7 @@ class ZetaBall(_Ball):
         non-convex zeta this is only an upper bound on the gauge of the
         class's convex hull, and the value is flagged ``exact=False``."""
         z = float(self.zeta(h.values))
-        if z < 0.0:
+        if not z >= 0.0:  # negative or NaN
             raise NegativeZeta(f"zeta returned {z!r}")
         value = z ** (1.0 / self.degree) if z > 0.0 else 0.0
         return PenaltyValue(value, exact=bool(self.convex))
@@ -1046,7 +1031,7 @@ class ZetaBall(_Ball):
             hi,
             tol=1e-10 * (1.0 + hi - lo),
         )
-        return float(b), PenaltyValue(float(val))
+        return float(b), PenaltyValue(float(val), exact=bool(self.convex))
 
     def is_even(self) -> bool:
         rng = np.random.default_rng(97)

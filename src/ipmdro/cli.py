@@ -92,6 +92,13 @@ def _real(field, raw):
         _fail(field, "too large for a float")
 
 
+def _refuse_unknown(field, raw, allowed):
+    """Refuse an object holding a key outside ``allowed``, naming the first."""
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        _fail(field, f"unknown field {unknown[0]!r}; expected one of {allowed}")
+
+
 def _refuse_repeats(field, what, values):
     """Refuse a list that holds one value twice, naming the first repeat."""
     seen = set()
@@ -136,12 +143,7 @@ class ProblemConfig:
         if self.class_spec is None:
             _fail("function_class", "required by this subcommand")
         spec = dict(self.class_spec)
-        variant = spec.get("variant")
-        build = CLASS_BUILDERS.get(variant) if isinstance(variant, str) else None
-        if build is None:
-            _fail("function_class.variant", f"unknown variant {variant!r}; "
-                  f"expected one of {CLASS_VARIANTS}")
-        return build(self, spec)
+        return CLASS_BUILDERS[spec["variant"]][0](self, spec)
 
     def distribution(self, name) -> DiscreteDistribution:
         if name not in self.distributions:
@@ -173,6 +175,8 @@ def _explicit_class(config, spec):
 
 def _rkhs_class(config, spec):
     space = config.space
+    if "gram" in spec and "gaussian_bandwidth" in spec:
+        _fail("function_class", "rkhs_ball takes gram or gaussian_bandwidth, not both")
     if "gram" in spec:
         gram = np.array(
             [
@@ -202,15 +206,16 @@ def _mu_class(ball):
     return build
 
 
-# config name -> builder(config, spec) of the function class
+# config name -> (builder(config, spec) of the function class, the fields
+# the builder reads beside the variant; any other is refused)
 CLASS_BUILDERS = {
-    "explicit": _explicit_class,
-    "lipschitz_ball": lambda config, spec: LipschitzBall(config.space),
-    "sup_norm_ball": lambda config, spec: SupNormBall(config.space),
-    "rkhs_ball": _rkhs_class,
-    "fisher_ball": _mu_class(FisherBall),
-    "sobolev_ball": _mu_class(SobolevBall),
-    "dudley_ball": lambda config, spec: DudleyBall(config.space),
+    "explicit": (_explicit_class, ("members",)),
+    "lipschitz_ball": (lambda config, spec: LipschitzBall(config.space), ()),
+    "sup_norm_ball": (lambda config, spec: SupNormBall(config.space), ()),
+    "rkhs_ball": (_rkhs_class, ("gram", "gaussian_bandwidth")),
+    "fisher_ball": (_mu_class(FisherBall), ("mu", "allow_zero_mass")),
+    "sobolev_ball": (_mu_class(SobolevBall), ("mu", "allow_zero_mass")),
+    "dudley_ball": (lambda config, spec: DudleyBall(config.space), ()),
 }
 CLASS_VARIANTS = tuple(CLASS_BUILDERS)
 
@@ -227,13 +232,12 @@ def parse_config(data: dict) -> ProblemConfig:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    unknown = [key for key in data if key not in _CONFIG_FIELDS]
-    if unknown:
-        _fail("config", f"unknown field {unknown[0]!r}; expected one of {_CONFIG_FIELDS}")
+    _refuse_unknown("config", data, _CONFIG_FIELDS)
 
     space_spec = data.get("space")
     if not isinstance(space_spec, dict) or "points" not in space_spec:
         _fail("space", "must be an object with a points list")
+    _refuse_unknown("space", space_spec, ("points", "metric", "graph"))
     points = [str(p) for p in _list("space.points", space_spec["points"])]
     n = len(points)
     metric = None
@@ -271,6 +275,7 @@ def parse_config(data: dict) -> ProblemConfig:
     elif isinstance(eps_spec, dict):
         if not all(key in eps_spec for key in ("start", "stop", "count")):
             _fail("epsilon", "grid needs numeric start/stop/count")
+        _refuse_unknown("epsilon", eps_spec, ("start", "stop", "count"))
         start = _real("epsilon.start", eps_spec["start"])
         stop = _real("epsilon.stop", eps_spec["stop"])
         count = _integer("epsilon.count", eps_spec["count"])
@@ -306,8 +311,14 @@ def parse_config(data: dict) -> ProblemConfig:
         _fail("samples", f"must be at least 1, got {samples}")
 
     class_spec = data.get("function_class")
-    if class_spec is not None and not isinstance(class_spec, dict):
-        _fail("function_class", f"expected an object with a variant, got {class_spec!r}")
+    if class_spec is not None:
+        if not isinstance(class_spec, dict):
+            _fail("function_class", f"expected an object with a variant, got {class_spec!r}")
+        variant = class_spec.get("variant")
+        if not isinstance(variant, str) or variant not in CLASS_BUILDERS:
+            _fail("function_class.variant", f"unknown variant {variant!r}; "
+                  f"expected one of {CLASS_VARIANTS}")
+        _refuse_unknown("function_class", class_spec, ("variant",) + CLASS_BUILDERS[variant][1])
 
     return ProblemConfig(
         seed=_integer("seed", data.get("seed", 0)),

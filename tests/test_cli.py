@@ -488,6 +488,26 @@ class TestBadInputExitsCleanly:
         "epsilon-count-past-index-range": (
             "sweep-eps", line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 2**63}),
             "epsilon.count: "),
+        # a key that no reader knows is a typo or a field of another form
+        "space-key-typo": (
+            "ipm", with_space(metrc=[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+            "space: unknown field 'metrc'"),
+        "epsilon-grid-key-unknown": (
+            "sweep-eps",
+            line_config(3, epsilon={"start": 0.1, "stop": 0.5, "count": 3, "endpoint": False}),
+            "epsilon: unknown field 'endpoint'"),
+        "class-key-typo": (
+            "penalty",
+            line_config(3, function_class={"variant": "fisher_ball", "allow_zero_mas": True}),
+            "function_class: unknown field 'allow_zero_mas'"),
+        "class-key-of-another-variant": (
+            "penalty", line_config(3, function_class={"variant": "dudley_ball", "mu": "mu"}),
+            "function_class: unknown field 'mu'"),
+        "rkhs-gram-and-bandwidth": (
+            "penalty",
+            line_config(3, function_class={"variant": "rkhs_ball", "gaussian_bandwidth": 0.5,
+                                           "gram": (np.eye(3) + 0.25).tolist()}),
+            "function_class: rkhs_ball takes gram or gaussian_bandwidth, not both"),
         "repro-sin-no-epsilon": (
             "repro-sin", sin_config(epsilon=None), "epsilon: repro-sin needs exactly one radius"),
         "repro-sin-two-radii": (

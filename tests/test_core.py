@@ -216,6 +216,13 @@ class TestZetaBall:
         with pytest.raises(HomogeneityViolated):
             ZetaBall(space, zeta=lambda v: float(np.abs(v).sum() + 1.0), degree=1.0)
 
+    def test_nan_zeta_rejected(self):
+        """NaN compares False with everything, so a tolerance test alone
+        lets it through the homogeneity probe."""
+        space = make_space(["a", "b", "c"])
+        with pytest.raises(HomogeneityViolated, match="nan"):
+            ZetaBall(space, zeta=lambda v: float("nan"), degree=1.0)
+
     def test_valid_quadratic_penalty(self):
         space = make_space(["a", "b", "c"])
         ball = ZetaBall(space, zeta=lambda v: float(v @ v), degree=2.0, convex=True)
@@ -232,6 +239,16 @@ class TestZetaBall:
         ball = ZetaBall(space, zeta=lambda v: float(v @ v), degree=2.0, convex=True)
         b, gauge = ball.centered_gauge(FunctionVec(space, [0.7, 0.7, 0.7]))
         assert b == 0.7 and gauge.value == 0.0
+
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_centered_gauge_carries_the_exact_flag(self, convex):
+        """Both branches, the golden section and a constant h, flag a
+        non-convex zeta's centered gauge as an upper bound."""
+        space = make_space(["a", "b", "c"])
+        ball = ZetaBall(space, zeta=lambda v: float(np.abs(v).max() ** 2), degree=2.0,
+                        convex=convex)
+        for values in ([0.0, 1.0, 3.0], [0.7, 0.7, 0.7]):
+            assert ball.centered_gauge(FunctionVec(space, values))[1].exact is convex
 
 
 class TestRequireSameSpace:

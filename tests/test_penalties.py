@@ -131,6 +131,15 @@ class TestGaugeFromZeta:
         with pytest.raises(NegativeZeta):
             theta(ball, FunctionVec(space, [1.0, 2.0, 3.0]))
 
+    def test_nan_zeta_raises(self):
+        """A NaN zeta is neither below nor above zero, so the sign tests
+        alone would read it as gauge 0."""
+        space = unit_space(3)
+        ball = ZetaBall(space, zeta=lambda v: float("nan") if v[0] == 0.5 else float(v @ v),
+                        degree=2.0)
+        with pytest.raises(NegativeZeta, match="zeta returned nan"):
+            theta(ball, FunctionVec(space, [0.5, 2.0, 3.0]))
+
     def test_nonconvex_flagged_upper_bound(self):
         space = unit_space(3)
         ball = ZetaBall(space, zeta=lambda v: float(np.abs(v).max() ** 2), degree=2.0)

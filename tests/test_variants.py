@@ -1,6 +1,7 @@
 """Every class variant against every operation on the class: each pair either
 returns a finite result or raises the exception type pinned below."""
 
+import math
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.core import class_is_even, lipschitz_constant, sobolev_matrix
 from ipmdro.errors import EpsNegative, EpsNonPositive, UnsupportedVariant
-from ipmdro.solvers import BALL_FEASIBILITY
+from ipmdro.solvers import BALL_FEASIBILITY, solve_lp
 
 N = 3
 EPS = 0.2
@@ -118,6 +119,63 @@ def test_operation_result_or_refusal(variant, operation):
     else:
         with pytest.raises(refusal):
             call(cls, P, Q, h)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_zero_results_carry_a_plus_sign(variant):
+    """d(P, P), the gauge and centered gauge of the zero function and the
+    penalty of a constant are +0.0: max(-0.0, 0.0) is -0.0, which the CSV
+    prints as -0."""
+    cls, P, Q, h = _instance(variant)
+    zero = FunctionVec(P.space, np.zeros(N))
+    values = [theta(cls, zero).value, centered_theta(cls, zero)[1].value]
+    if (variant, "ipm_distance") not in REFUSED:
+        values.append(ipm_distance(cls, P, P).value)
+    if (variant, "lambda_penalty") not in REFUSED:
+        values.append(lambda_penalty(P, cls, EPS, FunctionVec(P.space, np.full(N, 0.3))).value)
+    for value in values:
+        assert abs(value) <= 1e-12 and math.copysign(1.0, value) == 1.0, values
+
+
+# the class operations that pose an LP; every other pair is a closed form or
+# a search
+POSES_LP = {
+    "explicit": {"gauge", "centered_gauge", "worst_case", "lambda_"},
+    "dudley": {"distance", "worst_case", "lambda_"},
+    "lipschitz": {"distance"},
+}
+
+CLASS_OPERATIONS = {
+    "gauge": lambda cls, P, Q, h: cls.gauge(h),
+    "centered_gauge": lambda cls, P, Q, h: cls.centered_gauge(h),
+    "distance": lambda cls, P, Q, h: cls.distance(Q, P),
+    "worst_case": lambda cls, P, Q, h: cls.worst_case(P, EPS, h),
+    "lambda_": lambda cls, P, Q, h: cls.lambda_(P, EPS, h),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_which_operations_pose_an_lp(variant, monkeypatch):
+    """Pins the operations that reach solve_lp, so that no ball is routed
+    back through an LP unnoticed."""
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(balls, "solve_lp", counted)
+    cls, P, Q, h = _instance(variant)
+    posed = set()
+    for name, call in CLASS_OPERATIONS.items():
+        before = len(calls)
+        try:
+            call(cls, P, Q, h)
+        except UnsupportedVariant:
+            assert variant == "zeta" and name not in ("gauge", "centered_gauge")
+        if len(calls) > before:
+            posed.add(name)
+    assert posed == POSES_LP.get(variant, set())
 
 
 def _gan(call):
