@@ -117,6 +117,14 @@ def _integer(field, raw):
     return int(raw)
 
 
+def _seed(raw):
+    """A non-negative integer: numpy's generators refuse a negative seed."""
+    seed = _integer("seed", raw)
+    if seed < 0:
+        _fail("seed", f"must be non-negative, got {seed}")
+    return seed
+
+
 @dataclasses.dataclass
 class ProblemConfig:
     """Parsed, canonicalized run configuration."""
@@ -321,7 +329,7 @@ def parse_config(data: dict) -> ProblemConfig:
         _refuse_unknown("function_class", class_spec, ("variant",) + CLASS_BUILDERS[variant][1])
 
     return ProblemConfig(
-        seed=_integer("seed", data.get("seed", 0)),
+        seed=_seed(data.get("seed", 0)),
         space=space,
         distributions=distributions,
         functions=functions,
@@ -811,7 +819,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+            config = dataclasses.replace(config, seed=_seed(args.seed))
             config.raw["seed"] = args.seed
         rows, witnesses = SUBCOMMANDS[args.subcommand](config)
         paths = emit_report(args.subcommand, rows, witnesses, config, args.out)

@@ -44,9 +44,10 @@ class SampleSpace:
     metric must be finite, symmetric, zero exactly on the diagonal and
     satisfy the triangle inequality, each to ``METRIC_TOL``; the triangle
     check makes one pass per intermediate point ``k`` in one reused n x n
-    buffer.  The graph is a tuple of ``(i, j, w)`` edges with ``w > 0``; each
-    stored edge contributes to the discrete gradient at its source ``i``, so
-    callers who want a symmetric neighbourhood list both orientations.
+    buffer.  The graph is a tuple of ``(i, j, w)`` edges with integer
+    endpoints and ``w > 0``; each stored edge contributes to the discrete
+    gradient at its source ``i``, so callers who want a symmetric
+    neighbourhood list both orientations.
     """
 
     points: tuple
@@ -96,6 +97,8 @@ class SampleSpace:
             edges = []
             for e in self.graph:
                 i, j, w = int(e[0]), int(e[1]), float(e[2])
+                if (i, j) != (e[0], e[1]):
+                    raise ValueError(f"edge ({e[0]!r},{e[1]!r}) endpoints must be integers")
                 if not (0 <= i < n and 0 <= j < n):
                     raise DimensionMismatch(f"edge ({i},{j}) out of range")
                 if i == j:

@@ -7,6 +7,7 @@ rule with lowest-index tie breaking), fixed iteration budgets, no randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -47,8 +48,8 @@ class LpStatus(Enum):
 class LpProblem:
     """maximize <objective, x>  s.t.  a_eq x = b_eq,  a_ub x <= b_ub, bounds.
 
-    ``bounds`` is an (n, 2) array of per-variable (lower, upper) with +-inf
-    allowed; the default is x >= 0.
+    ``bounds`` is an (n, 2) array of per-variable (lower, upper), each row
+    NONNEG (0, inf) or FREE (-inf, inf); ``solve_lp`` refuses any other.
     """
 
     objective: np.ndarray
@@ -64,7 +65,8 @@ class LpProblem:
 
 
 def lp_problem(objective, eq=None, ub=None, bounds=None) -> LpProblem:
-    """Assemble an LpProblem from (matrix, rhs) pairs; bounds default to x >= 0."""
+    """Assemble an LpProblem from (matrix, rhs) pairs; ``bounds`` lists NONNEG
+    or FREE per variable and defaults to NONNEG for all."""
     c = np.asarray(objective, dtype=float)
     n = c.size
     a_eq, b_eq = eq if eq is not None else (np.zeros((0, n)), np.zeros(0))
@@ -122,9 +124,10 @@ def _validate(p: LpProblem) -> None:
         raise DimensionMismatch("bounds must be (n, 2)")
     for arr in (p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub):
         if not np.isfinite(arr).all():
-            raise ValueError("LP data must be finite (bounds excepted)")
-    if np.isnan(p.bounds).any():
-        raise ValueError("bounds may be infinite but not NaN")
+            raise ValueError("LP data must be finite")
+    lo, up = p.bounds.T
+    if not ((up == np.inf) & ((lo == 0.0) | (lo == -np.inf))).all():
+        raise ValueError("each variable's bounds must be NONNEG (0, inf) or FREE (-inf, inf)")
 
 
 class _Simplex:
@@ -250,35 +253,15 @@ class _Simplex:
         return keep
 
 
-def _bound_transform(lo, up, has_lo, has_up):
-    """x = transform @ x~ + const_x with x~ >= 0, from the finite-bound masks.
-
-    Lower-only and boxed (or fixed) variables are shifted, x = lo + x~;
-    upper-only ones negated, x = up - x~; free ones split in two columns,
-    x = x~+ - x~-.  Returns (transform, const_x, box_cols), the last the
-    column of each boxed variable, whose x~ <= up - lo becomes a row.
-    """
-    n = lo.size
-    free = ~(has_lo | has_up)
-    width = free + 1
-    first_col = width.cumsum() - width
-    transform = np.zeros((n, n + np.count_nonzero(free)))
-    transform[np.arange(n), first_col] = np.where(has_lo | free, 1.0, -1.0)
-    if transform.shape[1] > n:
-        transform[free, first_col[free] + 1] = -1.0
-    const_x = np.where(has_lo, lo, np.where(has_up, up, 0.0))
-    return transform, const_x, first_col[has_lo & has_up]
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP with a deterministic two-phase revised simplex.
 
-    The bounds become x~ >= 0 by shifting, negating or splitting each
-    variable, and each boxed or fixed one adds the row x~ <= up - lo.  Each
-    row is normalised to a non-negative right-hand side and gets a unit slack
-    or artificial column, so the starting basis is the identity.  Phase 1
-    runs only when some row needs an artificial.  Both phases price with
-    Bland's rule.
+    Every variable is NONNEG or FREE.  A free variable x becomes two columns,
+    x = x+ - x-, with x+ in the variable's own position and x- right after
+    it.  Each row is normalised to a non-negative right-hand side and gets a
+    unit slack or artificial column, so the starting basis is the identity.
+    Phase 1 runs only when some row needs an artificial.  Both phases price
+    with Bland's rule.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
@@ -289,24 +272,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     _validate(problem)
     c_user = problem.objective
-    lo, up = problem.bounds.T
-    # lo > up, lo = +inf and up = -inf each leave a variable no value
-    if ((lo > up) | (lo == np.inf) | (up == -np.inf)).any():
-        return LpSolution(LpStatus.INFEASIBLE, None, None, None, None)
-
-    # --- variable transform to x~ >= 0 -------------------------------------
-    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
-    transform, const_x, box_cols = _bound_transform(lo, up, has_lo, has_up)
-    nt = transform.shape[1]
-    m_eq, m_user = problem.a_eq.shape[0], problem.a_ub.shape[0]
-    m_ub = m_user + box_cols.size
+    free = problem.bounds[:, 0] == -np.inf
+    # the column of each variable's x+; a free variable's x- follows it
+    cols = np.arange(c_user.size) + (np.cumsum(free) - free)
+    plus, minus = cols[free], cols[free] + 1
+    nt = c_user.size + plus.size
+    m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
     m = m_eq + m_ub
-    n_struct = nt + m_ub  # transformed vars + slacks
-    b_std = np.concatenate([
-        problem.b_eq - problem.a_eq @ const_x,
-        problem.b_ub - problem.a_ub @ const_x,
-        (up - lo)[has_lo & has_up],
-    ])
+    n_struct = nt + m_ub  # split vars + slacks
+    b_std = np.concatenate([problem.b_eq, problem.b_ub])
     # each row is negated where needed so that b_std >= 0; an equality row,
     # or an inequality row whose slack was negated, starts on an artificial
     # column, every other row on its slack
@@ -318,9 +292,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n_art = art_rows.size
 
     a_full = np.zeros((m, n_struct + n_art))
-    a_full[:m_eq, :nt] = problem.a_eq @ transform
-    a_full[m_eq : m_eq + m_user, :nt] = problem.a_ub @ transform
-    a_full[rows[m_eq + m_user :], box_cols] = 1.0
+    a_full[:m_eq, cols] = problem.a_eq
+    a_full[m_eq:, cols] = problem.a_ub
+    a_full[:, minus] = 0.0 - a_full[:, plus]  # 0.0 - x keeps zeros +0.0
     basis = rows + (nt - m_eq)  # the slack column of each inequality row
     a_full[rows[m_eq:], basis[m_eq:]] = 1.0
     a_full[:, :n_struct] *= row_sign[:, None]
@@ -355,7 +329,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # --- phase 2 ------------------------------------------------------------
     c_min = np.zeros(n_total)
-    c_min[:nt] = -(c_user @ transform)
+    c_min[cols] = -c_user
+    c_min[minus] = c_user[free]
     status = sx.run(c_min)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, None, None,
@@ -363,7 +338,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     x_std = np.zeros(n_total)
     x_std[sx.basis] = sx.xb
-    x_user = transform @ x_std[:nt] + const_x
+    x_user = x_std[cols]
+    x_user[free] -= x_std[minus]
     value = float(c_user @ x_user)
 
     # duals of the computational problem, mapped back to user rows
@@ -372,7 +348,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     y_rows[row_index] = y
     dual_all = -row_sign * y_rows  # max-form duals
     dual_eq = dual_all[:m_eq]
-    dual_ub = dual_all[m_eq : m_eq + m_user]
+    dual_ub = dual_all[m_eq:]
 
     # --- certification -------------------------------------------------------
     sx.stage = "certification"
@@ -383,11 +359,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     feas = 0.0
     if m_eq:
         feas = max(feas, float(np.abs(problem.a_eq @ x_user - problem.b_eq).max()))
-    if m_user:
+    if m_ub:
         feas = max(feas, float((problem.a_ub @ x_user - problem.b_ub).max()))
-    with np.errstate(invalid="ignore"):
-        feas = max(feas, float(np.where(has_lo, lo - x_user, 0.0).max()))
-        feas = max(feas, float(np.where(has_up, x_user - up, 0.0).max()))
 
     reduced = c_min - a_full.T @ y if n_total else c_min
     compl = float(np.abs(reduced * x_std).max()) if n_total else 0.0
@@ -438,16 +411,24 @@ def minimize_scalar_convex(
 ):
     """Golden-section search for the minimum of a convex function on [lo, hi].
 
-    Returns (argmin, value) with the argmin within tol of a true minimizer.
+    Returns (argmin, value) with the argmin within tol of a true minimizer,
+    or within a few float spacings of one where tol is finer than those.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError("need finite lo < hi")
+    if not tol > 0.0:
+        raise ValueError("need tol > 0")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
+    # each step shrinks the bracket by inv_phi until rounding stalls it a few
+    # floats wide; runs that reach tol end within 4 steps of the count it
+    # implies, so the search stops 16 steps after that count
+    steps = 16 + math.ceil(max(0.0, math.log(b - a) - math.log(tol)) / -math.log(inv_phi))
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > tol and steps:
+        steps -= 1
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv_phi * (b - a)

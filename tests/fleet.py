@@ -87,26 +87,20 @@ def sobolev_instance(rng, n):
 def _witness_direction(space, members, support, eps, p):
     """A ball-boundary direction delta with <f_i, delta> pinned to eps on the
     gauge-witness support, feasible as mu = p + delta; None when the exposed
-    face is empty."""
-    n = space.n
-    m = members.shape[0]
-    eq_rows = [members[i] for i in np.flatnonzero(support)]
-    eq_rhs = [eps] * len(eq_rows)
-    eq_rows.append(np.ones(n))
-    eq_rhs.append(0.0)
-    ub_rows = [members[j] for j in np.flatnonzero(~support)]
-    ub_rhs = [eps] * len(ub_rows)
-    bounds = [(-p[i], np.inf) for i in range(n)]
+    face is empty.  The LP is posed in y = delta - lo >= 0 with lo = -p, so
+    each right-hand side b becomes b - A @ lo."""
+    lo = -p
+    a_eq = np.vstack([members[support], np.ones((1, space.n))])
+    b_eq = np.append(np.full(a_eq.shape[0] - 1, eps), 0.0)
+    a_ub = members[~support]
+    b_ub = np.full(a_ub.shape[0], eps)
     problem = lp_problem(
-        np.zeros(n),
-        eq=(np.array(eq_rows), np.array(eq_rhs)),
-        ub=(np.array(ub_rows).reshape(-1, n), np.array(ub_rhs)),
-        bounds=bounds,
+        np.zeros(space.n), eq=(a_eq, b_eq - a_eq @ lo), ub=(a_ub, b_ub - a_ub @ lo)
     )
     solution = solve_lp(problem)
     if solution.status != LpStatus.OPTIMAL:
         return None
-    return solution.x
+    return solution.x + lo
 
 
 def aligned_instance(rng, n, half_size=2, eps_hi=0.4):

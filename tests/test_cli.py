@@ -465,6 +465,10 @@ class TestBadInputExitsCleanly:
             "penalty", line_config(3, function_class={**FISHER_Z, "allow_zero_mass": "false"}),
             "function_class.allow_zero_mass: "),
         "seed-not-integer": ("penalty", line_config(3, seed="abc"), "seed: "),
+        # numpy's generators refuse a negative seed; so does the config and --seed
+        "seed-negative": ("tightness", line_config(3, seed=-1), "seed: must be non-negative"),
+        "seed-override-negative": (
+            "tightness", line_config(3), "seed: must be non-negative", "--seed", "-1"),
         "samples-not-integer": ("tightness", line_config(3, samples="many"), "samples: "),
         "sample-typo": ("tightness", line_config(3, sample=5), "config: unknown field 'sample'"),
         "class-not-object": (
@@ -517,10 +521,10 @@ class TestBadInputExitsCleanly:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_code_two_with_message(self, case, tmp_path, capsys):
-        subcommand, config, needle = self.CASES[case]
+        subcommand, config, needle, *flags = self.CASES[case]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("ipmdro: ") and needle in err

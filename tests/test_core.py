@@ -93,6 +93,13 @@ class TestMakeSpace:
         with pytest.raises(SelfLoop):
             make_space(["a", "b"], graph=((0, 0, 1.0),))
 
+    def test_non_integer_endpoint_refused(self):
+        """int() would store the edge (0.7, 1.9) as (0, 1)."""
+        with pytest.raises(ValueError, match=r"edge \(0\.7,1\.9\) endpoints must be integers"):
+            make_space(["a", "b", "c"], graph=((0.7, 1.9, 1.0), (1, 2, 1.0)))
+        space = make_space(["a", "b", "c"], graph=((0.0, np.int64(1), 1.0),))
+        assert space.graph == ((0, 1, 1.0),)
+
 
 class TestConstructorFuzz:
     def test_invalid_perturbations_rejected(self):
@@ -239,6 +246,24 @@ class TestZetaBall:
         ball = ZetaBall(space, zeta=lambda v: float(v @ v), degree=2.0, convex=True)
         b, gauge = ball.centered_gauge(FunctionVec(space, [0.7, 0.7, 0.7]))
         assert b == 0.7 and gauge.value == 0.0
+
+    def test_centered_gauge_ends_when_tol_is_below_the_float_spacing(self):
+        """At 1e8 the floats lie 1.5e-8 apart, far wider than the search's
+        tol of about 1e-10: the bracket stops shrinking above tol, and the
+        search must end all the same."""
+        calls = []
+
+        def zeta(v):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("the golden section does not end")
+            return float(np.abs(v).sum())
+
+        space = make_space(["a", "b", "c"])
+        ball = ZetaBall(space, zeta=zeta, degree=1.0, convex=True)
+        b, gauge = ball.centered_gauge(FunctionVec(space, 1e8 + np.array([0.0, 1e-3, 2e-3])))
+        assert 1e8 <= b <= 1e8 + 2e-3
+        assert gauge.value == pytest.approx(2e-3, rel=1e-4)
 
     @pytest.mark.parametrize("convex", [True, False])
     def test_centered_gauge_carries_the_exact_flag(self, convex):

@@ -43,9 +43,8 @@ class TestSolveLp:
         assert sol.value == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible(self):
-        sol = solve_lp(
-            lp_problem([1.0], ub=(np.array([[1.0]]), np.array([1.0])), bounds=[(2.0, np.inf)])
-        )
+        # x <= 1 and x >= 2, the second posed as the row -x <= -2
+        sol = solve_lp(lp_problem([1.0], ub=(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))))
         assert sol.status == LpStatus.INFEASIBLE
 
     def test_unbounded(self):
@@ -62,6 +61,28 @@ class TestSolveLp:
         assert l1_ball_lp(h, p, 0.6).value == pytest.approx(1.6, abs=1e-9)
         assert l1_ball_lp(h, p, 1.0).value == pytest.approx(11.0 / 6.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bound", [
+        pytest.param((2.0, np.inf), id="lower-2"),
+        pytest.param((-np.inf, 1.0), id="upper-only"),
+        pytest.param((-1.0, 1.0), id="boxed"),
+        pytest.param((2.5, 2.5), id="fixed"),
+        pytest.param((1.0, 0.5), id="empty"),
+        pytest.param((np.inf, np.inf), id="empty-at-plus-infinity"),
+        pytest.param((-np.inf, -np.inf), id="empty-at-minus-infinity"),
+        pytest.param((np.nan, np.inf), id="nan"),
+        pytest.param((0.0, np.nan), id="nan-upper"),
+    ])
+    def test_refuses_bounds_other_than_nonneg_and_free(self, bound, monkeypatch):
+        """Every variable is NONNEG or FREE; any other bound is refused
+        before a matrix is built, so no pivot is taken."""
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("a simplex was built")
+
+        monkeypatch.setattr(solvers, "_Simplex", no_simplex)
+        problem = lp_problem([1.0, 1.0], ub=([[1.0, 1.0]], [5.0]), bounds=[FREE, bound])
+        with pytest.raises(ValueError, match=r"must be NONNEG \(0, inf\) or FREE"):
+            solve_lp(problem)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_lp(lp_problem([1.0, 2.0], eq=(np.array([[1.0]]), np.array([1.0]))))
@@ -77,16 +98,7 @@ class TestSolveLp:
             b_eq = rng.standard_normal(meq)
             a_ub = rng.standard_normal((mub, n))
             b_ub = rng.standard_normal(mub)
-            bounds = []
-            for kind in rng.integers(0, 4, size=n):
-                if kind == 0:
-                    bounds.append(NONNEG)
-                elif kind == 1:
-                    bounds.append(FREE)
-                elif kind == 2:
-                    bounds.append((float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))))
-                else:
-                    bounds.append((-np.inf, float(rng.uniform(0, 2))))
+            bounds = [FREE if free else NONNEG for free in rng.random(n) < 0.5]
             mine = solve_lp(lp_problem(c, eq=(a_eq, b_eq), ub=(a_ub, b_ub), bounds=bounds))
             ref = linprog(
                 -c,
@@ -139,68 +151,64 @@ class TestSolveLp:
 def highs(problem):
     """HiGHS on the same LP: (status, value).  Presolve is off: it reads some
     unbounded LPs of the fleet below, built around a feasible point, as
-    infeasible."""
-    ref = linprog(
-        -problem.objective,
-        A_ub=problem.a_ub if problem.b_ub.size else None,
-        b_ub=problem.b_ub if problem.b_ub.size else None,
-        A_eq=problem.a_eq if problem.b_eq.size else None,
-        b_eq=problem.b_eq if problem.b_eq.size else None,
-        bounds=[tuple(b) for b in problem.bounds],
-        method="highs",
-        options={"presolve": False},
-    )
+    infeasible.  Without it, HiGHS fails on a few infeasible ones (status 4,
+    "Solve error"); those are solved again with presolve."""
+    for presolve in (False, True):
+        ref = linprog(
+            -problem.objective,
+            A_ub=problem.a_ub if problem.b_ub.size else None,
+            b_ub=problem.b_ub if problem.b_ub.size else None,
+            A_eq=problem.a_eq if problem.b_eq.size else None,
+            b_eq=problem.b_eq if problem.b_eq.size else None,
+            bounds=[tuple(b) for b in problem.bounds],
+            method="highs",
+            options={"presolve": presolve},
+        )
+        if ref.status != 4:
+            break
     status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(ref.status, LpStatus.OPTIMAL)
     return status, (-ref.fun if status == LpStatus.OPTIMAL else None)
 
 
-def bounded_dual_value(problem, sol, tol=1e-8):
-    """The dual objective of max c'x, A_eq x = b_eq, A_ub x <= b_ub,
-    lo <= x <= up at the returned duals: b'y plus each reduced cost r_j times
-    the bound it presses on (up where r_j > 0, lo where r_j < 0).  A reduced
-    cost may press only on a finite bound, and the row duals of <= rows are
-    non-negative."""
-    lo, up = problem.bounds.T
+def dual_value(problem, sol, tol=1e-8):
+    """The dual objective of max c'x, A_eq x = b_eq, A_ub x <= b_ub over
+    NONNEG and FREE variables at the returned duals, b'y.  Dual feasibility
+    holds: each reduced cost r_j = c_j - A_j'y is at most 0, and 0 on a free
+    variable, and the row duals of <= rows are non-negative."""
+    free = problem.bounds[:, 0] == -np.inf
     r = problem.objective - problem.a_eq.T @ sol.dual_eq - problem.a_ub.T @ sol.dual_ub
-    r[np.abs(r) <= tol] = 0.0
-    assert np.all(np.isfinite(up[r > 0])) and np.all(np.isfinite(lo[r < 0]))
+    assert np.all(r <= tol) and np.all(np.abs(r[free]) <= tol)
     assert np.all(sol.dual_ub >= -tol)
-    bound = np.where(r > 0, up, np.where(r < 0, lo, 0.0))
-    return float(problem.b_eq @ sol.dual_eq + problem.b_ub @ sol.dual_ub + r @ bound)
-
-
-BOUND_KINDS = ("nonneg", "lower", "upper", "boxed", "fixed", "free")
+    return float(problem.b_eq @ sol.dual_eq + problem.b_ub @ sol.dual_ub)
 
 
 def bounded_fleet_problem(rng):
-    """A random LP around a point x0 inside its bounds, drawing every kind of
-    bound, duplicated equality rows and inequality rows with either sign of
-    right-hand side; about one in eight is made infeasible with lo > up."""
+    """A random LP around a point x0 that meets its bounds, over NONNEG and
+    FREE variables, with duplicated equality rows and inequality rows with
+    either sign of right-hand side; about one in eight is made infeasible by
+    two contradictory rows, a'x = t + 0.5 and a'x <= t."""
     n = int(rng.integers(1, 8))
-    kinds = rng.choice(BOUND_KINDS, size=n)
-    lo = np.where(kinds == "nonneg", 0.0, rng.uniform(-2.0, 1.0, n))
-    up = lo + rng.uniform(0.0, 2.0, n)
-    lo[np.isin(kinds, ("upper", "free"))] = -np.inf
-    up[np.isin(kinds, ("nonneg", "lower", "free"))] = np.inf
-    up[kinds == "fixed"] = lo[kinds == "fixed"]
-    # x0 lies inside the box, or up to a unit inside a one-sided bound
-    step = rng.uniform(0.0, 1.0, n) * np.where(np.isfinite(up - lo), up - lo, 1.0)
-    x0 = np.where(np.isfinite(lo), lo + step, np.where(np.isfinite(up), up - step, step - 0.5))
+    free = rng.random(n) < 0.5
+    # x0 lies up to a unit inside a NONNEG bound, or within half a unit of 0
+    x0 = rng.uniform(0.0, 1.0, n) - np.where(free, 0.5, 0.0)
     a_eq = rng.standard_normal((int(rng.integers(0, 3)), n))
     if a_eq.shape[0] and rng.random() < 0.5:  # a dependent row
         a_eq = np.vstack([a_eq, rng.choice([-2.0, 1.0]) * a_eq[:1]])
     a_ub = rng.standard_normal((int(rng.integers(0, 5)), n))
     b_ub = a_ub @ x0 + rng.choice([0.0, 0.5], a_ub.shape[0]) * rng.random(a_ub.shape[0])
+    b_eq = a_eq @ x0
     if rng.random() < 0.125:
-        j = int(rng.integers(n))
-        lo[j], up[j] = 1.0, 0.5
+        row, t = rng.standard_normal(n), rng.standard_normal()
+        a_eq, b_eq = np.vstack([a_eq, row]), np.append(b_eq, t + 0.5)
+        a_ub, b_ub = np.vstack([a_ub, row]), np.append(b_ub, t)
     c = rng.standard_normal(n)
-    return lp_problem(c, eq=(a_eq, a_eq @ x0), ub=(a_ub, b_ub), bounds=np.column_stack([lo, up]))
+    bounds = np.where(free[:, None], FREE, NONNEG)
+    return lp_problem(c, eq=(a_eq, b_eq), ub=(a_ub, b_ub), bounds=bounds)
 
 
 class TestBoundedFleetAgainstHighs:
-    """Every branch of the bound transform and every phase-1 path, checked
-    against HiGHS, the user bounds and the dual objective."""
+    """Both variable kinds and every phase-1 path, checked against HiGHS, the
+    bounds and the dual objective."""
 
     def test_fleet(self, monkeypatch):
         dropped, pivoted_out = [], []
@@ -225,67 +233,16 @@ class TestBoundedFleetAgainstHighs:
             if status != LpStatus.OPTIMAL:
                 continue
             assert sol.value == pytest.approx(value, abs=1e-7, rel=1e-7)
-            lo, up = problem.bounds.T
             x = sol.x
-            assert np.all(x >= lo - 1e-9) and np.all(x <= up + 1e-9)
+            assert np.all(x[problem.bounds[:, 0] == 0.0] >= 0.0)
             scale = 1.0 + max(np.abs(problem.b_eq).max(initial=0.0),
                               np.abs(problem.b_ub).max(initial=0.0))
             assert np.all(np.abs(problem.a_eq @ x - problem.b_eq) <= 1e-9 * scale)
             assert np.all(problem.a_ub @ x - problem.b_ub <= 1e-9 * scale)
-            assert bounded_dual_value(problem, sol) == pytest.approx(
-                sol.value, abs=1e-7, rel=1e-7)
+            assert dual_value(problem, sol) == pytest.approx(sol.value, abs=1e-7, rel=1e-7)
         # the fleet reaches each outcome and both drive-out branches
         assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(statuses)
         assert sum(dropped) > 0 and sum(pivoted_out) > 0
-
-    def test_empty_bounds_are_infeasible_before_any_pivot(self):
-        for bounds in ([(1.0, 0.5)], [(np.inf, np.inf)], [(-np.inf, -np.inf)]):
-            sol = solve_lp(lp_problem([1.0], bounds=bounds))
-            assert sol.status == LpStatus.INFEASIBLE and sol.iterations == 0
-
-    def test_fixed_variable_reads_its_value(self):
-        sol = solve_lp(lp_problem([1.0, 1.0], ub=([[1.0, 1.0]], [5.0]),
-                                  bounds=[(2.5, 2.5), FREE]))
-        assert sol.status == LpStatus.OPTIMAL
-        assert sol.x[0] == 2.5 and sol.value == pytest.approx(5.0, abs=1e-12)
-
-
-def loop_bound_transform(bounds):
-    """The per-variable loop that classified the bounds before the masks:
-    the reference for ``solvers._bound_transform``."""
-    n = len(bounds)
-    col_var, const_x, box_cols = [], np.zeros(n), []
-    for j, (lo, up) in enumerate(bounds):
-        if np.isneginf(lo) and np.isposinf(up):
-            col_var += [(j, 1.0), (j, -1.0)]
-        elif np.isposinf(up):
-            const_x[j] = lo
-            col_var.append((j, 1.0))
-        elif np.isneginf(lo):
-            const_x[j] = up
-            col_var.append((j, -1.0))
-        else:
-            const_x[j] = lo
-            col_var.append((j, 1.0))
-            box_cols.append(len(col_var) - 1)
-    transform = np.zeros((n, len(col_var)))
-    for k, (j, sign) in enumerate(col_var):
-        transform[j, k] = sign
-    return transform, const_x, box_cols
-
-
-def test_bound_transform_matches_the_per_variable_loop():
-    rng = np.random.default_rng(12)
-    for _ in range(300):
-        bounds = bounded_fleet_problem(rng).bounds
-        lo, up = bounds.T
-        if np.any(lo > up):
-            continue
-        got = solvers._bound_transform(lo, up, np.isfinite(lo), np.isfinite(up))
-        want = loop_bound_transform(bounds)
-        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tolist() == want[2]
 
 
 class TestBreakdownNamesPhaseAndShape:
@@ -383,6 +340,37 @@ class TestGoldenSection:
         )
         assert argmin == pytest.approx(1.0, abs=1e-8)
         assert value == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_refuses_a_tol_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="need tol > 0"):
+            minimize_scalar_convex(ends_within(10_000, lambda b: b * b), -1.0, 1.0, tol)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_refuses_a_bracket_that_is_not_finite_and_ordered(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            minimize_scalar_convex(ends_within(10_000, lambda b: b * b), lo, hi)
+
+    def test_ends_when_tol_is_below_the_float_spacing(self):
+        """Floats lie 1.5e-8 apart at 1e8: the bracket stalls a few floats
+        wide, above tol, and the search stops after the steps tol implies."""
+        f = ends_within(100, lambda b: abs(b - (1e8 + 0.3)))
+        argmin, value = minimize_scalar_convex(f, 1e8 - 1.0, 1e8 + 1.0, 1e-12)
+        assert abs(argmin - (1e8 + 0.3)) <= 1e-7 and value <= 1e-7
+
+
+def ends_within(calls, f):
+    """f, raising once called more than ``calls`` times: a search that never
+    ends fails instead of hanging."""
+    count = [0]
+
+    def counted(b):
+        count[0] += 1
+        if count[0] > calls:
+            raise RuntimeError(f"more than {calls} calls")
+        return f(b)
+
+    return counted
 
 
 def test_every_tolerance_is_read_by_the_package():
