@@ -35,6 +35,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_triangle(c: np.ndarray, slack: np.ndarray) -> None:
+    """Refuse a metric c with c_ij > c_ik + c_kj + METRIC_TOL, naming the
+    violation of least k, then least (i, j); one pass per k in ``slack``."""
+    for k in range(c.shape[0]):  # slack = c - (c[:, k] + c[k, :]), in place
+        np.add(c[:, k : k + 1], c[k : k + 1, :], out=slack)
+        np.subtract(c, slack, out=slack)
+        if slack.max() > METRIC_TOL:
+            i, j = np.argwhere(slack > METRIC_TOL)[0]
+            raise TriangleInequalityViolated(f"c({i},{j}) > c({i},{k}) + c({k},{j})")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
     """Finite ground set with an optional metric and an optional weighted graph.
@@ -42,8 +53,9 @@ class SampleSpace:
     Point labels are opaque strings, unique within the space (a repeated
     label is a ValueError naming it); all numerics operate on indices.  The
     metric must be finite, symmetric, zero exactly on the diagonal and
-    satisfy the triangle inequality, each to ``METRIC_TOL``; the triangle
-    check makes one pass per intermediate point ``k`` in one reused n x n
+    satisfy the triangle inequality, each to ``METRIC_TOL``.  The triangle
+    check accepts a path metric from its first row in O(n^2); any other
+    metric takes one pass per intermediate point ``k`` in one reused n x n
     buffer.  The graph is a tuple of ``(i, j, w)`` edges with integer
     endpoints and ``w > 0``; each stored edge contributes to the discrete
     gradient at its source ``i``, so callers who want a symmetric
@@ -82,20 +94,24 @@ class SampleSpace:
             off = ~np.eye(n, dtype=bool)
             if n > 1 and np.min(c[off]) <= 0.0:
                 raise ValueError("metric must be strictly positive off the diagonal")
-            slack = np.empty_like(c)
-            for k in range(n):  # slack = c - (c[:, k] + c[k, :]), in place
-                np.add(c[:, k : k + 1], c[k : k + 1, :], out=slack)
-                np.subtract(c, slack, out=slack)
-                if slack.max() > METRIC_TOL:
-                    i, j = np.argwhere(slack > METRIC_TOL)[0]
-                    raise TriangleInequalityViolated(
-                        f"c({i},{j}) > c({i},{k}) + c({k},{j})"
-                    )
+            # A path metric passes in O(n^2): if |c_ij - |c_0j - c_0i|| <= 3e-13
+            # for all i, j, then c_ij - c_ik - c_kj <= 9e-13 + 5 u max(c) with
+            # u = 2^-53, the rounding of this test and of the loop.  With
+            # entries at most 128 that is below METRIC_TOL, so the loop would
+            # find no violation; any other metric takes the loop.
+            slack = np.subtract.outer(c[0], c[0])
+            np.abs(slack, out=slack)
+            np.subtract(c, slack, out=slack)
+            np.abs(slack, out=slack)
+            if c.max() > 128.0 or slack.max() > 3e-13:
+                _check_triangle(c, slack)
             object.__setattr__(self, "metric", _frozen_array(c))
 
         if self.graph is not None:
             edges = []
             for e in self.graph:
+                if any(isinstance(x, (bool, np.bool_)) for x in e[:3]):
+                    raise ValueError(f"edge {tuple(e[:3])!r} holds a bool, not a number")
                 i, j, w = int(e[0]), int(e[1]), float(e[2])
                 if (i, j) != (e[0], e[1]):
                     raise ValueError(f"edge ({e[0]!r},{e[1]!r}) endpoints must be integers")

@@ -28,6 +28,7 @@ LP_RATIO = 1e-9  # eligibility threshold in the ratio test
 LP_PHASE1 = 1e-9  # infeasibility cutoff on the phase-1 objective
 LP_MAX_ITERATIONS = 200_000
 LP_REFACTOR_EVERY = 150
+LP_SPARSE_UPDATE_ROWS = 128  # least rows for the column-sparse basis update
 LP_REFACTOR_FEASIBILITY = 1e-7  # least refactored basic value, scaled by 1 + |b|_inf
 LP_RATIO_TIE = 1e-12  # ratios this close to the least tie, scaled by 1 + |least|
 LP_DRIVE_OUT_PIVOT = 1e-9  # least tableau entry that drives an artificial out
@@ -119,6 +120,8 @@ def _validate(p: LpProblem) -> None:
         raise DimensionMismatch("constraint matrices do not match objective size")
     if p.a_eq.shape[0] != p.b_eq.size or p.a_ub.shape[0] != p.b_ub.size:
         raise DimensionMismatch("constraint rhs does not match matrix rows")
+    if n == 0:
+        raise DimensionMismatch("an LP needs at least one variable")
     check_dense_size(n, p.a_eq.shape[0] + p.a_ub.shape[0])
     if p.bounds.shape != (n, 2):
         raise DimensionMismatch("bounds must be (n, 2)")
@@ -133,21 +136,49 @@ def _validate(p: LpProblem) -> None:
 class _Simplex:
     """Revised simplex on  min c'x s.t. Ax = b, x >= 0  with Bland's rule.
 
-    Columns from ``first_artificial`` on are artificials: they may be basic
-    but never enter.  The basis inverse is held densely and updated by
-    elementary row operations, with periodic refactorization.  ``stage``
-    names the phase in every breakdown.
+    Columns come in three blocks: structural columns; from ``first_slack``
+    the slacks, one per row of the last ``slack_sign.size`` rows, each the
+    unit column ``slack_sign[k] * e_row`` at zero cost; after them the
+    artificials, which may be basic but never enter.  ``stage`` names the
+    phase in every breakdown.
+
+    The basis inverse B^-1 is held densely and refactorized every
+    LP_REFACTOR_EVERY pivots.  An iteration reads it twice, for the duals y
+    and for the entering column's direction, and writes only what the pivot
+    changes:
+    - Pricing runs over the structural columns first.  They come before
+      every slack, so the first improving one is Bland's choice.  Only when
+      none improves are the slacks priced, each as ``-slack_sign[k] * y[row]``
+      from y alone.  Artificials are never priced.
+    - The elementary update subtracts the rank-one term only in the columns
+      where the scaled pivot row is nonzero.  In every other column it would
+      subtract an exact zero, which leaves each nonzero entry as it is.
+    Below LP_SPARSE_UPDATE_ROWS rows the slacks are priced in the same
+    matrix product as the structural columns, and the update runs over the
+    whole matrix, as it does wherever the pivot row is dense: there one
+    NumPy pass costs less than the gathers it would replace.  Either way
+    B^-1 keeps the same nonzero entries, and it reaches every result
+    through matrix products, so no result depends on the crossover.  A
+    reduced cost may differ in its last bit, since BLAS may sum the last
+    rows of a shorter product in another order; that changes a pivot only
+    where a reduced cost lies within rounding of LP_REDUCED_COST.
     """
 
-    def __init__(self, a, b, basis, first_artificial, stage, unit_basis=False):
+    def __init__(self, a, b, basis, first_slack, slack_sign, stage, unit_basis=False):
         self.a = a
         self.at = np.ascontiguousarray(a.T)
         self.b = b
         self.m = a.shape[0]
-        self.first_artificial = first_artificial
+        self.slack_sign = slack_sign
+        self.first_artificial = first_slack + slack_sign.size
+        # the columns priced by one matrix product: below the crossover, the slacks too
+        self.priced = first_slack if self.m >= LP_SPARSE_UPDATE_ROWS else self.first_artificial
         self.stage = stage
         self.iterations = 0
         self.basis = basis
+        # the reduced cost below which a column enters; -inf while it is basic
+        self.bar = np.full(a.shape[1], -LP_REDUCED_COST)
+        self.bar[basis] = -np.inf
         scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
         self.least_basic = -LP_REFACTOR_FEASIBILITY * scale
         if unit_basis:  # every basic column is a unit column: B = I exactly
@@ -181,30 +212,48 @@ class _Simplex:
         pivot_row = binv[row]
         pivot_row /= pivot
         direction[row] = 0.0
-        binv -= direction[:, None] * pivot_row
+        # a gathered column costs about eight times a column of the dense update
+        if self.m >= LP_SPARSE_UPDATE_ROWS and 8 * np.count_nonzero(pivot_row) < self.m:
+            cols = pivot_row.nonzero()[0]
+            binv[:, cols] -= direction[:, None] * pivot_row[cols]
+        else:
+            binv -= direction[:, None] * pivot_row
+        self.bar[self.basis[row]] = -LP_REDUCED_COST
+        self.bar[entering] = -np.inf
         self.basis[row] = entering
+
+    def entering(self, c):
+        """Bland's entering column for the costs ``c``, or None at optimum."""
+        y = self.binv.T @ c[self.basis]
+        priced, bar = self.priced, self.bar
+        improving = c[:priced] - self.at[:priced] @ y < bar[:priced]
+        entering = improving.argmax()  # Bland: lowest index
+        if improving[entering]:
+            return entering
+        if priced == self.first_artificial:
+            return None
+        # a slack improves where -slack_sign * y < bar; here both sides negated
+        slack_y = y[self.m - self.slack_sign.size:]
+        improving = self.slack_sign * slack_y > -bar[priced:self.first_artificial]
+        entering = improving.argmax()
+        return priced + entering if improving[entering] else None
 
     def run(self, c):
         """Pivot until optimal or unbounded; returns the status string."""
-        at, first_artificial = self.at, self.first_artificial
         since_refactor = 0
         while True:
             if self.iterations > LP_MAX_ITERATIONS:
                 raise self.breakdown("simplex iteration limit reached")
-            basis, binv, xb = self.basis, self.binv, self.xb
-            reduced = c - at @ (binv.T @ c[basis])
-            reduced[basis] = 0.0
-            reduced[first_artificial:] = 0.0  # artificials never enter
-            improving = reduced < -LP_REDUCED_COST
-            entering = improving.argmax()  # Bland: lowest index
-            if not improving[entering]:
+            entering = self.entering(c)
+            if entering is None:
                 if since_refactor == 0:
                     return "optimal"
                 # confirm optimality against a fresh factorization
                 self.refactor()
                 since_refactor = 0
                 continue
-            direction = binv @ at[entering]
+            basis, xb = self.basis, self.xb
+            direction = self.binv @ self.at[entering]
             eligible = (direction > LP_RATIO).nonzero()[0]
             if not eligible.size:
                 return "unbounded"
@@ -302,7 +351,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     a_full[art_rows, art_cols] = 1.0
     basis[art_rows] = art_cols
     n_total = a_full.shape[1]
-    sx = _Simplex(a_full, b_std, basis, n_struct, "phase 1", unit_basis=True)
+    slack_sign = row_sign[m_eq:]
+    sx = _Simplex(a_full, b_std, basis, nt, slack_sign, "phase 1", unit_basis=True)
 
     # --- phase 1 ------------------------------------------------------------
     if n_art:
@@ -315,11 +365,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             return LpSolution(LpStatus.INFEASIBLE, None, None, None, None,
                               iterations=sx.iterations)
         keep = sx.drive_out_artificials()
+        # an artificial still basic sits in its own row, where that row's
+        # slack has entry +-1, so only equality rows are dropped and the
+        # slacks keep the last rows
         if not keep.all():
             a_full = a_full[keep][:, :n_struct]
             b_std = b_std[keep]
             iterations = sx.iterations
-            sx = _Simplex(a_full, b_std, sx.basis[keep], n_struct, "phase 2")
+            sx = _Simplex(a_full, b_std, sx.basis[keep], nt, slack_sign, "phase 2")
             sx.iterations = iterations
             n_total = n_struct
         row_index = keep.nonzero()[0]

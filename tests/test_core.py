@@ -17,6 +17,7 @@ from ipmdro import (
     symmetrize_class,
     theta,
 )
+from ipmdro import core
 from ipmdro.core import METRIC_TOL, lipschitz_constant, metric_is_path, require_same_space
 from ipmdro.errors import (
     AsymmetricMetric,
@@ -36,6 +37,27 @@ from oracles import sign_vectors
 def index_metric(n):
     idx = np.arange(n, dtype=float)
     return np.abs(idx[:, None] - idx[None, :])
+
+
+def expect_reference_triangle_check(c) -> bool:
+    """make_space accepts c, or refuses it naming the first violating triple,
+    exactly as the plain triangle loop does; True when it refuses."""
+    n = c.shape[0]
+    expected = None
+    for k in range(n):
+        slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
+        if slack.max() > METRIC_TOL:
+            i, j = np.argwhere(slack > METRIC_TOL)[0]
+            expected = f"c({i},{j}) > c({i},{k}) + c({k},{j})"
+            break
+    labels = [str(i) for i in range(n)]
+    if expected is None:
+        make_space(labels, metric=c)
+        return False
+    with pytest.raises(TriangleInequalityViolated) as info:
+        make_space(labels, metric=c)
+    assert str(info.value) == expected
+    return True
 
 
 class TestMakeSpace:
@@ -59,22 +81,30 @@ class TestMakeSpace:
             a = rng.uniform(0.5, 2.0, (n, n))
             c = a + a.T
             np.fill_diagonal(c, 0.0)
-            expected = None
-            for k in range(n):
-                slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
-                if slack.max() > METRIC_TOL:
-                    i, j = np.argwhere(slack > METRIC_TOL)[0]
-                    expected = f"c({i},{j}) > c({i},{k}) + c({k},{j})"
-                    break
-            labels = [str(i) for i in range(n)]
-            if expected is None:
-                make_space(labels, metric=c)
-                continue
-            refused += 1
-            with pytest.raises(TriangleInequalityViolated) as info:
-                make_space(labels, metric=c)
-            assert str(info.value) == expected
+            refused += expect_reference_triangle_check(c)
         assert 0 < refused < 60
+
+    def test_near_path_metrics_match_the_reference_loop(self, monkeypatch):
+        """Path metrics on a line, one pair moved by up to 3e-12 and scaled
+        up to 1000: acceptance and the first violating triple stay those of
+        the plain loop, which runs only when the O(n^2) path test fails."""
+        loops = []
+        check = core._check_triangle
+        monkeypatch.setattr(core, "_check_triangle", lambda c, s: loops.append(1) or check(c, s))
+        rng = np.random.default_rng(6)
+        refused = skipped = 0
+        for scale in (1.0, 60.0, 1000.0):
+            for shift in (0.0, 1e-13, 2.5e-13, 3.5e-13, 6e-13, 1.1e-12, 3e-12):
+                n = int(rng.integers(3, 12))
+                t = np.cumsum(rng.uniform(0.1, 1.0, n)) * scale / n
+                c = np.abs(t[:, None] - t[None, :])
+                i, j = sorted(rng.choice(n, 2, replace=False))
+                c[i, j] = c[j, i] = c[i, j] + rng.choice([-1.0, 1.0]) * shift
+                before = len(loops)
+                refused += expect_reference_triangle_check(c)
+                skipped += len(loops) == before
+                assert (len(loops) == before) == (scale < 128.0 and shift <= 2.5e-13)
+        assert refused > 0 and skipped > 0
 
     def test_repeated_label(self):
         with pytest.raises(ValueError, match="^repeated point label 'a'$"):
@@ -99,6 +129,15 @@ class TestMakeSpace:
             make_space(["a", "b", "c"], graph=((0.7, 1.9, 1.0), (1, 2, 1.0)))
         space = make_space(["a", "b", "c"], graph=((0.0, np.int64(1), 1.0),))
         assert space.graph == ((0, 1, 1.0),)
+
+    @pytest.mark.parametrize("edge", [
+        (True, 2, 1.0), (0, np.True_, 1.0), (0, 1, True), (0, 1, np.False_),
+    ])
+    def test_bool_entry_refused(self, edge):
+        """int(True) == 1 and float(True) == 1.0 would store a bool as a
+        number, which the CLI refuses."""
+        with pytest.raises(ValueError, match=r"holds a bool, not a number"):
+            make_space(["a", "b", "c"], graph=(edge,))
 
 
 class TestConstructorFuzz:

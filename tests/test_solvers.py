@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import ipmdro
-from ipmdro import solvers
+from ipmdro import DudleyBall, FunctionVec, balls, lambda_penalty, solvers
 from ipmdro.errors import DimensionMismatch, NumericalBreakdown
 from ipmdro.solvers import (
     FREE,
@@ -19,6 +19,7 @@ from ipmdro.solvers import (
     solve_lp,
 )
 from oracles import greedy_l1_worst_case
+from test_flow_lp import distribution, euclid_space
 
 
 def l1_ball_lp(h, p, eps):
@@ -86,6 +87,10 @@ class TestSolveLp:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_lp(lp_problem([1.0, 2.0], eq=(np.array([[1.0]]), np.array([1.0]))))
+        empty = np.zeros((1, 0))
+        with pytest.raises(DimensionMismatch, match="at least one variable"):
+            solve_lp(solvers.LpProblem(np.zeros(0), empty, np.ones(1), empty, np.ones(1),
+                                       np.zeros((0, 2))))
 
     def test_random_fleet_matches_scipy(self):
         rng = np.random.default_rng(0)
@@ -409,3 +414,131 @@ def test_no_public_function_takes_tolerances():
         takers += [f"{name}.{f.__name__}" for f in callables
                    if "tolerances" in inspect.signature(f).parameters]
     assert takers == []
+
+
+def dense_exchange(sx, row, entering, direction, pivot):
+    """The elementary update over the whole basis inverse."""
+    pivot_row = sx.binv[row]
+    pivot_row /= pivot
+    direction[row] = 0.0
+    sx.binv -= direction[:, None] * pivot_row
+    sx.basis[row] = entering
+
+
+def full_pricing(sx, c):
+    """Bland's entering column from the reduced costs of every column."""
+    reduced = c - sx.at @ (sx.binv.T @ c[sx.basis])
+    reduced[sx.basis] = 0.0
+    reduced[sx.first_artificial:] = 0.0  # artificials never enter
+    improving = reduced < -solvers.LP_REDUCED_COST
+    entering = improving.argmax()
+    return int(entering) if improving[entering] else None
+
+
+def outcome(problem):
+    """Every field of the solution, as bytes, or the breakdown message."""
+    try:
+        sol = solve_lp(problem)
+    except NumericalBreakdown as exc:
+        return str(exc)
+    arrays = (sol.x, sol.dual_eq, sol.dual_ub)
+    return (sol.status, sol.iterations,
+            [None if a is None else a.tobytes() for a in arrays],
+            np.array([np.nan if v is None else v for v in (
+                sol.value, sol.feasibility_residual, sol.complementarity_residual,
+                sol.duality_gap)]).tobytes())
+
+
+def slack_heavy_problem(rng, m, k, dependent):
+    """m inequality rows with one to three nonzeros each over k variables,
+    feasible around a point x0 >= 0, a few with a negative right-hand side;
+    a budget row keeps the LP bounded.  With ``dependent``, two equality
+    rows through x0 and a multiple of the first."""
+    x0 = rng.uniform(0.0, 1.0, k)
+    a_ub = np.zeros((m, k))
+    for row in a_ub:
+        cols = rng.choice(k, int(rng.integers(1, 4)), replace=False)
+        signs = rng.choice([-1.0, 1.0], cols.size, p=[0.3, 0.7])
+        row[cols] = rng.uniform(0.1, 1.0, cols.size) * signs
+    a_ub[0] = 1.0
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, m)
+    a_eq = np.zeros((0, k))
+    if dependent:
+        a_eq = rng.standard_normal((2, k))
+        a_eq = np.vstack([a_eq, -2.0 * a_eq[:1]])
+    bounds = np.where(rng.random(k)[:, None] < 0.2, FREE, NONNEG)
+    return lp_problem(rng.standard_normal(k), eq=(a_eq, a_eq @ x0), ub=(a_ub, b_ub),
+                      bounds=bounds)
+
+
+class TestSparsePivotMatchesDensePivot:
+    """The column-sparse update and the structural-first pricing give the
+    bytes of the dense update and full pricing, on either side of
+    LP_SPARSE_UPDATE_ROWS."""
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(17)
+        for m, k, dependent in [(100, 5, False), (150, 20, True), (300, 60, False),
+                                (500, 30, True), (1000, 8, False)]:
+            yield slack_heavy_problem(rng, m, k, dependent)
+        yield lp_problem([1.0])  # no rows: unbounded
+        yield lp_problem([-1.0, 0.0], bounds=[NONNEG, FREE])  # no rows: optimal at 0
+        yield lp_problem([1.0, 1.0], eq=([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]))  # no slack
+        yield lp_problem([1.0, -1.0], eq=([[1.0, 1.0], [1.0, -1.0]], [1.0, -0.5]))
+
+    @staticmethod
+    def euclid_dudley_penalty_lp(monkeypatch):
+        """The Dudley penalty LP on 8 random points in the plane, which
+        breaks down in phase 1."""
+        posed = []
+
+        def capture(problem):
+            posed.append(problem)
+            return solve_lp(problem)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(balls, "solve_lp", capture)
+            rng = np.random.default_rng(8)
+            space = euclid_space(rng, 8)
+            P = distribution(rng, space)
+            h = FunctionVec(space, rng.uniform(-1.0, 1.0, 8))
+            with pytest.raises(NumericalBreakdown):
+                lambda_penalty(P, DudleyBall(space), 0.4, h)
+        return posed[-1]
+
+    def test_same_bytes(self, monkeypatch):
+        problems = list(self.problems()) + [self.euclid_dudley_penalty_lp(monkeypatch)]
+        branches, dropped = set(), []
+        exchange = solvers._Simplex.exchange
+        drive_out = solvers._Simplex.drive_out_artificials
+
+        def spy_exchange(sx, row, entering, direction, pivot):
+            exchange(sx, row, entering, direction, pivot)
+            sparse_row = 8 * np.count_nonzero(sx.binv[row]) < sx.m
+            branches.add(sx.m >= solvers.LP_SPARSE_UPDATE_ROWS and sparse_row)
+
+        def spy_drive_out(sx):
+            keep = drive_out(sx)
+            dropped.append(int(np.sum(~keep)))
+            return keep
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers._Simplex, "exchange", spy_exchange)
+            patch.setattr(solvers._Simplex, "drive_out_artificials", spy_drive_out)
+            default = [outcome(p) for p in problems]
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "LP_SPARSE_UPDATE_ROWS", 0)
+            sparse_always = [outcome(p) for p in problems]
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers._Simplex, "exchange", dense_exchange)
+            patch.setattr(solvers._Simplex, "entering", full_pricing)
+            reference = [outcome(p) for p in problems]
+        assert default == reference
+        assert sparse_always == reference
+        # both update branches at the default crossover, phase 1 with a
+        # dropped dependent row, unbounded and optimal LPs, the breakdown
+        assert branches == {True, False}
+        assert sum(dropped) > 0
+        assert {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} <= {o[0] for o in reference[:-1]}
+        assert reference[-1].startswith("solve_lp phase 1 (80 rows, 136 columns, ")

@@ -38,9 +38,15 @@ from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT, LP_FEASIBILITY
 
 REL = 1e-9
 
+HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10}
+
 
 def _highs(c, **kwargs):
-    res = linprog(c, method="highs", **kwargs)
+    """HiGHS at feasibility tolerances of 1e-10: at its defaults (1e-7) it may
+    return a point that breaks a row by 3e-8, off the optimum by more than
+    REL."""
+    res = linprog(c, method="highs", options=HIGHS_TOLERANCES, **kwargs)
     assert res.status == 0, res.message
     return res
 
