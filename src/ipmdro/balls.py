@@ -4,17 +4,18 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum, the Lipschitz and Dudley balls' seminorm atoms
-and the sup-norm ball's cost matrix are built once and cached on the
-instance: on first use, or for RKHS at construction, where the same
-decomposition checks the Gram matrix.
+quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
+are built once and cached on the instance: on first use, or for RKHS at
+construction, where the same decomposition checks the Gram matrix.  The
+sup-norm and Lipschitz balls hand the transport dual their c-transform; the
+sup norm's is a closed form that builds no n x n array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -354,62 +355,170 @@ def _flow_distance(ball, atoms, Q, P):
 # that are 1-Lipschitz for a cost c: the metric, or 2 (1 - I) for the sup
 # norm.  So their worst case is an optimal-transport problem with the strong
 # dual  sup_{W_c(Q, P) <= eps} E_Q[h] = min_{lam >= 0} phi(lam),
-#     phi(lam) = lam eps + sum_i p_i max_j (h_j - lam c_ij),
-# and phi is convex and piecewise linear.  A plan j(i) (point i sends its mass
-# to j(i)) gives the piece with intercept sum_i p_i h_j(i) and slope
+#     phi(lam) = lam eps + sum_i p_i h^lam_i,   h^lam_i = max_j (h_j - lam c_ij),
+# and phi is convex and piecewise linear.  h^lam is the c-transform of h, the
+# only thing the search reads of a ball's cost.  A plan j(i) (point i sends
+# its mass to j(i)) gives the piece with intercept sum_i p_i h_j(i) and slope
 # eps - sum_i p_i c_i,j(i), which is phi itself wherever every j(i) is an
 # argmax; the plan j(i) = i gives the last piece, of slope eps.
+#
+# A c-transform is built for one h over a fixed set of rows i (the points of
+# positive mass, or all points for a penalty split).  ``best(lam)`` returns
+# h^lam on the rows; ``argmax(lam, tol)`` also returns the tied argmaxes,
+# those within ``tol`` of h^lam_i: ``left`` the farthest and ``right`` the
+# nearest, equal costs going to the lowest index, and index 0 for a row with
+# no tied point; ``cost(plan)`` returns c(i, plan_i) row by row.
 
 
-def _transport_dual(cost, p, h, eps, name):
-    """(lam*, phi(lam*), over, under): the least point of phi and two plans
-    optimal there, ``under`` costing at most eps and ``over`` at least eps
-    unless lam* = 0.
+class _DenseCTransform:
+    """The c-transform of h under the rows of a dense cost matrix."""
 
-    A cutting-plane search: it keeps a piece of negative slope (``over``, from
-    the right slope at 0) and one of nonnegative slope (``under``, first the
-    last piece), evaluates phi and its left and right slopes where they cross
-    and replaces one of them by the piece found there.  It stops at a kink
-    with left slope <= 0 <= right slope, or where phi meets the two pieces,
-    which are then adjacent and cross at the kink.  Argmaxes within 1e-12 of
-    the scale of h are ties, as rounding noise.  Plans cover the points of
+    def __init__(self, cost, h, rows):
+        self._matrix = cost if rows.size == cost.shape[0] else cost[rows]
+        self._h, self._rows = h, np.arange(rows.size)
+
+    def best(self, lam):
+        return (self._h - lam * self._matrix).max(axis=1)
+
+    def argmax(self, lam, tol):
+        gain = self._h - lam * self._matrix
+        best = gain.max(axis=1)
+        tied = gain >= (best - tol)[:, None]
+        left = np.argmax(np.where(tied, self._matrix, -1.0), axis=1)
+        right = np.argmin(np.where(tied, self._matrix, np.inf), axis=1)
+        return best, left, right
+
+    def cost(self, plan):
+        return self._matrix[self._rows, plan]
+
+
+class _SupNormCTransform:
+    """The c-transform of h under the cost 2 (1 - I) in closed form,
+    h^lam_i = max(h_i, max_{j != i} h_j - 2 lam), in O(n log n) time per
+    step and O(n) memory.  It compares the floats the dense form compares,
+    h_j - lam*2.0 off the diagonal and h_i - lam*0.0 on it, so for finite h
+    and lam the values and the tie sets are those of the dense form bit for
+    bit.
+
+    Rounding is monotone, so for every lam the h_j - lam*2.0 fall in the
+    order of h, which is sorted once.  The tied j != i of row i, those with
+    h_j - lam*2.0 >= h^lam_i - tol, are then a prefix of the descending order
+    (equal values fall on the same side of every threshold, so the order
+    among them does not matter); a searchsorted counts the points left out.
+    Prefix minima of the sorted indices give the prefix's least index, or its
+    second least where that is i.
+    """
+
+    def __init__(self, h, rows):
+        n = h.size
+        self._ascending = np.argsort(h)
+        self._sorted = h[self._ascending]
+        self._first = self._sorted[-1]
+        self._runner_up = self._sorted[-2] if n > 1 else -np.inf
+        # the row of the point of greatest h, if that point has one
+        top = np.flatnonzero(rows == self._ascending[-1])
+        self._top_row = top[0] if top.size else None
+        self._n, self._rows, self._h_rows = n, rows, h[rows]
+
+    @cached_property
+    def _least(self):
+        """The least and the second least index of each prefix of the
+        descending order, by the number of points left out of the prefix; n
+        marks none.  Where a new least index enters a prefix, the previous
+        least becomes its second least."""
+        n, order = self._n, self._ascending[::-1]
+        table = np.full((2, n + 1), n)
+        least = np.minimum.accumulate(order, out=table[0, 1:])
+        np.minimum.accumulate(np.where(order == least, table[0, :-1], order), out=table[1, 1:])
+        least, second = np.ascontiguousarray(table[:, ::-1])
+        return least, second
+
+    def _diagonal_and_best(self, lam):
+        diagonal = self._h_rows - lam * 0.0
+        best = np.maximum(diagonal, self._first - lam * 2.0)
+        if self._top_row is not None:  # its row leaves out its own h - lam*2.0
+            k = self._top_row
+            best[k] = np.maximum(diagonal[k], self._runner_up - lam * 2.0)
+        return diagonal, best
+
+    def best(self, lam):
+        return self._diagonal_and_best(lam)[1]
+
+    def argmax(self, lam, tol):
+        n, rows = self._n, self._rows
+        diagonal, best = self._diagonal_and_best(lam)
+        floor = best - tol
+        below = np.searchsorted(self._sorted - lam * 2.0, floor)
+        least_by, second_by = self._least
+        least, second = least_by[below], second_by[below]
+        tied_off = np.where(least != rows, least, second)
+        tied_on = diagonal >= floor
+        # a row with no tied point (only a NaN makes one) takes index 0
+        left = np.where(tied_off < n, tied_off, rows * tied_on)
+        right = np.where(tied_on, rows, tied_off % n)
+        return best, left, right
+
+    def cost(self, plan):
+        return np.where(plan == self._rows, 0.0, 2.0)
+
+
+class _Piece(NamedTuple):
+    """A plan of the transport dual and its piece of phi."""
+
+    plan: np.ndarray
+    cost: float
+    intercept: float
+    slope: float
+
+
+def _transport_dual(ball, p, h, eps):
+    """(lam*, phi(lam*), (over, cost), (under, cost)): the least point of phi
+    and two plans optimal there, each with the transport cost it pays,
+    ``under`` costing at most eps and ``over`` at least eps unless lam* = 0.
+
+    A cutting-plane search over ``ball._c_transform`` on the points of
+    positive mass: it keeps a piece of negative slope (``over``, from the
+    right slope at 0) and one of nonnegative slope (``under``, first the last
+    piece), evaluates phi and its left and right slopes where they cross and
+    replaces one of them by the piece found there.  It stops at a kink with
+    left slope <= 0 <= right slope, or where phi meets the two pieces, which
+    are then adjacent and cross at the kink.  Argmaxes within 1e-12 of the
+    scale of h are ties, as rounding noise.  Plans cover the points of
     positive mass; zero-mass points move nothing.  phi has at most
     n(n - 1) + 1 pieces, so a search longer than n^2 + 2 steps raises
     NumericalBreakdown.
     """
     n = p.size
-    supp = p > 0.0
-    cost, p = cost[supp], p[supp]
-    rows = np.arange(p.size)
+    src = np.flatnonzero(p > 0.0)
+    transform = ball._c_transform(h, src)
+    p = p[src]
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
-    def piece(plan):  # (intercept, slope)
-        return float(p @ h[plan]), eps - float(p @ cost[rows, plan])
+    def piece(plan):  # computed once per plan
+        cost = float(p @ transform.cost(plan))
+        return _Piece(plan, cost, float(p @ h[plan]), eps - cost)
 
-    lam, over, under, model = 0.0, None, np.flatnonzero(supp), -np.inf
+    lam, over, under, model = 0.0, None, piece(src), -np.inf
     for _ in range(n * n + 2):
-        gain = h - lam * cost
-        best = gain.max(axis=1)
-        tied = gain >= (best - tol)[:, None]
-        left = np.argmax(np.where(tied, cost, -1.0), axis=1)
-        right = np.argmin(np.where(tied, cost, np.inf), axis=1)
+        best, left, right = transform.argmax(lam, tol)
         phi = lam * eps + float(p @ best)
-        slope_left, slope_right = piece(left)[1], piece(right)[1]
-        if slope_right >= 0.0 and (lam == 0.0 or slope_left <= 0.0):
-            return lam, phi, left, right
+        right = piece(right)
+        if right.slope >= 0.0:  # only then is the left piece read
+            left = piece(left)
+            if lam == 0.0 or left.slope <= 0.0:
+                return lam, phi, left[:2], right[:2]
         if over is not None:
-            model = max(a + s * lam for a, s in (piece(over), piece(under)))
+            model = max(a.intercept + a.slope * lam for a in (over, under))
             if phi <= model + tol:
-                return lam, phi, over, under
-        if slope_right < 0.0:
+                return lam, phi, over[:2], under[:2]
+        if right.slope < 0.0:
             over = right
         else:
             under = left
-        (a_over, s_over), (a_under, s_under) = piece(over), piece(under)
-        lam = (a_under - a_over) / (s_over - s_under)
+        lam = (under.intercept - over.intercept) / (over.slope - under.slope)
     raise NumericalBreakdown(
-        f"{name} transport dual (n = {n}, lambda = {lam!r}): no kink of phi in "
-        f"{n * n + 2} steps; phi exceeds the two pieces by {phi - model:.3e}"
+        f"{type(ball).__name__} transport dual (n = {n}, lambda = {lam!r}): no kink "
+        f"of phi in {n * n + 2} steps; phi exceeds the two pieces by {phi - model:.3e}"
     )
 
 
@@ -423,11 +532,12 @@ def _mixing_weight(cost_over, cost_under, eps):
 
 @dataclass(frozen=True, eq=False)
 class _TransportBall(_Ball):
-    """A ball whose worst case and penalty come from the transport
-    dual under its cost matrix ``_cost``; no LP is built for either.  The
-    penalty runs its own search and never reads a worst case, so the two
-    sides of the identity check each other: any split bounds the penalty
-    from above and any Q in the ball bounds it from below.
+    """A ball whose worst case and penalty come from the transport dual
+    under its c-transform ``_c_transform(h, rows)``; no LP is built for either
+    and no cost matrix is read.  The penalty runs its own search and never
+    reads a worst case, so the two sides of the identity check each other:
+    any split bounds the penalty from above and any Q in the ball bounds it
+    from below.
     """
 
     def worst_case(self, P, eps, h):
@@ -435,11 +545,8 @@ class _TransportBall(_Ball):
         E_Q[h], certified by the mixture's cost (complementary slackness:
         all of eps is spent when lam* > 0) and by its gap to phi(lam*)."""
         n, p, v = self.space.n, P.weights, h.values
-        name = type(self).__name__
-        lam, phi, over, under = _transport_dual(self._cost, p, v, eps, name)
-        src = np.flatnonzero(p > 0.0)
-        moved = p[src]
-        cost_over, cost_under = (float(moved @ self._cost[src, plan]) for plan in (over, under))
+        lam, phi, (over, cost_over), (under, cost_under) = _transport_dual(self, p, v, eps)
+        moved = p[p > 0.0]
         theta = _mixing_weight(cost_over, cost_under, eps)
         q = (np.bincount(over, theta * moved, n)
              + np.bincount(under, (1.0 - theta) * moved, n))
@@ -449,8 +556,8 @@ class _TransportBall(_Ball):
         gap = abs(value - phi)
         if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(phi)):
             raise NumericalBreakdown(
-                f"{name} worst case (n = {n}, lambda = {lam!r}): ball residual "
-                f"{ball:.3e}, value gap {gap:.3e} above tolerance"
+                f"{type(self).__name__} worst case (n = {n}, lambda = {lam!r}): ball "
+                f"residual {ball:.3e}, value gap {gap:.3e} above tolerance"
             )
         return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
 
@@ -460,8 +567,8 @@ class _TransportBall(_Ball):
         h1 = h - h2, valued as J_P(h1) + eps * Theta(h2) through the
         centered gauge; J_P ignores the shift."""
         v = h.values
-        lam = _transport_dual(self._cost, P.weights, v, eps, type(self).__name__)[0]
-        h2 = (v - lam * self._cost).max(axis=1)
+        lam = _transport_dual(self, P.weights, v, eps)[0]
+        h2 = self._c_transform(v, np.arange(self.space.n)).best(lam)
         b, gauge = self.centered_gauge(FunctionVec(h.space, h2))
         h2 = h2 - b
         h1 = v - h2
@@ -473,9 +580,8 @@ class _TransportBall(_Ball):
 class SupNormBall(_TransportBall):
     """Functions bounded by one in sup norm."""
 
-    @cached_property
-    def _cost(self):
-        return _frozen_array(2.0 * (1.0 - np.eye(self.space.n)))
+    def _c_transform(self, h, rows):
+        return _SupNormCTransform(h, rows)
 
     def gauge(self, h):
         return PenaltyValue(sup_norm(h.values))
@@ -512,10 +618,10 @@ class LipschitzBall(_TransportBall):
         if self.space.metric is None:
             raise MissingMetric("a Lipschitz ball needs a metric on the space")
 
-    @property
-    def _cost(self):
-        """The metric, whose triangle inequality ``make_space`` enforces."""
-        return self.space.metric
+    def _c_transform(self, h, rows):
+        """Dense over the metric, whose triangle inequality ``make_space``
+        enforces."""
+        return _DenseCTransform(self.space.metric, h, rows)
 
     @cached_property
     def _atoms(self):

@@ -296,14 +296,14 @@ def sup_norm(values: np.ndarray) -> float:
 
 
 def lipschitz_constant(space: SampleSpace, values: np.ndarray) -> float:
-    """Largest |v_i - v_j| / c(i, j) over point pairs."""
+    """Largest |v_i - v_j| / c(i, j) over point pairs.  The diagonal is
+    divided by one, not zero: its quotients are zeros, which never exceed
+    the maximum, and c(i, j) + 0.0 leaves every other quotient as it is."""
     if space.metric is None:
         raise MissingMetric("Lipschitz constant needs a metric")
-    if space.n == 1:
-        return 0.0
-    diff = np.abs(values[:, None] - values[None, :])
-    off = ~np.eye(space.n, dtype=bool)
-    return float(np.max(diff[off] / space.metric[off]))
+    quotient = np.abs(values[:, None] - values[None, :])
+    quotient /= space.metric + np.eye(space.n)
+    return float(quotient.max())
 
 
 def metric_is_path(space: SampleSpace) -> bool:

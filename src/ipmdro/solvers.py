@@ -1,8 +1,12 @@
 """Self-contained numerical kernels: a dense LP solver, simplex projection and
 scalar convex minimization.
 
-Everything here is deterministic: fixed pivoting rules (Bland's anti-cycling
-rule with lowest-index tie breaking), fixed iteration budgets, no randomness.
+Everything here is deterministic for a given BLAS library and thread count:
+fixed pivoting rules (Bland's anti-cycling rule with lowest-index tie
+breaking), fixed iteration budgets, no randomness.  The simplex reads its
+reduced costs and ratios from BLAS products, whose last bits depend on how
+the library splits a sum across threads, so another thread count may pick
+other pivots on the same LP.
 """
 
 from __future__ import annotations

@@ -140,6 +140,34 @@ class TestMakeSpace:
             make_space(["a", "b", "c"], graph=(edge,))
 
 
+class TestLipschitzConstant:
+    @staticmethod
+    def masked_reference(space, v):
+        """max |v_i - v_j| / c(i, j) over the off-diagonal pairs only."""
+        if space.n == 1:
+            return 0.0
+        off = ~np.eye(space.n, dtype=bool)
+        return float(np.max(np.abs(v[:, None] - v[None, :])[off] / space.metric[off]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
+    @pytest.mark.parametrize("kind", ["path", "euclid"])
+    def test_matches_the_masked_reference(self, n, kind):
+        rng = np.random.default_rng([n, len(kind)])
+        for draw in range(20):
+            if kind == "path":
+                t = np.cumsum(rng.uniform(0.01, 2.0, n))
+                metric = np.abs(t[:, None] - t[None, :])
+            else:
+                x = rng.uniform(0.0, 1.0, (n, 2))
+                metric = np.linalg.norm(x[:, None] - x[None, :], axis=2)
+            space = make_space([f"x{i}" for i in range(n)], metric=metric)
+            v = (rng.integers(-2, 3, n).astype(float) if draw % 2
+                 else rng.uniform(-1e3, 1e3, n))
+            got = lipschitz_constant(space, v)
+            assert np.float64(got).tobytes() == np.float64(
+                self.masked_reference(space, v)).tobytes()
+
+
 class TestConstructorFuzz:
     def test_invalid_perturbations_rejected(self):
         rng = np.random.default_rng(11)

@@ -7,11 +7,16 @@ n^2-variable coupling LP under the ball's cost (the metric, or 2 off the
 diagonal for the sup norm), the ball's distance as the n^2-variable
 transport LP under the same cost, and the penalty as the infimal convolution
 over (h1, t, s) with the ball's constraint on h - h1 written pair by pair
-(point by point for the sup norm).
+(point by point for the sup norm).  The sup norm's closed-form c-transform
+is also compared bit for bit with the dense form over 2 (1 - I), and at
+100,000 points with the greedy total-variation worst case.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -35,6 +40,7 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.errors import EpsNegative, NumericalBreakdown
 from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT, LP_FEASIBILITY
+from oracles import greedy_l1_worst_case
 
 REL = 1e-9
 
@@ -222,11 +228,11 @@ def test_moved_mixing_weight_is_refused(ball, shift, monkeypatch):
 
 def test_search_without_a_kink_stops_at_its_bound():
     # a NaN in h, which no public call lets through, hides every kink
-    cost = 2.0 * (1.0 - np.eye(3))
+    ball = SupNormBall(make_space(["a", "b", "c"]))
     h = np.array([np.nan, 0.0, 1.0])
     with pytest.raises(NumericalBreakdown, match=r"SupNormBall transport dual \(n = 3, "
                        r"lambda = nan\): no kink of phi in 11 steps; phi exceeds"):
-        balls._transport_dual(cost, np.full(3, 1.0 / 3.0), h, 0.1, "SupNormBall")
+        balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1)
 
 
 def test_nan_radius_is_refused():
@@ -277,3 +283,125 @@ def test_lipschitz_gan_bound_past_the_dense_cap():
     mu = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
     report = gan_bound_check(f_divergence_catalog("kl"), H, LipschitzBall(space), eps, mu, P)
     assert np.isfinite(report.robust) and report.slack >= 0.0
+
+
+class DenseSupNormCTransform:
+    """The sup norm's c-transform read off the dense cost 2 (1 - I), row by
+    row: the reference for the closed form."""
+
+    def __init__(self, h, rows):
+        self.h, self.matrix = h, (2.0 * (1.0 - np.eye(h.size)))[rows]
+
+    def best(self, lam):
+        return (self.h - lam * self.matrix).max(axis=1)
+
+    def argmax(self, lam, tol):
+        gain = self.h - lam * self.matrix
+        best = gain.max(axis=1)
+        tied = gain >= (best - tol)[:, None]
+        return (best, np.argmax(np.where(tied, self.matrix, -1.0), axis=1),
+                np.argmin(np.where(tied, self.matrix, np.inf), axis=1))
+
+    def cost(self, plan):
+        return self.matrix[np.arange(plan.size), plan]
+
+
+class DenseSupNormBall(SupNormBall):
+    def _c_transform(self, h, rows):
+        return DenseSupNormCTransform(h, rows)
+
+
+def bits(*values):
+    """The bytes of each float or array, so that equality is bitwise."""
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def expect_closed_form_matches_dense(h, mass, eps):
+    """The closed and the dense sup-norm c-transform give the same search,
+    worst case and penalty, bit for bit."""
+    n = h.size
+    space = make_space([f"x{i}" for i in range(n)])
+    P, H = DiscreteDistribution(space, mass / mass.sum()), FunctionVec(space, h)
+    closed, dense = SupNormBall(space), DenseSupNormBall(space)
+    lam, phi, (over, cost_over), (under, cost_under) = balls._transport_dual(
+        closed, P.weights, h, eps)
+    ref = balls._transport_dual(dense, P.weights, h, eps)
+    assert bits(lam, phi, over, cost_over, under, cost_under) == bits(
+        ref[0], ref[1], *ref[2], *ref[3])
+    got, ref = closed.worst_case(P, eps, H), dense.worst_case(P, eps, H)
+    assert bits(got.value, got.worst_q.weights) == bits(ref.value, ref.worst_q.weights)
+    got, ref = closed.lambda_(P, eps, H), dense.lambda_(P, eps, H)
+    assert bits(got.value, *got.witness) == bits(ref.value, *ref.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sup_norm_closed_form_matches_the_dense_cost(data):
+    """Repeated integer levels (optionally scaled, and nudged by less than the
+    tie tolerance) force ties among the argmaxes; zero masses leave rows out
+    of the search but not out of the penalty's split."""
+    n = data.draw(st.integers(1, 40), "n")
+    levels = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4), "levels")
+    h = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n), "h"),
+                 dtype=float)
+    h *= data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 100.0), "scale")
+    nudge = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n), "nudge")
+    h += data.draw(st.sampled_from([0.0, 1e-13, 4e-13]), "nudge size") * np.array(nudge)
+    h += 0.0  # no signed zeros: the sign of a zero row maximum is numpy's choice
+    mass = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                              .filter(any), "mass"), dtype=float)
+    eps = data.draw(st.sampled_from([1e-9, 2.0, 3.0]) | st.floats(1e-9, 4.0), "eps")
+    expect_closed_form_matches_dense(h, mass, eps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+def test_sup_norm_tie_exactly_at_the_tolerance(eps):
+    """h_0 is exactly max h - tol, the least value that still ties at lam = 0;
+    the nearest tied point of row 1 is then point 0, not point 2."""
+    tol = 1e-12 * (1.0 + 1.0)
+    h = np.array([1.0 - tol, 0.0, 1.0])
+    expect_closed_form_matches_dense(h, np.array([1.0, 2.0, 1.0]), eps)
+
+
+@pytest.mark.parametrize("lam", [-0.5, -1e-13, 0.0, 1e-13, 0.25, 3.0])
+def test_sup_norm_c_transform_matches_dense_at_any_lambda(lam):
+    """Also at lam < 0, where h_i - lam*2.0 exceeds h_i and only the j != i
+    terms may enter the off-diagonal maximum."""
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 30):
+        h = rng.integers(-2, 3, n).astype(float)
+        tol = 1e-12 * (1.0 + float(np.abs(h).max()))
+        for rows in (np.arange(n), np.arange(0, n, 2), np.array([n - 1])):
+            closed = balls._SupNormCTransform(h, rows)
+            dense = DenseSupNormCTransform(h, rows)
+            assert bits(*closed.argmax(lam, tol)) == bits(*dense.argmax(lam, tol))
+            assert bits(closed.best(lam)) == bits(dense.best(lam))
+            plan = rng.integers(0, n, rows.size)
+            assert bits(closed.cost(plan)) == bits(dense.cost(plan))
+
+
+def test_sup_norm_at_a_hundred_thousand_points():
+    """The worst case moves eps/2 of mass from the lowest values of h onto
+    argmax h.  A traced peak of 50 MB leaves room for a few dozen arrays of
+    n floats and none of n^2."""
+    n, eps = 100_000, 0.3
+    rng = np.random.default_rng(10)
+    space = make_space([f"x{i}" for i in range(n)])
+    P = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
+    h = FunctionVec(space, rng.uniform(-1.0, 1.0, n))
+    ball = SupNormBall(space)
+    tracemalloc.start()
+    try:
+        worst = worst_case_expectation(P, ball, eps, h).value
+        penalty = lambda_penalty(P, ball, eps, h).value
+        report = verify_identity(P, ball, eps, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    ref = greedy_l1_worst_case(h.values, P.weights, eps)
+    ref_penalty = ref - float(P.weights @ h.values)
+    for got, expected in ((worst, ref), (report.lhs, ref), (penalty, ref_penalty),
+                          (report.lambda_value, ref_penalty)):
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert report.exact and report.residual <= 1e-12
