@@ -7,8 +7,9 @@ The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
 are built once and cached on the instance: on first use, or for RKHS at
 construction, where the same decomposition checks the Gram matrix.  The
-sup-norm and Lipschitz balls hand the transport dual their c-transform; the
-sup norm's is a closed form that builds no n x n array.
+sup-norm ball's worst case and penalty are closed forms of total variation,
+one sort of h each; the Lipschitz ball's come from a transport dual over
+its metric.
 """
 
 from __future__ import annotations
@@ -349,117 +350,127 @@ def _flow_distance(ball, atoms, Q, P):
 
 
 # ---------------------------------------------------------------------------
-# transport balls
+# the sup-norm ball: total variation in closed form
 #
-# The sup-norm and Lipschitz balls are, up to a constant shift, the functions
-# that are 1-Lipschitz for a cost c: the metric, or 2 (1 - I) for the sup
-# norm.  So their worst case is an optimal-transport problem with the strong
-# dual  sup_{W_c(Q, P) <= eps} E_Q[h] = min_{lam >= 0} phi(lam),
+# The sup-norm distance is the total variation |q - p|_1, so the worst case
+# moves eps/2 of P's mass from the lowest values of h onto argmax h.  For
+# every t <= max h, h <= max(h, t) and max(h, t) - (max h + t)/2 is at most
+# (max h - t)/2 in absolute value, so every Q in the ball has
+#     E_Q[h] <= G(t) = (max h - t) eps/2 + E_P max(h, t),
+# the transport dual under the cost 2 (1 - I) at lam = (max h - t)/2.  G is
+# least at the eps/2 quantile t* of h under P, where the greedy move stops.
+
+
+def _drain(v, p, budget):
+    """(q, t): q moves ``budget`` of p's mass, lowest v first in stable
+    order, onto the first argmax of v, or all the mass below max v if that
+    is less; t is v at the last point drained, or max v once that mass runs
+    out."""
+    top = int(np.argmax(v))
+    order = np.argsort(v, kind="stable")
+    below = order[: np.searchsorted(v[order], v[top])]
+    cum = np.cumsum(p[below])
+    k = int(np.searchsorted(cum, budget))
+    q = p.copy()
+    q[below[:k]] = 0.0
+    if k == below.size:  # the mass below max v runs out
+        q[top] += cum[-1] if k else 0.0
+        return q, float(v[top])
+    q[below[k]] = cum[k] - budget
+    q[top] += budget
+    return q, float(v[below[k]])
+
+
+def _tv_threshold(v, p, eps):
+    """t*, the least point of G: the first v, ascending, at which P's
+    cumulative mass reaches eps/2, or max v when it never does."""
+    order = np.argsort(v, kind="stable")
+    k = int(np.searchsorted(np.cumsum(p[order]), 0.5 * eps))
+    return float(v[order[min(k, v.size - 1)]])
+
+
+def _split_penalty(ball, P, eps, h, h2):
+    """The split (h - h2, h2), h2 at its least-gauge shift b, valued as
+    J_P(h1) + eps * Theta(h2) through the centered gauge; J_P ignores the
+    shift.  ``+ 0.0`` folds -0.0 into +0.0: which of two equal zeros a
+    maximum returns is numpy's choice."""
+    v = h.values
+    b, gauge = ball.centered_gauge(FunctionVec(h.space, h2))
+    h2 = h2 - b
+    h1 = v - h2
+    value = float(h1.max() - P.weights @ h1) + eps * gauge.value
+    return PenaltyValue(max(value, 0.0), (h1 + 0.0, h2 + 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class SupNormBall(_Ball):
+    """Functions bounded by one in sup norm.  The worst case and the penalty
+    each sort h once and build no LP and no n x n array."""
+
+    def gauge(self, h):
+        return PenaltyValue(sup_norm(h.values))
+
+    def centered_gauge(self, h):
+        """The midpoint b of h's range, where the sup norm is half the range."""
+        v = h.values
+        return float(0.5 * (v.max() + v.min())), PenaltyValue(0.5 * float(v.max() - v.min()))
+
+    def distance(self, Q, P):
+        delta = Q.weights - P.weights
+        sign = np.sign(delta)
+        sign[sign == 0.0] = 1.0
+        return IpmValue(float(np.abs(delta).sum()), FunctionVec(Q.space, sign))
+
+    def worst_case(self, P, eps, h):
+        """The greedy move of ``_drain``; the value is E_Q[h], certified by
+        |q - p|_1, which equals eps unless the mass below max h runs out
+        first, and by its gap to G at the last point drained."""
+        n, p, v = self.space.n, P.weights, h.values
+        q, t = _drain(v, p, 0.5 * eps)
+        top = float(v.max())
+        value = float(q @ v)
+        bound = (top - t) * (0.5 * eps) + float(p @ np.maximum(v, t))
+        moved = float(np.abs(q - p).sum())
+        ball = abs(moved - eps) if t < top else moved - eps
+        gap = abs(value - bound)
+        if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
+            raise NumericalBreakdown(
+                f"SupNormBall worst case (n = {n}, t = {t!r}): ball residual "
+                f"{ball:.3e}, value gap {gap:.3e} above tolerance"
+            )
+        return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
+
+    def lambda_(self, P, eps, h):
+        """The split h2 = max(h, t*) at t* = ``_tv_threshold``, whose
+        centered gauge is (max h - t*)/2, so the penalty is G(t*) - E_P h.
+        It sorts h itself and never reads a worst case."""
+        v = h.values
+        return _split_penalty(self, P, eps, h, np.maximum(v, _tv_threshold(v, P.weights, eps)))
+
+    def _boundary_vertices(self) -> list:
+        """Coordinate-extreme sign vectors +/- (2 e_i - 1)."""
+        samples = []
+        for i in range(self.space.n):
+            v = -np.ones(self.space.n)
+            v[i] = 1.0
+            samples.append(v)
+            samples.append(-v)
+        return samples
+
+
+# ---------------------------------------------------------------------------
+# the Lipschitz ball: a transport dual
+#
+# The Lipschitz ball is, up to a constant shift, the functions that are
+# 1-Lipschitz for the metric c.  So its worst case is an optimal-transport
+# problem with the strong dual  sup_{W_c(Q, P) <= eps} E_Q[h] =
+# min_{lam >= 0} phi(lam),
 #     phi(lam) = lam eps + sum_i p_i h^lam_i,   h^lam_i = max_j (h_j - lam c_ij),
-# and phi is convex and piecewise linear.  h^lam is the c-transform of h, the
-# only thing the search reads of a ball's cost.  A plan j(i) (point i sends
-# its mass to j(i)) gives the piece with intercept sum_i p_i h_j(i) and slope
-# eps - sum_i p_i c_i,j(i), which is phi itself wherever every j(i) is an
-# argmax; the plan j(i) = i gives the last piece, of slope eps.
-#
-# A c-transform is built for one h over a fixed set of rows i (the points of
-# positive mass, or all points for a penalty split).  ``best(lam)`` returns
-# h^lam on the rows; ``argmax(lam, tol)`` also returns the tied argmaxes,
-# those within ``tol`` of h^lam_i: ``left`` the farthest and ``right`` the
-# nearest, equal costs going to the lowest index, and index 0 for a row with
-# no tied point; ``cost(plan)`` returns c(i, plan_i) row by row.
-
-
-class _DenseCTransform:
-    """The c-transform of h under the rows of a dense cost matrix."""
-
-    def __init__(self, cost, h, rows):
-        self._matrix = cost if rows.size == cost.shape[0] else cost[rows]
-        self._h, self._rows = h, np.arange(rows.size)
-
-    def best(self, lam):
-        return (self._h - lam * self._matrix).max(axis=1)
-
-    def argmax(self, lam, tol):
-        gain = self._h - lam * self._matrix
-        best = gain.max(axis=1)
-        tied = gain >= (best - tol)[:, None]
-        left = np.argmax(np.where(tied, self._matrix, -1.0), axis=1)
-        right = np.argmin(np.where(tied, self._matrix, np.inf), axis=1)
-        return best, left, right
-
-    def cost(self, plan):
-        return self._matrix[self._rows, plan]
-
-
-class _SupNormCTransform:
-    """The c-transform of h under the cost 2 (1 - I) in closed form,
-    h^lam_i = max(h_i, max_{j != i} h_j - 2 lam), in O(n log n) time per
-    step and O(n) memory.  It compares the floats the dense form compares,
-    h_j - lam*2.0 off the diagonal and h_i - lam*0.0 on it, so for finite h
-    and lam the values and the tie sets are those of the dense form bit for
-    bit.
-
-    Rounding is monotone, so for every lam the h_j - lam*2.0 fall in the
-    order of h, which is sorted once.  The tied j != i of row i, those with
-    h_j - lam*2.0 >= h^lam_i - tol, are then a prefix of the descending order
-    (equal values fall on the same side of every threshold, so the order
-    among them does not matter); a searchsorted counts the points left out.
-    Prefix minima of the sorted indices give the prefix's least index, or its
-    second least where that is i.
-    """
-
-    def __init__(self, h, rows):
-        n = h.size
-        self._ascending = np.argsort(h)
-        self._sorted = h[self._ascending]
-        self._first = self._sorted[-1]
-        self._runner_up = self._sorted[-2] if n > 1 else -np.inf
-        # the row of the point of greatest h, if that point has one
-        top = np.flatnonzero(rows == self._ascending[-1])
-        self._top_row = top[0] if top.size else None
-        self._n, self._rows, self._h_rows = n, rows, h[rows]
-
-    @cached_property
-    def _least(self):
-        """The least and the second least index of each prefix of the
-        descending order, by the number of points left out of the prefix; n
-        marks none.  Where a new least index enters a prefix, the previous
-        least becomes its second least."""
-        n, order = self._n, self._ascending[::-1]
-        table = np.full((2, n + 1), n)
-        least = np.minimum.accumulate(order, out=table[0, 1:])
-        np.minimum.accumulate(np.where(order == least, table[0, :-1], order), out=table[1, 1:])
-        least, second = np.ascontiguousarray(table[:, ::-1])
-        return least, second
-
-    def _diagonal_and_best(self, lam):
-        diagonal = self._h_rows - lam * 0.0
-        best = np.maximum(diagonal, self._first - lam * 2.0)
-        if self._top_row is not None:  # its row leaves out its own h - lam*2.0
-            k = self._top_row
-            best[k] = np.maximum(diagonal[k], self._runner_up - lam * 2.0)
-        return diagonal, best
-
-    def best(self, lam):
-        return self._diagonal_and_best(lam)[1]
-
-    def argmax(self, lam, tol):
-        n, rows = self._n, self._rows
-        diagonal, best = self._diagonal_and_best(lam)
-        floor = best - tol
-        below = np.searchsorted(self._sorted - lam * 2.0, floor)
-        least_by, second_by = self._least
-        least, second = least_by[below], second_by[below]
-        tied_off = np.where(least != rows, least, second)
-        tied_on = diagonal >= floor
-        # a row with no tied point (only a NaN makes one) takes index 0
-        left = np.where(tied_off < n, tied_off, rows * tied_on)
-        right = np.where(tied_on, rows, tied_off % n)
-        return best, left, right
-
-    def cost(self, plan):
-        return np.where(plan == self._rows, 0.0, 2.0)
+# and phi is convex and piecewise linear.  h^lam is the c-transform of h.  A
+# plan j(i) (point i sends its mass to j(i)) gives the piece with intercept
+# sum_i p_i h_j(i) and slope eps - sum_i p_i c_i,j(i), which is phi itself
+# wherever every j(i) is an argmax; the plan j(i) = i gives the last piece,
+# of slope eps.
 
 
 class _Piece(NamedTuple):
@@ -473,36 +484,41 @@ class _Piece(NamedTuple):
 
 def _transport_dual(ball, p, h, eps):
     """(lam*, phi(lam*), (over, cost), (under, cost)): the least point of phi
-    and two plans optimal there, each with the transport cost it pays,
-    ``under`` costing at most eps and ``over`` at least eps unless lam* = 0.
+    under the ball's metric and two plans optimal there, each with the
+    transport cost it pays, ``under`` costing at most eps and ``over`` at
+    least eps unless lam* = 0.
 
-    A cutting-plane search over ``ball._c_transform`` on the points of
-    positive mass: it keeps a piece of negative slope (``over``, from the
-    right slope at 0) and one of nonnegative slope (``under``, first the last
-    piece), evaluates phi and its left and right slopes where they cross and
-    replaces one of them by the piece found there.  It stops at a kink with
-    left slope <= 0 <= right slope, or where phi meets the two pieces, which
-    are then adjacent and cross at the kink.  Argmaxes within 1e-12 of the
-    scale of h are ties, as rounding noise.  Plans cover the points of
-    positive mass; zero-mass points move nothing.  phi has at most
-    n(n - 1) + 1 pieces, so a search longer than n^2 + 2 steps raises
-    NumericalBreakdown.
+    A cutting-plane search over the rows of positive mass: it keeps a piece
+    of negative slope (``over``, from the right slope at 0) and one of
+    nonnegative slope (``under``, first the last piece), evaluates phi and
+    its left and right slopes where they cross and replaces one of them by
+    the piece found there.  The left and right pieces take, row by row, the
+    farthest and the nearest tied argmax, equal costs going to the lowest
+    index.  It stops at a kink with left slope <= 0 <= right slope, or where
+    phi meets the two pieces, which are then adjacent and cross at the kink.
+    Argmaxes within 1e-12 of the scale of h are ties, as rounding noise.
+    Zero-mass points move nothing.  phi has at most n(n - 1) + 1 pieces, so
+    a search longer than n^2 + 2 steps raises NumericalBreakdown.
     """
     n = p.size
     src = np.flatnonzero(p > 0.0)
-    transform = ball._c_transform(h, src)
-    p = p[src]
+    metric = ball.space.metric
+    cost = metric if src.size == n else metric[src]
+    rows, p = np.arange(src.size), p[src]
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
     def piece(plan):  # computed once per plan
-        cost = float(p @ transform.cost(plan))
-        return _Piece(plan, cost, float(p @ h[plan]), eps - cost)
+        paid = float(p @ cost[rows, plan])
+        return _Piece(plan, paid, float(p @ h[plan]), eps - paid)
 
     lam, over, under, model = 0.0, None, piece(src), -np.inf
     for _ in range(n * n + 2):
-        best, left, right = transform.argmax(lam, tol)
+        gain = h - lam * cost
+        best = gain.max(axis=1)
+        tied = gain >= (best - tol)[:, None]
+        left = np.argmax(np.where(tied, cost, -1.0), axis=1)
+        right = piece(np.argmin(np.where(tied, cost, np.inf), axis=1))
         phi = lam * eps + float(p @ best)
-        right = piece(right)
         if right.slope >= 0.0:  # only then is the left piece read
             left = piece(left)
             if lam == 0.0 or left.slope <= 0.0:
@@ -531,14 +547,34 @@ def _mixing_weight(cost_over, cost_under, eps):
 
 
 @dataclass(frozen=True, eq=False)
-class _TransportBall(_Ball):
-    """A ball whose worst case and penalty come from the transport dual
-    under its c-transform ``_c_transform(h, rows)``; no LP is built for either
-    and no cost matrix is read.  The penalty runs its own search and never
-    reads a worst case, so the two sides of the identity check each other:
-    any split bounds the penalty from above and any Q in the ball bounds it
-    from below.
+class LipschitzBall(_Ball):
+    """Functions with metric Lipschitz constant at most one.  The worst case
+    and the penalty come from the transport dual over the metric, whose
+    triangle inequality ``make_space`` enforces; no LP is built for either.
+    The penalty runs its own search and never reads a worst case, so the two
+    sides of the identity check each other: any split bounds the penalty
+    from above and any Q in the ball bounds it from below.
     """
+
+    seminorm = True
+
+    def __post_init__(self):
+        if self.space.metric is None:
+            raise MissingMetric("a Lipschitz ball needs a metric on the space")
+
+    @cached_property
+    def _atoms(self):
+        return [_lip_block(self.space)]
+
+    def gauge(self, h):
+        return PenaltyValue(lipschitz_constant(self.space, h.values))
+
+    def centered_gauge(self, h):
+        """A seminorm: the shift is 0."""
+        return 0.0, self.gauge(h)
+
+    def distance(self, Q, P):
+        return _flow_distance(self, self._atoms, Q, P)
 
     def worst_case(self, P, eps, h):
         """The two plans at lam*, mixed to cost exactly eps; the value is
@@ -556,86 +592,17 @@ class _TransportBall(_Ball):
         gap = abs(value - phi)
         if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(phi)):
             raise NumericalBreakdown(
-                f"{type(self).__name__} worst case (n = {n}, lambda = {lam!r}): ball "
+                f"LipschitzBall worst case (n = {n}, lambda = {lam!r}): ball "
                 f"residual {ball:.3e}, value gap {gap:.3e} above tolerance"
             )
         return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
 
     def lambda_(self, P, eps, h):
-        """The split h2 = h^lam* (the c-transform max_j (h_j - lam* c_ij),
-        which is lam*-Lipschitz for c) at its least-gauge shift b,
-        h1 = h - h2, valued as J_P(h1) + eps * Theta(h2) through the
-        centered gauge; J_P ignores the shift."""
+        """The split h2 = h^lam*, the c-transform max_j (h_j - lam* c_ij),
+        which is lam*-Lipschitz."""
         v = h.values
         lam = _transport_dual(self, P.weights, v, eps)[0]
-        h2 = self._c_transform(v, np.arange(self.space.n)).best(lam)
-        b, gauge = self.centered_gauge(FunctionVec(h.space, h2))
-        h2 = h2 - b
-        h1 = v - h2
-        value = float(h1.max() - P.weights @ h1) + eps * gauge.value
-        return PenaltyValue(max(value, 0.0), (h1, h2))
-
-
-@dataclass(frozen=True, eq=False)
-class SupNormBall(_TransportBall):
-    """Functions bounded by one in sup norm."""
-
-    def _c_transform(self, h, rows):
-        return _SupNormCTransform(h, rows)
-
-    def gauge(self, h):
-        return PenaltyValue(sup_norm(h.values))
-
-    def centered_gauge(self, h):
-        """The midpoint b of h's range, where the sup norm is half the range."""
-        v = h.values
-        return float(0.5 * (v.max() + v.min())), PenaltyValue(0.5 * float(v.max() - v.min()))
-
-    def distance(self, Q, P):
-        delta = Q.weights - P.weights
-        sign = np.sign(delta)
-        sign[sign == 0.0] = 1.0
-        return IpmValue(float(np.abs(delta).sum()), FunctionVec(Q.space, sign))
-
-    def _boundary_vertices(self) -> list:
-        """Coordinate-extreme sign vectors +/- (2 e_i - 1)."""
-        samples = []
-        for i in range(self.space.n):
-            v = -np.ones(self.space.n)
-            v[i] = 1.0
-            samples.append(v)
-            samples.append(-v)
-        return samples
-
-
-@dataclass(frozen=True, eq=False)
-class LipschitzBall(_TransportBall):
-    """Functions with metric Lipschitz constant at most one."""
-
-    seminorm = True
-
-    def __post_init__(self):
-        if self.space.metric is None:
-            raise MissingMetric("a Lipschitz ball needs a metric on the space")
-
-    def _c_transform(self, h, rows):
-        """Dense over the metric, whose triangle inequality ``make_space``
-        enforces."""
-        return _DenseCTransform(self.space.metric, h, rows)
-
-    @cached_property
-    def _atoms(self):
-        return [_lip_block(self.space)]
-
-    def gauge(self, h):
-        return PenaltyValue(lipschitz_constant(self.space, h.values))
-
-    def centered_gauge(self, h):
-        """A seminorm: the shift is 0."""
-        return 0.0, self.gauge(h)
-
-    def distance(self, Q, P):
-        return _flow_distance(self, self._atoms, Q, P)
+        return _split_penalty(self, P, eps, h, (v - lam * self.space.metric).max(axis=1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,14 +67,17 @@ def worst_case_expectation(
     """sup of E_Q[h] over the radius-eps one-sided ball around P.
 
     Explicit sets and the Dudley ball are one exact LP (for Dudley, the flow
-    worst-case LP); the sup-norm and Lipschitz balls search the transport
-    dual for its least point and mix the two optimal plans found there;
-    quadratic balls (RKHS, Fisher, Sobolev) run an exact active-set walk.
-    The value is E_Q[h] of the returned worst_q.  Each family certifies that
-    worst_q lies in the ball where it builds it, at the 1e-9 scale of
-    LP_FEASIBILITY: the LP's primal residual on the ball rows, the mixed
-    plan's cost against eps, or the walk's KKT ball residual.  A failed
-    certificate raises NumericalBreakdown; no distance is solved here.
+    worst-case LP); the sup-norm ball moves eps/2 of P's mass, lowest h
+    first, onto argmax h; the Lipschitz ball searches the transport dual for
+    its least point and mixes the two optimal plans found there; quadratic
+    balls (RKHS, Fisher, Sobolev) run an exact active-set walk.  The value
+    is E_Q[h] of the returned worst_q.  Each family certifies that worst_q
+    lies in the ball where it builds it, at the 1e-9 scale of
+    LP_FEASIBILITY: the LP's primal residual on the ball rows, |q - p|_1 or
+    the mixed plan's cost against eps, or the walk's KKT ball residual.  A
+    failed certificate raises NumericalBreakdown; no distance is solved
+    here.  The sup-norm result reports TRANSPORT_DUAL: its move is the
+    total-variation transport dual solved in closed form.
     """
     require_same_space(P, h)
     require_same_space(P, cls)

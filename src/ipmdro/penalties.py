@@ -25,8 +25,9 @@ class PenaltyValue:
     ``witness`` holds conic-combination weights for gauges, the argmax index
     for the peak-over-mean functional, and an (h1, h2) split for the infimal
     convolution: from the penalty LP for explicit sets and the Dudley ball,
-    and h2 the c-transform at the transport dual's least point for the
-    sup-norm and Lipschitz balls.  ``exact`` is False for the iterative
+    h2 = max(h, t*) at the eps/2 quantile t* of h under P for the sup-norm
+    ball, and h2 the c-transform at the transport dual's least point for
+    the Lipschitz ball.  ``exact`` is False for the iterative
     quadratic-class infimal convolution and for the gauge of a non-convex
     zeta, which is only an upper bound.
     """
@@ -94,11 +95,14 @@ def lambda_penalty(
     class gauge: the exact robustness premium of the worst-case expectation.
 
     Explicit sets and the Dudley ball are solved by one exact LP.  The
-    sup-norm and Lipschitz balls search the transport dual
+    sup-norm ball splits h at the first value t*, ascending, at which P's
+    cumulative mass reaches eps/2: h2 = max(h, t*).  The Lipschitz ball
+    searches the transport dual
     min_{lam >= 0} lam eps + sum_i p_i max_j (h_j - lam c_ij) for its least
-    point lam* and value the split h2 = max_j (h_j - lam* c_.j) (shifted to
-    its least gauge), h1 = h - h2, as J_P(h1) + eps * Theta(h2) through the
-    centered gauge.  Quadratic classes run a
+    point lam* and splits at h2 = max_j (h_j - lam* c_.j).  Either split,
+    h2 shifted to its least gauge and h1 = h - h2, is valued as
+    J_P(h1) + eps * Theta(h2) through the centered gauge.  Quadratic
+    classes run a
     Douglas-Rachford splitting until its iterates settle (or its iteration
     budget runs out), keep the best split seen and are flagged inexact; each
     iteration's gauge prox projects onto the dual ball through one Newton

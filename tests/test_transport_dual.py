@@ -1,15 +1,16 @@
-"""Differential tests of the transport dual behind the sup-norm and Lipschitz
-balls' worst cases and penalties.
+"""Differential tests of the Lipschitz ball's transport dual and of the
+sup-norm ball's closed forms, behind both balls' worst cases and penalties.
 
 Every value is compared with scipy's HiGHS on LPs written here from the
-definitions, independent of the package's search: the worst case as an
+definitions, independent of the package's code: the worst case as an
 n^2-variable coupling LP under the ball's cost (the metric, or 2 off the
 diagonal for the sup norm), the ball's distance as the n^2-variable
 transport LP under the same cost, and the penalty as the infimal convolution
 over (h1, t, s) with the ball's constraint on h - h1 written pair by pair
-(point by point for the sup norm).  The sup norm's closed-form c-transform
-is also compared bit for bit with the dense form over 2 (1 - I), and at
-100,000 points with the greedy total-variation worst case.
+(point by point for the sup norm).  The sup norm's greedy move and quantile
+split are also compared with the Lipschitz ball on the discrete metric
+2 (1 - I), the same class up to a shift, and with the greedy
+total-variation worst case of ``oracles``, up to 100,000 points.
 """
 
 import tracemalloc
@@ -194,7 +195,7 @@ def test_worst_case_reports_the_transport_dual():
         assert result.value == pytest.approx(float(result.worst_q.weights @ h.values), abs=1e-15)
 
 
-@pytest.mark.parametrize("ball", [LipschitzBall, SupNormBall])
+@pytest.mark.parametrize("ball", [LipschitzBall])
 def test_scaled_lambda_shows_in_the_residual(ball, monkeypatch):
     """A split built at (1 + 1e-3) lam* overstates the penalty.  The worst case
     reads only the plans and phi(lam*) from the search, so the scaled lam*
@@ -213,7 +214,7 @@ def test_scaled_lambda_shows_in_the_residual(ball, monkeypatch):
 
 
 @pytest.mark.parametrize("shift", [1e-3, -1e-3, 1e-6, -1e-6])
-@pytest.mark.parametrize("ball", [LipschitzBall, SupNormBall])
+@pytest.mark.parametrize("ball", [LipschitzBall])
 def test_moved_mixing_weight_is_refused(ball, shift, monkeypatch):
     """Off its exact value the mixture leaves or undershoots the ball; at
     1e-6 the value moves by less than the gap tolerance, so only the ball
@@ -228,11 +229,65 @@ def test_moved_mixing_weight_is_refused(ball, shift, monkeypatch):
 
 def test_search_without_a_kink_stops_at_its_bound():
     # a NaN in h, which no public call lets through, hides every kink
-    ball = SupNormBall(make_space(["a", "b", "c"]))
+    ball = LipschitzBall(make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3))))
     h = np.array([np.nan, 0.0, 1.0])
-    with pytest.raises(NumericalBreakdown, match=r"SupNormBall transport dual \(n = 3, "
+    with pytest.raises(NumericalBreakdown, match=r"LipschitzBall transport dual \(n = 3, "
                        r"lambda = nan\): no kink of phi in 11 steps; phi exceeds"):
         balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1)
+
+
+MOVES = {
+    "next": lambda s, k, t: s[min(k + 1, s.size - 1)],
+    "previous": lambda s, k, t: s[max(k - 1, 0)],
+    "up": lambda s, k, t: t + 1e-3,
+    "down": lambda s, k, t: t - 1e-3,
+}
+
+
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_moved_threshold_shows_in_the_residual(move, monkeypatch):
+    """A split at any t other than t* overstates the penalty by the slope of
+    G times the move: one sorted position, or 1e-3, either way."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    ball = SupNormBall(space)
+    assert verify_identity(P, ball, eps, h).residual <= 1e-15
+    real = balls._tv_threshold
+
+    def moved(v, p, eps):
+        t = real(v, p, eps)
+        s = np.unique(v)
+        return MOVES[move](s, int(np.searchsorted(s, t)), t)
+
+    monkeypatch.setattr(balls, "_tv_threshold", moved)
+    assert verify_identity(P, ball, eps, h).residual > IDENTITY_EXACT
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3, 1e-6, -1e-6])
+def test_overdrawn_or_underdrawn_budget_is_refused(shift, monkeypatch):
+    """Draining more or less than eps/2 leaves the ball or spends less than
+    eps; at 1e-6 the value moves by less than the gap tolerance, so only the
+    ball residual shows it."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    assert P.weights[h.values < h.values.max()].sum() > eps / 2.0 + 1e-3
+    real = balls._drain
+    monkeypatch.setattr(balls, "_drain", lambda v, p, budget: real(v, p, budget + shift))
+    with pytest.raises(NumericalBreakdown, match=r"SupNormBall worst case \(n = 12, "
+                       r"t = .*\): ball residual .*, value gap"):
+        worst_case_expectation(P, SupNormBall(space), eps, h)
+
+
+@pytest.mark.parametrize("ball", [LipschitzBall, SupNormBall])
+def test_split_carries_no_negative_zero(ball):
+    """h holds 0.0 and -0.0; which of two equal zeros a maximum returns is
+    numpy's choice, and a split must not pass a -0.0 on to a report."""
+    v = np.array([-1.0, -0.0, 0.0, -0.0, 1.0, 0.0, -0.0])
+    n = v.size
+    space = make_space([f"x{i}" for i in range(n)], metric=2.0 * (1.0 - np.eye(n)))
+    P = DiscreteDistribution(space, np.full(n, 1.0 / n))
+    for eps in (1e-3, 0.1, 0.5, 3.0):
+        h1, h2 = lambda_penalty(P, ball(space), eps, FunctionVec(space, v)).witness
+        for part in (h1, h2):
+            assert not np.any(np.signbit(part) & (part == 0.0)), (eps, h1, h2)
 
 
 def test_nan_radius_is_refused():
@@ -285,61 +340,41 @@ def test_lipschitz_gan_bound_past_the_dense_cap():
     assert np.isfinite(report.robust) and report.slack >= 0.0
 
 
-class DenseSupNormCTransform:
-    """The sup norm's c-transform read off the dense cost 2 (1 - I), row by
-    row: the reference for the closed form."""
-
-    def __init__(self, h, rows):
-        self.h, self.matrix = h, (2.0 * (1.0 - np.eye(h.size)))[rows]
-
-    def best(self, lam):
-        return (self.h - lam * self.matrix).max(axis=1)
-
-    def argmax(self, lam, tol):
-        gain = self.h - lam * self.matrix
-        best = gain.max(axis=1)
-        tied = gain >= (best - tol)[:, None]
-        return (best, np.argmax(np.where(tied, self.matrix, -1.0), axis=1),
-                np.argmin(np.where(tied, self.matrix, np.inf), axis=1))
-
-    def cost(self, plan):
-        return self.matrix[np.arange(plan.size), plan]
+def discrete_metric_space(n):
+    return make_space([f"x{i}" for i in range(n)], metric=2.0 * (1.0 - np.eye(n)))
 
 
-class DenseSupNormBall(SupNormBall):
-    def _c_transform(self, h, rows):
-        return DenseSupNormCTransform(h, rows)
-
-
-def bits(*values):
-    """The bytes of each float or array, so that equality is bitwise."""
-    return [np.asarray(v).tobytes() for v in values]
-
-
-def expect_closed_form_matches_dense(h, mass, eps):
-    """The closed and the dense sup-norm c-transform give the same search,
-    worst case and penalty, bit for bit."""
+def expect_sup_norm_matches_references(h, mass, eps):
+    """The sup-norm worst case and penalty against the Lipschitz ball on
+    2 (1 - I), which searches the transport dual, and against the greedy
+    worst case of ``oracles``."""
     n = h.size
-    space = make_space([f"x{i}" for i in range(n)])
+    space = discrete_metric_space(n)
     P, H = DiscreteDistribution(space, mass / mass.sum()), FunctionVec(space, h)
-    closed, dense = SupNormBall(space), DenseSupNormBall(space)
-    lam, phi, (over, cost_over), (under, cost_under) = balls._transport_dual(
-        closed, P.weights, h, eps)
-    ref = balls._transport_dual(dense, P.weights, h, eps)
-    assert bits(lam, phi, over, cost_over, under, cost_under) == bits(
-        ref[0], ref[1], *ref[2], *ref[3])
-    got, ref = closed.worst_case(P, eps, H), dense.worst_case(P, eps, H)
-    assert bits(got.value, got.worst_q.weights) == bits(ref.value, ref.worst_q.weights)
-    got, ref = closed.lambda_(P, eps, H), dense.lambda_(P, eps, H)
-    assert bits(got.value, *got.witness) == bits(ref.value, *ref.witness)
+    scale = 1.0 + float(np.abs(h).max())
+    sup, lip = SupNormBall(space), LipschitzBall(space)
+    worst, penalty = sup.worst_case(P, eps, H), sup.lambda_(P, eps, H)
+    e_p_h = float(P.weights @ h)
+    assert abs(worst.value - lip.worst_case(P, eps, H).value) <= 1e-12 * scale
+    assert abs(penalty.value - lip.lambda_(P, eps, H).value) <= 1e-12 * scale
+    greedy = greedy_l1_worst_case(h, P.weights, eps)
+    assert abs(worst.value - greedy) <= 1e-14 * scale
+    assert abs(penalty.value - (greedy - e_p_h)) <= 1e-14 * scale
+    q = worst.worst_q.weights
+    assert np.abs(q - P.weights).sum() <= eps + LP_FEASIBILITY
+    h1, h2 = penalty.witness
+    assert np.allclose(h1 + h2, h, rtol=0.0, atol=1e-14 * scale)
+    split = h1.max() - P.weights @ h1 + eps * sup.gauge(FunctionVec(space, h2)).value
+    assert abs(split - penalty.value) <= 1e-14 * scale
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_sup_norm_closed_form_matches_the_dense_cost(data):
+def test_sup_norm_matches_the_discrete_metric_and_the_greedy_move(data):
     """Repeated integer levels (optionally scaled, and nudged by less than the
-    tie tolerance) force ties among the argmaxes; zero masses leave rows out
-    of the search but not out of the penalty's split."""
+    1e-12 tie tolerance of the transport dual) give ties at the threshold
+    and at argmax h; zero masses leave points out of the move but not out of
+    the penalty's split."""
     n = data.draw(st.integers(1, 40), "n")
     levels = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4), "levels")
     h = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n), "h"),
@@ -347,37 +382,51 @@ def test_sup_norm_closed_form_matches_the_dense_cost(data):
     h *= data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 100.0), "scale")
     nudge = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n), "nudge")
     h += data.draw(st.sampled_from([0.0, 1e-13, 4e-13]), "nudge size") * np.array(nudge)
-    h += 0.0  # no signed zeros: the sign of a zero row maximum is numpy's choice
     mass = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
                               .filter(any), "mass"), dtype=float)
     eps = data.draw(st.sampled_from([1e-9, 2.0, 3.0]) | st.floats(1e-9, 4.0), "eps")
-    expect_closed_form_matches_dense(h, mass, eps)
+    expect_sup_norm_matches_references(h, mass, eps)
 
 
-@pytest.mark.parametrize("eps", [0.1, 1.0])
-def test_sup_norm_tie_exactly_at_the_tolerance(eps):
-    """h_0 is exactly max h - tol, the least value that still ties at lam = 0;
-    the nearest tied point of row 1 is then point 0, not point 2."""
-    tol = 1e-12 * (1.0 + 1.0)
-    h = np.array([1.0 - tol, 0.0, 1.0])
-    expect_closed_form_matches_dense(h, np.array([1.0, 2.0, 1.0]), eps)
+def sup_norm_case(h, mass, eps):
+    """(worst case, penalty, E_P h, J_P(h)) on exact dyadic data."""
+    h, mass = np.array(h), np.array(mass)
+    space = discrete_metric_space(h.size)
+    P, H = DiscreteDistribution(space, mass), FunctionVec(space, h)
+    report = verify_identity(P, SupNormBall(space), eps, H)
+    assert report.exact and report.residual == 0.0
+    worst = worst_case_expectation(P, SupNormBall(space), eps, H)
+    assert worst.value == report.lhs
+    return worst, report.lambda_value, float(mass @ h), float(h.max() - mass @ h)
 
 
-@pytest.mark.parametrize("lam", [-0.5, -1e-13, 0.0, 1e-13, 0.25, 3.0])
-def test_sup_norm_c_transform_matches_dense_at_any_lambda(lam):
-    """Also at lam < 0, where h_i - lam*2.0 exceeds h_i and only the j != i
-    terms may enter the off-diagonal maximum."""
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 5, 30):
-        h = rng.integers(-2, 3, n).astype(float)
-        tol = 1e-12 * (1.0 + float(np.abs(h).max()))
-        for rows in (np.arange(n), np.arange(0, n, 2), np.array([n - 1])):
-            closed = balls._SupNormCTransform(h, rows)
-            dense = DenseSupNormCTransform(h, rows)
-            assert bits(*closed.argmax(lam, tol)) == bits(*dense.argmax(lam, tol))
-            assert bits(closed.best(lam)) == bits(dense.best(lam))
-            plan = rng.integers(0, n, rows.size)
-            assert bits(closed.cost(plan)) == bits(dense.cost(plan))
+@pytest.mark.parametrize("eps", [2.0, 3.5])
+def test_sup_norm_radius_past_two_reaches_max_h(eps):
+    worst, penalty, _, j = sup_norm_case([0.5, -1.0, 2.0, 1.0], [0.25, 0.25, 0.25, 0.25], eps)
+    assert worst.value == 2.0 and penalty == j
+    assert worst.worst_q.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_sup_norm_mass_at_argmax_moves_nothing():
+    worst, penalty, e_p_h, _ = sup_norm_case([0.5, 2.0, -1.0, 2.0], [0.0, 0.75, 0.0, 0.25], 0.5)
+    assert worst.value == e_p_h == 2.0 and penalty == 0.0
+    assert worst.worst_q.weights.tolist() == [0.0, 0.75, 0.0, 0.25]
+
+
+def test_sup_norm_budget_ends_exactly_at_a_level():
+    """The mass below 0.5 is exactly eps/2: it all moves, and nothing at 0.5."""
+    worst, penalty, e_p_h, _ = sup_norm_case(
+        [0.5, -1.0, 2.0, -0.5, 0.5], [0.25, 0.125, 0.25, 0.125, 0.25], 0.5)
+    assert worst.worst_q.weights.tolist() == [0.25, 0.0, 0.5, 0.0, 0.25]
+    assert worst.value == 1.25 and penalty == 1.25 - e_p_h
+
+
+def test_sup_norm_argmax_without_mass():
+    """The move lands on argmax h, which P leaves empty; the last point
+    drained, 0.5, keeps half its mass."""
+    worst, penalty, e_p_h, _ = sup_norm_case([0.5, -1.0, 2.0], [0.5, 0.5, 0.0], 1.5)
+    assert worst.worst_q.weights.tolist() == [0.25, 0.0, 0.75]
+    assert worst.value == 1.625 and penalty == 1.625 - e_p_h
 
 
 def test_sup_norm_at_a_hundred_thousand_points():

@@ -178,6 +178,31 @@ def test_which_operations_pose_an_lp(variant, monkeypatch):
     assert posed == POSES_LP.get(variant, set())
 
 
+class _EnteredTransportDual(Exception):
+    pass
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_the_lipschitz_ball_searches_the_transport_dual(variant, monkeypatch):
+    """The sup norm's worst case and penalty are closed forms of total
+    variation; only the Lipschitz ball searches the transport dual."""
+
+    def refused(*args):
+        raise _EnteredTransportDual
+
+    monkeypatch.setattr(balls, "_transport_dual", refused)
+    cls, P, Q, h = _instance(variant)
+    entered = set()
+    for name, call in CLASS_OPERATIONS.items():
+        try:
+            call(cls, P, Q, h)
+        except UnsupportedVariant:
+            assert variant == "zeta" and name not in ("gauge", "centered_gauge")
+        except _EnteredTransportDual:
+            entered.add(name)
+    assert entered == ({"worst_case", "lambda_"} if variant == "lipschitz" else set())
+
+
 def _gan(call):
     return lambda cls, P, Q, h, eps: call(f_divergence_catalog("chi2"),
                                           Explicit(P.space, (h,)), cls, eps, Q, P)
