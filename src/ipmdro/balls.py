@@ -402,6 +402,21 @@ def _split_penalty(ball, P, eps, h, h2):
     return PenaltyValue(max(value, 0.0), (h1 + 0.0, h2 + 0.0))
 
 
+def _transport_result(ball, P, h, eps, q, spent, tight, bound, at):
+    """The worst case E_Q[h] of a transport ball, certified: the move q
+    spends ``spent`` of eps, all of it when ``tight``, and E_Q[h] meets the
+    dual ``bound``.  ``at`` names the dual point in the breakdown message."""
+    value = float(q @ h.values)
+    residual = abs(spent - eps) if tight else spent - eps
+    gap = abs(value - bound)
+    if residual > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
+        raise NumericalBreakdown(
+            f"{type(ball).__name__} worst case (n = {ball.space.n}, {at}): ball "
+            f"residual {residual:.3e}, value gap {gap:.3e} above tolerance"
+        )
+    return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
+
+
 @dataclass(frozen=True, eq=False)
 class SupNormBall(_Ball):
     """Functions bounded by one in sup norm.  The worst case and the penalty
@@ -425,20 +440,12 @@ class SupNormBall(_Ball):
         """The greedy move of ``_drain``; the value is E_Q[h], certified by
         |q - p|_1, which equals eps unless the mass below max h runs out
         first, and by its gap to G at the last point drained."""
-        n, p, v = self.space.n, P.weights, h.values
+        p, v = P.weights, h.values
         q, t = _drain(v, p, 0.5 * eps)
         top = float(v.max())
-        value = float(q @ v)
         bound = (top - t) * (0.5 * eps) + float(p @ np.maximum(v, t))
         moved = float(np.abs(q - p).sum())
-        ball = abs(moved - eps) if t < top else moved - eps
-        gap = abs(value - bound)
-        if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
-            raise NumericalBreakdown(
-                f"SupNormBall worst case (n = {n}, t = {t!r}): ball residual "
-                f"{ball:.3e}, value gap {gap:.3e} above tolerance"
-            )
-        return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
+        return _transport_result(self, P, h, eps, q, moved, t < top, bound, f"t = {t!r}")
 
     def lambda_(self, P, eps, h):
         """The split h2 = max(h, t*) at t* = ``_tv_threshold``, whose
@@ -470,7 +477,8 @@ class SupNormBall(_Ball):
 # plan j(i) (point i sends its mass to j(i)) gives the piece with intercept
 # sum_i p_i h_j(i) and slope eps - sum_i p_i c_i,j(i), which is phi itself
 # wherever every j(i) is an argmax; the plan j(i) = i gives the last piece,
-# of slope eps.
+# of slope eps.  Row i's own point is always a candidate, so an argmax plan
+# at lam >= 0 moves mass only to points where h is at least as high.
 
 
 class _Piece(NamedTuple):
@@ -485,20 +493,19 @@ class _Piece(NamedTuple):
 def _transport_dual(ball, p, h, eps):
     """(lam*, phi(lam*), (over, cost), (under, cost)): the least point of phi
     under the ball's metric and two plans optimal there, each with the
-    transport cost it pays, ``under`` costing at most eps and ``over`` at
-    least eps unless lam* = 0.
+    transport cost it pays, ``over`` costing more than eps and ``under`` at
+    most eps, or one plan twice when lam* = 0.
 
-    A cutting-plane search over the rows of positive mass: it keeps a piece
-    of negative slope (``over``, from the right slope at 0) and one of
-    nonnegative slope (``under``, first the last piece), evaluates phi and
-    its left and right slopes where they cross and replaces one of them by
-    the piece found there.  The left and right pieces take, row by row, the
-    farthest and the nearest tied argmax, equal costs going to the lowest
-    index.  It stops at a kink with left slope <= 0 <= right slope, or where
-    phi meets the two pieces, which are then adjacent and cross at the kink.
-    Argmaxes within 1e-12 of the scale of h are ties, as rounding noise.
-    Zero-mass points move nothing.  phi has at most n(n - 1) + 1 pieces, so
-    a search longer than n^2 + 2 steps raises NumericalBreakdown.
+    A cutting-plane search over the rows of positive mass.  At lam = 0 the
+    plan sends every row to the first argmax of h; if that costs at most eps,
+    lam* = 0.  Otherwise it keeps a piece of negative slope (``over``) and
+    one of nonnegative slope (``under``, first the last piece), evaluates
+    phi where they cross and replaces one of them by the piece of the plan
+    that takes each row's lowest-index argmax there.  It stops where phi
+    meets the two pieces, within 1e-12 of the scale of h: they are then
+    adjacent and cross at lam*.  Zero-mass points move nothing.  phi has at
+    most n(n - 1) + 1 pieces, so a search longer than n^2 + 2 steps raises
+    NumericalBreakdown.
     """
     n = p.size
     src = np.flatnonzero(p > 0.0)
@@ -507,31 +514,26 @@ def _transport_dual(ball, p, h, eps):
     rows, p = np.arange(src.size), p[src]
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
-    def piece(plan):  # computed once per plan
+    def piece(plan):
         paid = float(p @ cost[rows, plan])
         return _Piece(plan, paid, float(p @ h[plan]), eps - paid)
 
-    lam, over, under, model = 0.0, None, piece(src), -np.inf
+    under, over = piece(src), piece(np.full(src.size, np.argmax(h)))
+    if over.slope >= 0.0:  # all of P reaches argmax h within eps
+        return 0.0, over.intercept, over[:2], over[:2]
     for _ in range(n * n + 2):
-        gain = h - lam * cost
-        best = gain.max(axis=1)
-        tied = gain >= (best - tol)[:, None]
-        left = np.argmax(np.where(tied, cost, -1.0), axis=1)
-        right = piece(np.argmin(np.where(tied, cost, np.inf), axis=1))
-        phi = lam * eps + float(p @ best)
-        if right.slope >= 0.0:  # only then is the left piece read
-            left = piece(left)
-            if lam == 0.0 or left.slope <= 0.0:
-                return lam, phi, left[:2], right[:2]
-        if over is not None:
-            model = max(a.intercept + a.slope * lam for a in (over, under))
-            if phi <= model + tol:
-                return lam, phi, over[:2], under[:2]
-        if right.slope < 0.0:
-            over = right
-        else:
-            under = left
         lam = (under.intercept - over.intercept) / (over.slope - under.slope)
+        gain = h - lam * cost
+        plan = gain.argmax(axis=1)
+        phi = lam * eps + float(p @ gain[rows, plan])
+        model = max(a.intercept + a.slope * lam for a in (over, under))
+        if phi <= model + tol:
+            return lam, phi, over[:2], under[:2]
+        cut = piece(plan)
+        if cut.slope < 0.0:
+            over = cut
+        else:
+            under = cut
     raise NumericalBreakdown(
         f"{type(ball).__name__} transport dual (n = {n}, lambda = {lam!r}): no kink "
         f"of phi in {n * n + 2} steps; phi exceeds the two pieces by {phi - model:.3e}"
@@ -539,11 +541,12 @@ def _transport_dual(ball, p, h, eps):
 
 
 def _mixing_weight(cost_over, cost_under, eps):
-    """The weight on the plan of cost ``cost_over`` that brings the mixture's
-    cost to eps; clipped to [0, 1] when both plans cost less (lam* = 0)."""
-    if cost_over <= cost_under:
+    """The weight on the plan of cost ``cost_over`` > eps that brings its
+    mixture with the plan of cost ``cost_under`` <= eps to cost eps; 0 when
+    the two are one plan (lam* = 0)."""
+    if cost_over == cost_under:
         return 0.0
-    return min(max((eps - cost_under) / (cost_over - cost_under), 0.0), 1.0)
+    return (eps - cost_under) / (cost_over - cost_under)
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,6 +554,7 @@ class LipschitzBall(_Ball):
     """Functions with metric Lipschitz constant at most one.  The worst case
     and the penalty come from the transport dual over the metric, whose
     triangle inequality ``make_space`` enforces; no LP is built for either.
+    Its plans take exact argmaxes, so the worst case is never below E_P[h].
     The penalty runs its own search and never reads a worst case, so the two
     sides of the identity check each other: any split bounds the penalty
     from above and any Q in the ball bounds it from below.
@@ -580,22 +584,14 @@ class LipschitzBall(_Ball):
         """The two plans at lam*, mixed to cost exactly eps; the value is
         E_Q[h], certified by the mixture's cost (complementary slackness:
         all of eps is spent when lam* > 0) and by its gap to phi(lam*)."""
-        n, p, v = self.space.n, P.weights, h.values
-        lam, phi, (over, cost_over), (under, cost_under) = _transport_dual(self, p, v, eps)
+        n, p = self.space.n, P.weights
+        lam, phi, (over, cost_over), (under, cost_under) = _transport_dual(self, p, h.values, eps)
         moved = p[p > 0.0]
         theta = _mixing_weight(cost_over, cost_under, eps)
         q = (np.bincount(over, theta * moved, n)
              + np.bincount(under, (1.0 - theta) * moved, n))
-        value = float(q @ v)
         spent = theta * cost_over + (1.0 - theta) * cost_under
-        ball = abs(spent - eps) if lam > 0.0 else spent - eps
-        gap = abs(value - phi)
-        if ball > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(phi)):
-            raise NumericalBreakdown(
-                f"LipschitzBall worst case (n = {n}, lambda = {lam!r}): ball "
-                f"residual {ball:.3e}, value gap {gap:.3e} above tolerance"
-            )
-        return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
+        return _transport_result(self, P, h, eps, q, spent, lam > 0.0, phi, f"lambda = {lam!r}")
 
     def lambda_(self, P, eps, h):
         """The split h2 = h^lam*, the c-transform max_j (h_j - lam* c_ij),

@@ -201,6 +201,11 @@ class DiscreteDistribution:
 
     @classmethod
     def point_mass(cls, space: SampleSpace, index: int) -> "DiscreteDistribution":
+        """All mass on point ``index``, an integer (not a bool) in range(n)."""
+        if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+                or not 0 <= index < space.n):
+            raise ValueError(f"point_mass index must be an integer in range({space.n}), "
+                             f"got {index!r}")
         w = np.zeros(space.n)
         w[index] = 1.0
         return cls(space, w)

@@ -128,6 +128,17 @@ def _check_domain(div: FDivergence, H: Explicit) -> None:
             )
 
 
+def _best_discriminator(div, H, mu, first) -> GanValue:
+    """max over discriminators f of first(f) - E_mu[f*(f)], at the first
+    strict maximum."""
+    best_value, best_index = -np.inf, 0
+    for idx, f in enumerate(H.functions):
+        value = float(first(f) - mu.weights @ div.conj(f.values))
+        if value > best_value:
+            best_value, best_index = value, idx
+    return GanValue(best_value, best_index)
+
+
 def gan_objective(
     div: FDivergence,
     H: Explicit,
@@ -138,12 +149,7 @@ def gan_objective(
     require_same_space(mu, P)
     require_same_space(mu, H)
     _check_domain(div, H)
-    best_value, best_index = -np.inf, 0
-    for idx, f in enumerate(H.functions):
-        value = float(P.weights @ f.values - mu.weights @ div.conj(f.values))
-        if value > best_value:
-            best_value, best_index = value, idx
-    return GanValue(best_value, best_index)
+    return _best_discriminator(div, H, mu, lambda f: P.weights @ f.values)
 
 
 def robust_gan_sup(
@@ -164,13 +170,7 @@ def robust_gan_sup(
     require_same_space(mu, H)
     check_radius(eps)
     _check_domain(div, H)
-    best_value, best_index = -np.inf, 0
-    for idx, f in enumerate(H.functions):
-        worst = worst_case_expectation(P, cls, eps, f)
-        value = float(worst.value - mu.weights @ div.conj(f.values))
-        if value > best_value:
-            best_value, best_index = value, idx
-    return GanValue(best_value, best_index)
+    return _best_discriminator(div, H, mu, lambda f: worst_case_expectation(P, cls, eps, f).value)
 
 
 @dataclass

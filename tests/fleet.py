@@ -127,6 +127,11 @@ def aligned_instance(rng, n, half_size=2, eps_hi=0.4):
             continue
         support = gauge.witness > 1e-9
         eps = float(rng.uniform(0.05, eps_hi))
+        # delta = eps u with p + eps u >= 0: the feasible set only grows as
+        # eps shrinks, so no radius of the ladder has a witness if its last
+        # one has none
+        if _witness_direction(space, cls.matrix, support, eps * 2.0**-7, P.weights) is None:
+            continue
         for _ in range(8):
             delta = _witness_direction(space, cls.matrix, support, eps, P.weights)
             if delta is not None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,20 @@ class TestMakeSpace:
         number, which the CLI refuses."""
         with pytest.raises(ValueError, match=r"holds a bool, not a number"):
             make_space(["a", "b", "c"], graph=(edge,))
+
+
+class TestPointMass:
+    def test_integer_indices(self):
+        space = make_space(["a", "b", "c"])
+        for index in (0, 2, np.int64(1)):
+            w = DiscreteDistribution.point_mass(space, index).weights
+            assert w.tolist() == [1.0 if i == index else 0.0 for i in range(3)]
+
+    @pytest.mark.parametrize("index", [-1, 3, True, False, np.bool_(True), 1.0, "1", None])
+    def test_refused_index_names_itself_and_n(self, index):
+        space = make_space(["a", "b", "c"])
+        with pytest.raises(ValueError, match=rf"integer in range\(3\), got {re.escape(repr(index))}$"):
+            DiscreteDistribution.point_mass(space, index)
 
 
 class TestLipschitzConstant:

@@ -162,6 +162,7 @@ def test_fleet_matches_highs(kind, n, seed, variant):
         report = verify_identity(P, cls, eps, h)
         ref_ball = coupling_worst_case(v, p, cost, eps)
         ref_penalty = penalty_lp(v, p, eps, ball_pairs, space.metric)
+        assert report.lhs >= p @ v - 1e-15 * (1.0 + float(np.abs(v).max()))
         assert abs(report.lhs - ref_ball) <= REL * max(1.0, abs(ref_ball))
         assert abs(report.lambda_value - ref_penalty) <= REL * max(1.0, abs(ref_penalty))
         assert report.exact
@@ -234,6 +235,20 @@ def test_search_without_a_kink_stops_at_its_bound():
     with pytest.raises(NumericalBreakdown, match=r"LipschitzBall transport dual \(n = 3, "
                        r"lambda = nan\): no kink of phi in 11 steps; phi exceeds"):
         balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1)
+
+
+def test_a_nudge_above_every_other_point_keeps_the_mass():
+    """All of P sits on the one point where h is 1e-13 above the rest: no
+    move can raise E_Q[h], so Q = P.  A search that took argmaxes within
+    1e-12 of each other as ties moved all of P to point 0 and returned 0."""
+    n = 16
+    space = make_space([f"x{i}" for i in range(n)], metric=2.0 * (1.0 - np.eye(n)))
+    P = DiscreteDistribution.point_mass(space, n - 1)
+    h = FunctionVec(space, np.append(np.zeros(n - 1), 1e-13))
+    worst = worst_case_expectation(P, LipschitzBall(space), 2.0, h)
+    assert worst.value == 1e-13
+    assert worst.worst_q.weights.tolist() == P.weights.tolist()
+    assert verify_identity(P, LipschitzBall(space), 2.0, h).residual == 0.0
 
 
 MOVES = {
@@ -355,7 +370,9 @@ def expect_sup_norm_matches_references(h, mass, eps):
     sup, lip = SupNormBall(space), LipschitzBall(space)
     worst, penalty = sup.worst_case(P, eps, H), sup.lambda_(P, eps, H)
     e_p_h = float(P.weights @ h)
-    assert abs(worst.value - lip.worst_case(P, eps, H).value) <= 1e-12 * scale
+    lip_worst = lip.worst_case(P, eps, H).value
+    assert lip_worst >= e_p_h - 1e-15 * scale
+    assert abs(worst.value - lip_worst) <= 1e-12 * scale
     assert abs(penalty.value - lip.lambda_(P, eps, H).value) <= 1e-12 * scale
     greedy = greedy_l1_worst_case(h, P.weights, eps)
     assert abs(worst.value - greedy) <= 1e-14 * scale
@@ -371,10 +388,11 @@ def expect_sup_norm_matches_references(h, mass, eps):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_sup_norm_matches_the_discrete_metric_and_the_greedy_move(data):
-    """Repeated integer levels (optionally scaled, and nudged by less than the
-    1e-12 tie tolerance of the transport dual) give ties at the threshold
-    and at argmax h; zero masses leave points out of the move but not out of
-    the penalty's split."""
+    """Repeated integer levels (optionally scaled, and nudged by 1e-13 or
+    4e-13, below the 1e-12 scale at which the transport dual stops) give
+    ties and near-ties at the threshold and at argmax h, which the transport
+    dual's exact argmaxes must tell apart; zero masses leave points out of
+    the move but not out of the penalty's split."""
     n = data.draw(st.integers(1, 40), "n")
     levels = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4), "levels")
     h = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n), "h"),
