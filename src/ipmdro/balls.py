@@ -8,8 +8,8 @@ quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
 are built once and cached on the instance: on first use, or for RKHS at
 construction, where the same decomposition checks the Gram matrix.  The
 sup-norm ball's worst case and penalty are closed forms of total variation,
-one sort of h each; the Lipschitz ball's come from a transport dual over
-its metric.
+one sort of h each; the Lipschitz ball's, and the Dudley worst case, come
+from a transport dual over the metric.
 """
 
 from __future__ import annotations
@@ -264,12 +264,12 @@ class _Ball(FunctionClass):
 # The Dudley ball is the unit ball of the sup norm plus the Lipschitz
 # constant, a sum of two seminorm blocks.  A block is
 # max_k |f[i_k] - f[j_k]| / cost_k over its atoms (i_k, j_k, cost_k); the sup
-# block has no j, so f[j] reads as zero.  Three LPs are built from the atoms:
-# the penalty LP, whose rows bound each atom, and the distance and worst-case
-# LPs, whose flow columns move one unit of mass onto i_k (and off j_k) at
-# cost cost_k, one pair of opposite columns per atom.  The Dudley ball poses
-# all three; the Lipschitz ball, one block, only the distance LP.  Each LP's
-# size is checked against the dense cap before its matrices are allocated.
+# block has no j, so f[j] reads as zero.  Two LPs are built from the atoms:
+# the penalty LP, whose rows bound each atom, and the distance LP, whose flow
+# columns move one unit of mass onto i_k (and off j_k) at cost cost_k, one
+# pair of opposite columns per atom.  The Dudley ball poses both; the
+# Lipschitz ball, one block, only the distance LP.  Each LP's size is checked
+# against the dense cap before its matrices are allocated.
 
 
 def _sup_block(space):
@@ -365,7 +365,8 @@ def _drain(v, p, budget):
     """(q, t): q moves ``budget`` of p's mass, lowest v first in stable
     order, onto the first argmax of v, or all the mass below max v if that
     is less; t is v at the last point drained, or max v once that mass runs
-    out."""
+    out.  The transport dual drains a piece's rows with max h appended as a
+    zero-mass target; a budget of 0 returns p as it is."""
     top = int(np.argmax(v))
     order = np.argsort(v, kind="stable")
     below = order[: np.searchsorted(v[order], v[top])]
@@ -402,18 +403,19 @@ def _split_penalty(ball, P, eps, h, h2):
     return PenaltyValue(max(value, 0.0), (h1 + 0.0, h2 + 0.0))
 
 
-def _transport_result(ball, P, h, eps, q, spent, tight, bound, at):
-    """The worst case E_Q[h] of a transport ball, certified: the move q
-    spends ``spent`` of eps, all of it when ``tight``, and E_Q[h] meets the
-    dual ``bound``.  ``at`` names the dual point in the breakdown message."""
+def _transport_result(ball, P, h, q, budgets, bound, at):
+    """The worst case E_Q[h] of a transport ball, certified: q spends at most
+    each budget's (name, limit, spent, tight) limit, all of it when tight,
+    and E_Q[h] meets the dual ``bound``, at the dual point ``at``."""
     value = float(q @ h.values)
-    residual = abs(spent - eps) if tight else spent - eps
     gap = abs(value - bound)
-    if residual > LP_FEASIBILITY * (1.0 + eps) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
-        raise NumericalBreakdown(
-            f"{type(ball).__name__} worst case (n = {ball.space.n}, {at}): ball "
-            f"residual {residual:.3e}, value gap {gap:.3e} above tolerance"
-        )
+    for name, limit, spent, tight in budgets:
+        residual = abs(spent - limit) if tight else spent - limit
+        if residual > LP_FEASIBILITY * (1.0 + limit) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
+            raise NumericalBreakdown(
+                f"{type(ball).__name__} worst case (n = {ball.space.n}, {at}): ball residual "
+                f"{residual:.3e} on the {name} budget, value gap {gap:.3e} above tolerance"
+            )
     return DroResult(value, _as_distribution(P.space, q), DroMethod.TRANSPORT_DUAL)
 
 
@@ -444,8 +446,8 @@ class SupNormBall(_Ball):
         q, t = _drain(v, p, 0.5 * eps)
         top = float(v.max())
         bound = (top - t) * (0.5 * eps) + float(p @ np.maximum(v, t))
-        moved = float(np.abs(q - p).sum())
-        return _transport_result(self, P, h, eps, q, moved, t < top, bound, f"t = {t!r}")
+        budget = ("total-variation", eps, float(np.abs(q - p).sum()), t < top)
+        return _transport_result(self, P, h, q, [budget], bound, f"t = {t!r}")
 
     def lambda_(self, P, eps, h):
         """The split h2 = max(h, t*) at t* = ``_tv_threshold``, whose
@@ -466,7 +468,7 @@ class SupNormBall(_Ball):
 
 
 # ---------------------------------------------------------------------------
-# the Lipschitz ball: a transport dual
+# the Lipschitz and Dudley balls: a transport dual
 #
 # The Lipschitz ball is, up to a constant shift, the functions that are
 # 1-Lipschitz for the metric c.  So its worst case is an optimal-transport
@@ -479,64 +481,85 @@ class SupNormBall(_Ball):
 # wherever every j(i) is an argmax; the plan j(i) = i gives the last piece,
 # of slope eps.  Row i's own point is always a candidate, so an argmax plan
 # at lam >= 0 moves mass only to points where h is at least as high.
+#
+# The Dudley ball's dual norm is the least max(|a|_1, W_c(b)) over a + b =
+# q - p: a total-variation move and a transport move, each with a budget of
+# eps.  Its worst case has the same dual with sum_i p_i h^lam_i replaced by
+# the sup-norm closed form at h^lam, which drains eps/2 of P's mass, lowest
+# h^lam first, onto argmax h.  So a piece weighs its plan's rows by P's mass
+# after that drain, and the Lipschitz ball's pieces drain nothing.  The
+# drain runs over the rows' values with max h appended as a zero-mass target,
+# so that the drained mass reaches argmax h even where P leaves it empty: a
+# piece's weights are the rows' masses after the drain, then the target's.
+#
+# Without a drain phi has at most n(n - 1) + 1 pieces, one more than the
+# changes of the rows' plans.  A drain adds a kink wherever two rows' values
+# (or a row's and max h) cross, at most 2n - 1 times for each of the
+# (n + 1) n / 2 pairs, so phi then has fewer than n^2 (n + 2) pieces.
 
 
 class _Piece(NamedTuple):
-    """A plan of the transport dual and its piece of phi."""
+    """A plan, the weights and level of its ``_drain``, and its piece of phi."""
 
     plan: np.ndarray
+    weights: np.ndarray
+    level: float
     cost: float
     intercept: float
     slope: float
 
 
-def _transport_dual(ball, p, h, eps):
-    """(lam*, phi(lam*), (over, cost), (under, cost)): the least point of phi
-    under the ball's metric and two plans optimal there, each with the
-    transport cost it pays, ``over`` costing more than eps and ``under`` at
-    most eps, or one plan twice when lam* = 0.
+def _transport_dual(ball, p, h, eps, drain):
+    """(lam*, phi(lam*), over, under): the least point of phi and two pieces
+    optimal there, ``over`` with a transport cost above eps and ``under`` at
+    most eps (one piece twice when lam* = 0), each draining ``drain``.
 
     A cutting-plane search over the rows of positive mass.  At lam = 0 the
-    plan sends every row to the first argmax of h; if that costs at most eps,
-    lam* = 0.  Otherwise it keeps a piece of negative slope (``over``) and
-    one of nonnegative slope (``under``, first the last piece), evaluates
-    phi where they cross and replaces one of them by the piece of the plan
-    that takes each row's lowest-index argmax there.  It stops where phi
-    meets the two pieces, within 1e-12 of the scale of h: they are then
-    adjacent and cross at lam*.  Zero-mass points move nothing.  phi has at
-    most n(n - 1) + 1 pieces, so a search longer than n^2 + 2 steps raises
-    NumericalBreakdown.
+    plan sends every row to the first argmax of h, and nothing drains; if
+    that costs at most eps, lam* = 0.  Otherwise it keeps a piece of
+    negative slope (``over``) and one of nonnegative slope (``under``, first
+    the last piece), evaluates phi where they cross and replaces one of them
+    by the piece of the plan that takes each row's lowest-index argmax
+    there, drained lowest h^lam first.  It stops where phi meets the two
+    pieces, within 1e-12 of the scale of h: they are then adjacent and cross
+    at lam*.  Zero-mass points move nothing.  A search longer than n^2 + 2
+    steps, or n^2 (n + 2) + 2 with a drain, raises NumericalBreakdown.
     """
     n = p.size
     src = np.flatnonzero(p > 0.0)
     metric = ball.space.metric
     cost = metric if src.size == n else metric[src]
-    rows, p = np.arange(src.size), p[src]
+    rows, top = np.arange(src.size), float(h.max())
+    mass = np.append(p[src], 0.0)
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
-    def piece(plan):
-        paid = float(p @ cost[rows, plan])
-        return _Piece(plan, paid, float(p @ h[plan]), eps - paid)
+    def piece(plan, values):
+        weights, level = _drain(np.append(values, top), mass, drain) if drain else (mass, top)
+        sent = weights[:-1]
+        paid = float(sent @ cost[rows, plan])
+        value = float(sent @ h[plan]) + float(weights[-1]) * top
+        return _Piece(plan, weights, level, paid, value, eps - paid)
 
-    under, over = piece(src), piece(np.full(src.size, np.argmax(h)))
+    under, over = (piece(plan, h[plan]) for plan in (src, np.full(src.size, np.argmax(h))))
     if over.slope >= 0.0:  # all of P reaches argmax h within eps
-        return 0.0, over.intercept, over[:2], over[:2]
-    for _ in range(n * n + 2):
+        return 0.0, over.intercept, over, over
+    steps = n * n * (n + 2 if drain else 1) + 2
+    for _ in range(steps):
         lam = (under.intercept - over.intercept) / (over.slope - under.slope)
         gain = h - lam * cost
         plan = gain.argmax(axis=1)
-        phi = lam * eps + float(p @ gain[rows, plan])
-        model = max(a.intercept + a.slope * lam for a in (over, under))
+        cut = piece(plan, gain[rows, plan])
+        phi = cut.intercept + cut.slope * lam
+        model = max(over.intercept + over.slope * lam, under.intercept + under.slope * lam)
         if phi <= model + tol:
-            return lam, phi, over[:2], under[:2]
-        cut = piece(plan)
+            return lam, phi, over, under
         if cut.slope < 0.0:
             over = cut
         else:
             under = cut
     raise NumericalBreakdown(
         f"{type(ball).__name__} transport dual (n = {n}, lambda = {lam!r}): no kink "
-        f"of phi in {n * n + 2} steps; phi exceeds the two pieces by {phi - model:.3e}"
+        f"of phi in {steps} steps; phi exceeds the two pieces by {phi - model:.3e}"
     )
 
 
@@ -547,6 +570,27 @@ def _mixing_weight(cost_over, cost_under, eps):
     if cost_over == cost_under:
         return 0.0
     return (eps - cost_under) / (cost_over - cost_under)
+
+
+def _transport_worst_case(ball, P, eps, h, drain):
+    """The pieces at lam* mixed so that their plans cost exactly eps; E_Q[h]
+    is certified on each budget and by its gap to phi(lam*)."""
+    n, p, v = ball.space.n, P.weights, h.values
+    lam, phi, over, under = _transport_dual(ball, p, v, eps, drain)
+    theta = _mixing_weight(over.cost, under.cost, eps)
+    top = int(np.argmax(v))
+    q = (np.bincount(over.plan, theta * over.weights[:-1], n)
+         + np.bincount(under.plan, (1.0 - theta) * under.weights[:-1], n))
+    q[top] += theta * over.weights[-1] + (1.0 - theta) * under.weights[-1]  # the drained mass
+    # lam* > 0 spends all of eps on transport (complementary slackness)
+    budgets = [("transport", eps, theta * over.cost + (1.0 - theta) * under.cost, lam > 0.0)]
+    if drain:  # a budget of 0 moves no mass by total variation
+        drained = theta * over.weights + (1.0 - theta) * under.weights - np.append(p[p > 0.0], 0.0)
+        # a rounding-level lam > 0 may stand for lam* = 0, where a drain can
+        # run out of mass below max h; only drains that stop below it spend it all
+        full = lam > 0.0 and max(over.level, under.level) < v[top]
+        budgets.append(("total-variation", 2.0 * drain, float(np.abs(drained).sum()), full))
+    return _transport_result(ball, P, h, q, budgets, phi, f"lambda = {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,30 +625,21 @@ class LipschitzBall(_Ball):
         return _flow_distance(self, self._atoms, Q, P)
 
     def worst_case(self, P, eps, h):
-        """The two plans at lam*, mixed to cost exactly eps; the value is
-        E_Q[h], certified by the mixture's cost (complementary slackness:
-        all of eps is spent when lam* > 0) and by its gap to phi(lam*)."""
-        n, p = self.space.n, P.weights
-        lam, phi, (over, cost_over), (under, cost_under) = _transport_dual(self, p, h.values, eps)
-        moved = p[p > 0.0]
-        theta = _mixing_weight(cost_over, cost_under, eps)
-        q = (np.bincount(over, theta * moved, n)
-             + np.bincount(under, (1.0 - theta) * moved, n))
-        spent = theta * cost_over + (1.0 - theta) * cost_under
-        return _transport_result(self, P, h, eps, q, spent, lam > 0.0, phi, f"lambda = {lam!r}")
+        """The transport dual's two plans at lam*, without a drain."""
+        return _transport_worst_case(self, P, eps, h, 0.0)
 
     def lambda_(self, P, eps, h):
         """The split h2 = h^lam*, the c-transform max_j (h_j - lam* c_ij),
         which is lam*-Lipschitz."""
         v = h.values
-        lam = _transport_dual(self, P.weights, v, eps)[0]
+        lam = _transport_dual(self, P.weights, v, eps, 0.0)[0]
         return _split_penalty(self, P, eps, h, (v - lam * self.space.metric).max(axis=1))
 
 
 @dataclass(frozen=True, eq=False)
 class DudleyBall(_Ball):
     """Functions with sup norm plus Lipschitz constant at most one: the unit
-    ball of the sup and Lipschitz blocks, whose three flow LPs it poses."""
+    ball of the sup and Lipschitz blocks, whose two flow LPs it poses."""
 
     def __post_init__(self):
         if self.space.metric is None:
@@ -629,24 +664,9 @@ class DudleyBall(_Ball):
         return _flow_distance(self, self._atoms, Q, P)
 
     def worst_case(self, P, eps, h):
-        """max <h, q> over the q whose q - p is the sum of block flows, each
-        costing at most eps."""
-        n, atoms = self.space.n, self._atoms
-        nb, nf = len(atoms), 2 * _atom_count(atoms)
-        check_dense_size(n + nf, n + 1 + nb)
-        flows, costs = _flow_columns(n, atoms)
-        sum_q = np.concatenate([np.ones(n), np.zeros(nf)])
-        sol = _solve_exact_lp(  # q - flows = p, sum(q) = 1
-            lp_problem(
-                np.concatenate([h.values, np.zeros(nf)]),
-                eq=(np.vstack([np.hstack([np.eye(n), -flows]), sum_q]),
-                    np.concatenate([P.weights, [1.0]])),
-                ub=(np.hstack([np.zeros((nb, n)), costs]), np.full(nb, eps)),
-            )
-        )
-        return DroResult(
-            float(sol.value), _as_distribution(P.space, sol.x[:n]), DroMethod.EXACT_LP
-        )
+        """The transport dual's two plans at lam*, each piece draining eps/2
+        of its rows' mass, lowest h^lam first, onto argmax h."""
+        return _transport_worst_case(self, P, eps, h, 0.5 * eps)
 
     def lambda_(self, P, eps, h):
         """Infimal-convolution LP over the split h1 (free), the epigraph

@@ -66,18 +66,16 @@ def worst_case_expectation(
 ) -> DroResult:
     """sup of E_Q[h] over the radius-eps one-sided ball around P.
 
-    Explicit sets and the Dudley ball are one exact LP (for Dudley, the flow
-    worst-case LP); the sup-norm ball moves eps/2 of P's mass, lowest h
-    first, onto argmax h; the Lipschitz ball searches the transport dual for
-    its least point and mixes the two optimal plans found there; quadratic
-    balls (RKHS, Fisher, Sobolev) run an exact active-set walk.  The value
-    is E_Q[h] of the returned worst_q.  Each family certifies that worst_q
-    lies in the ball where it builds it, at the 1e-9 scale of
-    LP_FEASIBILITY: the LP's primal residual on the ball rows, |q - p|_1 or
-    the mixed plan's cost against eps, or the walk's KKT ball residual.  A
-    failed certificate raises NumericalBreakdown; no distance is solved
-    here.  The sup-norm result reports TRANSPORT_DUAL: its move is the
-    total-variation transport dual solved in closed form.
+    Explicit sets are one exact LP; the sup-norm ball moves eps/2 of P's
+    mass, lowest h first, onto argmax h; the Lipschitz ball mixes the two
+    optimal plans at the least point of the transport dual, and the Dudley
+    ball does so with eps/2 of each plan's mass drained as the sup-norm ball
+    drains it; quadratic balls run an exact active-set walk.  The value is
+    E_Q[h] of worst_q, certified in the ball at the 1e-9 scale of
+    LP_FEASIBILITY (the LP's residual, the moved mass and the plans' cost
+    against their budgets, or the walk's KKT residual) or refused with
+    NumericalBreakdown; no distance is solved here.  The sup-norm result
+    reports TRANSPORT_DUAL, the total-variation transport dual in closed form.
     """
     require_same_space(P, h)
     require_same_space(P, cls)

@@ -369,10 +369,10 @@ def sin_config(epsilon):
 
 class TestBadInputExitsCleanly:
     CASES = {
-        # 72 * 71 flow columns are more than the dense LP supports
+        # 72 * 71 flow columns (penalty rows) are more than the dense LP supports
         "dense-cap-ipm": ("ipm", euclid_config(72), "at most 5000 variables"),
-        "dense-cap-dro-sup": (
-            "dro-sup", euclid_config(72, function_class={"variant": "dudley_ball"}),
+        "dense-cap-penalty": (
+            "penalty", euclid_config(72, function_class={"variant": "dudley_ball"}),
             "at most 5000 variables"),
         "points-not-list": ("ipm", line_config(3, space={"points": 3}), "space.points: "),
         "points-string": ("ipm", line_config(3, space={"points": "abc"}), "space.points: "),
@@ -543,6 +543,16 @@ class TestBadInputExitsCleanly:
         the dense cap refuses runs through ``dro-sup``."""
         path = tmp_path / "euclid.json"
         path.write_text(json.dumps(euclid_config(72)))
+        out = tmp_path / "out"
+        assert main(["dro-sup", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_rows(out / "dro_sup.csv")
+        assert [row["method"] for row in rows] == ["transport_dual"]
+
+    def test_dudley_worst_case_runs_past_the_dense_cap(self, tmp_path):
+        """The Dudley worst case, once a flow LP refused here, searches the
+        transport dual with a total-variation drain."""
+        path = tmp_path / "euclid.json"
+        path.write_text(json.dumps(euclid_config(72, function_class={"variant": "dudley_ball"})))
         out = tmp_path / "out"
         assert main(["dro-sup", "--config", str(path), "--out", str(out)]) == 0
         rows = read_rows(out / "dro_sup.csv")

@@ -1,6 +1,8 @@
 """Differential tests of the worst cases and distances of the Lipschitz and
-Dudley balls: the flow LPs, and for the Lipschitz worst case the transport
-dual (whose own fleet is in ``test_transport_dual``).
+Dudley balls: the flow distance LPs, and the transport dual behind both worst
+cases, which for the Dudley ball drains eps/2 of mass in each piece (the
+Lipschitz ball's own fleet is in ``test_transport_dual``; the Dudley ball's
+is here).
 
 Every value is compared with scipy's HiGHS on a formulation written here from
 the definition, independent of the package's encoding: the Lipschitz worst
@@ -16,6 +18,7 @@ from scipy.optimize import linprog
 
 from ipmdro import (
     DiscreteDistribution,
+    DroMethod,
     DudleyBall,
     FunctionVec,
     LipschitzBall,
@@ -29,6 +32,7 @@ from ipmdro import (
 )
 from ipmdro import balls
 from ipmdro.errors import SizeCapExceeded
+from ipmdro.solvers import LP_FEASIBILITY
 
 REL = 1e-9
 
@@ -115,6 +119,10 @@ def euclid_space(rng, n):
                       metric=np.linalg.norm(x[:, None] - x[None, :], axis=2))
 
 
+def discrete_space(rng, n):
+    return make_space([f"d{i}" for i in range(n)], metric=2.0 * (1.0 - np.eye(n)))
+
+
 def distribution(rng, space):
     return DiscreteDistribution(space, rng.dirichlet(np.ones(space.n)))
 
@@ -181,6 +189,38 @@ def test_dudley_instance_where_column_generation_broke_down():
     assert_close(got.value, arc_dudley_worst_case(h.values, P.weights, space.metric, 0.25))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dudley_worst_case_fleet(data):
+    """The drained transport dual against the arc LP.  Half-integer h ties
+    at argmax h and at the drain's threshold; zero masses leave points, or
+    every argmax of h, out of the rows, so the drain lands on the appended
+    target.  worst_q is checked against the ball by the package's own
+    Dudley distance LP."""
+    make = data.draw(st.sampled_from([path_space, euclid_space, discrete_space]), "metric")
+    n = data.draw(st.integers(2, 40), "n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    space = make(rng, n)
+    mass, h = rng.dirichlet(np.ones(n)), rng.uniform(-1.0, 1.0, n)
+    if data.draw(st.booleans(), "tied h"):
+        h = np.round(2.0 * h) / 2.0
+    zero = data.draw(st.sampled_from(["none", "some", "argmax"]), "zero mass")
+    if zero == "some":
+        mass[rng.random(n) < 0.4] = 0.0
+    elif zero == "argmax":
+        mass[h == h.max()] = 0.0
+    if mass.sum() == 0.0:
+        mass[int(np.argmin(h))] = 1.0
+    eps = data.draw(st.floats(1e-3, 2.5), "eps")
+    P, H = DiscreteDistribution(space, mass / mass.sum()), FunctionVec(space, h)
+    worst = worst_case_expectation(P, DudleyBall(space), eps, H)
+    assert worst.method == DroMethod.TRANSPORT_DUAL
+    assert_close(worst.value, arc_dudley_worst_case(h, P.weights, space.metric, eps))
+    assert float(worst.worst_q.weights @ h) == pytest.approx(worst.value, abs=1e-15)
+    assert ipm_distance(DudleyBall(space), worst.worst_q, P).value <= eps + LP_FEASIBILITY
+    assert worst.value >= P.weights @ h - 1e-15
+
+
 # The penalty LP side is the kernel's weak spot on Euclidean metrics: with
 # this construction the Dudley penalty LP already breaks down ("phase 1
 # terminated abnormally") at n = 8, so the Euclidean case stays at n = 6.
@@ -223,9 +263,10 @@ def test_oversize_lps_are_refused_before_assembly(monkeypatch):
     h = FunctionVec(space, rng.uniform(-1.0, 1.0, 200))
     with pytest.raises(SizeCapExceeded):
         lambda_penalty(P, DudleyBall(space), 0.1, h)
-    with pytest.raises(SizeCapExceeded):
-        worst_case_expectation(P, DudleyBall(space), 0.1, h)
-    # the Lipschitz penalty and worst case build no LP; its distance does
+    # both worst cases and the Lipschitz penalty search the transport dual
+    # and build no LP; the distances do
+    worst = worst_case_expectation(P, DudleyBall(space), 0.1, h)
+    assert worst.method == DroMethod.TRANSPORT_DUAL and worst.value >= P.weights @ h.values
     for cls in (LipschitzBall(space), DudleyBall(space)):
         with pytest.raises(SizeCapExceeded):
             ipm_distance(cls, Q, P)

@@ -11,6 +11,10 @@ over (h1, t, s) with the ball's constraint on h - h1 written pair by pair
 split are also compared with the Lipschitz ball on the discrete metric
 2 (1 - I), the same class up to a shift, and with the greedy
 total-variation worst case of ``oracles``, up to 100,000 points.
+
+The Dudley ball's worst case searches the same dual with a total-variation
+drain in each piece; its mutation, step-cap and size tests are here, and its
+differential fleet against HiGHS is in ``test_flow_lp``.
 """
 
 import tracemalloc
@@ -24,6 +28,7 @@ from scipy.optimize import linprog
 from ipmdro import (
     DiscreteDistribution,
     DroMethod,
+    DudleyBall,
     Explicit,
     FunctionVec,
     LipschitzBall,
@@ -234,7 +239,49 @@ def test_search_without_a_kink_stops_at_its_bound():
     h = np.array([np.nan, 0.0, 1.0])
     with pytest.raises(NumericalBreakdown, match=r"LipschitzBall transport dual \(n = 3, "
                        r"lambda = nan\): no kink of phi in 11 steps; phi exceeds"):
-        balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1)
+        balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1, 0.0)
+
+
+def test_drained_search_without_a_kink_stops_at_its_bound():
+    """A drain adds the crossings of the rows' values to phi's kinks, so the
+    search with one runs n^2 (n + 2) + 2 steps, 47 at n = 3."""
+    ball = DudleyBall(make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3))))
+    h = np.array([np.nan, 0.0, 1.0])
+    with pytest.raises(NumericalBreakdown, match=r"DudleyBall transport dual \(n = 3, "
+                       r"lambda = nan\): no kink of phi in 47 steps; phi exceeds"):
+        balls._transport_dual(ball, np.full(3, 1.0 / 3.0), h, 0.1, 0.05)
+
+
+def test_dudley_budgets_that_reach_argmax_h_only_together():
+    """Uniform P on three points of 2 (1 - I) at eps = 1: the plan onto
+    argmax h costs 4/3 > eps, so the search runs, but the two budgets
+    together move all of P onto argmax h and lam* = 0.  The last crossing
+    lands at a rounding-level lam of about 1e-16 with a drain that runs out
+    of mass, which must not be held to spend its whole budget."""
+    space = make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3)))
+    P = DiscreteDistribution(space, np.full(3, 1.0 / 3.0))
+    worst = worst_case_expectation(P, DudleyBall(space), 1.0,
+                                   FunctionVec(space, np.array([0.0, 0.5, 1.0])))
+    assert worst.value == 1.0 and worst.worst_q.weights.tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3, 1e-6, -1e-6])
+@pytest.mark.parametrize("name, budget", [("_mixing_weight", "transport"),
+                                          ("_drain", "total-variation")])
+def test_dudley_moved_weight_or_drain_is_refused(name, budget, shift, monkeypatch):
+    """A moved mixing weight leaves or undershoots the transport budget; a
+    drain of eps/2 + shift, which the search and phi(lam*) both see, shows
+    only in the total-variation budget."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    assert P.weights[h.values < h.values.max()].sum() > eps / 2.0 + 1e-3
+    real = getattr(balls, name)
+    if name == "_drain":
+        monkeypatch.setattr(balls, name, lambda v, p, drain: real(v, p, drain + shift))
+    else:
+        monkeypatch.setattr(balls, name, lambda *args: real(*args) + shift)
+    with pytest.raises(NumericalBreakdown, match=r"DudleyBall worst case \(n = 12, lambda = "
+                       rf".*\): ball residual .* on the {budget} budget, value gap"):
+        worst_case_expectation(P, DudleyBall(space), eps, h)
 
 
 def test_a_nudge_above_every_other_point_keeps_the_mass():
@@ -352,6 +399,29 @@ def test_lipschitz_gan_bound_past_the_dense_cap():
                               for _ in range(3)))
     mu = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
     report = gan_bound_check(f_divergence_catalog("kl"), H, LipschitzBall(space), eps, mu, P)
+    assert np.isfinite(report.robust) and report.slack >= 0.0
+
+
+def test_dudley_worst_case_at_four_hundred_points():
+    """Far past the dense cap, where the flow LP this search replaced was
+    refused.  Every Dudley function is in the Lipschitz and sup-norm
+    classes, so their balls lie inside the Dudley ball and their worst cases
+    bound its worst case from below.  At eps = 0.05 all three stay well
+    below max h, so the comparison is not one of three equal maxima."""
+    n, eps = 400, 0.05
+    space, _, P, h, _ = instance("euclid", n, 11)
+    dudley = DudleyBall(space)
+    worst = worst_case_expectation(P, dudley, eps, h)
+    assert worst.method == DroMethod.TRANSPORT_DUAL
+    for cls in (LipschitzBall(space), SupNormBall(space)):
+        assert worst.value >= worst_case_expectation(P, cls, eps, h).value
+    bound = corollary_bound(P, dudley, eps, h)
+    assert bound.lhs == worst.value and bound.slack >= 0.0
+    rng = np.random.default_rng(11)
+    H = Explicit(space, tuple(FunctionVec(space, rng.uniform(-0.9, 0.6, n))
+                              for _ in range(3)))
+    mu = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
+    report = gan_bound_check(f_divergence_catalog("kl"), H, dudley, eps, mu, P)
     assert np.isfinite(report.robust) and report.slack >= 0.0
 
 
