@@ -491,6 +491,17 @@ class SupNormBall(_Ball):
 # drain runs over the rows' values with max h appended as a zero-mass target,
 # so that the drained mass reaches argmax h even where P leaves it empty: a
 # piece's weights are the rows' masses after the drain, then the target's.
+# Points of zero mass are no rows: they move nothing.
+#
+# phi(0) = max h, the identity's cap.  Just right of lam = 0, row i's argmax
+# of h_j - lam c_ij is its nearest argmax of h (lowest index among equal
+# costs), at cost d_i, so h^lam_i = max h - lam d_i and the drain takes the
+# farthest rows first, equal costs in index order.  That piece drains by
+# -d with the target above every row, so no value of h, however large or
+# negative, can reorder it or round it away; it has phi's right slope at 0,
+# and lam* = 0 exactly when that slope is nonnegative.  A slope below 0
+# needs more than eps/2 of P's mass off argmax h, so for lam* > 0 the
+# worst case spends all of both budgets (complementary slackness).
 #
 # Without a drain phi has at most n(n - 1) + 1 pieces, one more than the
 # changes of the rows' plans.  A drain adds a kink wherever two rows' values
@@ -499,11 +510,10 @@ class SupNormBall(_Ball):
 
 
 class _Piece(NamedTuple):
-    """A plan, the weights and level of its ``_drain``, and its piece of phi."""
+    """A plan, the weights of its ``_drain``, and its piece of phi."""
 
     plan: np.ndarray
     weights: np.ndarray
-    level: float
     cost: float
     intercept: float
     slope: float
@@ -514,16 +524,15 @@ def _transport_dual(ball, p, h, eps, drain):
     optimal there, ``over`` with a transport cost above eps and ``under`` at
     most eps (one piece twice when lam* = 0), each draining ``drain``.
 
-    A cutting-plane search over the rows of positive mass.  At lam = 0 the
-    plan sends every row to the first argmax of h, and nothing drains; if
-    that costs at most eps, lam* = 0.  Otherwise it keeps a piece of
-    negative slope (``over``) and one of nonnegative slope (``under``, first
-    the last piece), evaluates phi where they cross and replaces one of them
-    by the piece of the plan that takes each row's lowest-index argmax
-    there, drained lowest h^lam first.  It stops where phi meets the two
-    pieces, within 1e-12 of the scale of h: they are then adjacent and cross
-    at lam*.  Zero-mass points move nothing.  A search longer than n^2 + 2
-    steps, or n^2 (n + 2) + 2 with a drain, raises NumericalBreakdown.
+    A cutting-plane search over the rows of positive mass.  It first builds
+    the piece phi has just right of lam = 0 and returns lam* = 0.0 exactly
+    when that slope is nonnegative.  Otherwise it keeps that piece
+    (``over``) and one of nonnegative slope (``under``, first the last
+    piece), evaluates phi where they cross and replaces one of them by the
+    piece of the plan that takes each row's lowest-index argmax there.  It
+    stops where phi meets the two pieces, within 1e-12 of the scale of h:
+    they are then adjacent and cross at lam* > 0.  A search past n^2 + 2
+    steps (n^2 (n + 2) + 2 with a drain) raises NumericalBreakdown.
     """
     n = p.size
     src = np.flatnonzero(p > 0.0)
@@ -533,22 +542,25 @@ def _transport_dual(ball, p, h, eps, drain):
     mass = np.append(p[src], 0.0)
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
-    def piece(plan, values):
-        weights, level = _drain(np.append(values, top), mass, drain) if drain else (mass, top)
+    def piece(plan, values, target):
+        weights = _drain(np.append(values, target), mass, drain)[0] if drain else mass
         sent = weights[:-1]
         paid = float(sent @ cost[rows, plan])
         value = float(sent @ h[plan]) + float(weights[-1]) * top
-        return _Piece(plan, weights, level, paid, value, eps - paid)
+        return _Piece(plan, weights, paid, value, eps - paid)
 
-    under, over = (piece(plan, h[plan]) for plan in (src, np.full(src.size, np.argmax(h))))
-    if over.slope >= 0.0:  # all of P reaches argmax h within eps
+    near = np.where(h == top, -cost, -np.inf)  # minus the cost to each argmax of h
+    plan = near.argmax(axis=1)
+    over = piece(plan, near[rows, plan], np.inf)
+    if over.slope >= 0.0:  # phi rises right of 0
         return 0.0, over.intercept, over, over
+    under = piece(src, h[src], top)
     steps = n * n * (n + 2 if drain else 1) + 2
     for _ in range(steps):
         lam = (under.intercept - over.intercept) / (over.slope - under.slope)
         gain = h - lam * cost
         plan = gain.argmax(axis=1)
-        cut = piece(plan, gain[rows, plan])
+        cut = piece(plan, gain[rows, plan], top)
         phi = cut.intercept + cut.slope * lam
         model = max(over.intercept + over.slope * lam, under.intercept + under.slope * lam)
         if phi <= model + tol:
@@ -573,8 +585,8 @@ def _mixing_weight(cost_over, cost_under, eps):
 
 
 def _transport_worst_case(ball, P, eps, h, drain):
-    """The pieces at lam* mixed so that their plans cost exactly eps; E_Q[h]
-    is certified on each budget and by its gap to phi(lam*)."""
+    """The one piece at lam* = 0, or the two at lam* > 0 mixed to cost eps;
+    E_Q[h] is certified on each budget and by its gap to phi(lam*)."""
     n, p, v = ball.space.n, P.weights, h.values
     lam, phi, over, under = _transport_dual(ball, p, v, eps, drain)
     theta = _mixing_weight(over.cost, under.cost, eps)
@@ -582,14 +594,11 @@ def _transport_worst_case(ball, P, eps, h, drain):
     q = (np.bincount(over.plan, theta * over.weights[:-1], n)
          + np.bincount(under.plan, (1.0 - theta) * under.weights[:-1], n))
     q[top] += theta * over.weights[-1] + (1.0 - theta) * under.weights[-1]  # the drained mass
-    # lam* > 0 spends all of eps on transport (complementary slackness)
+    # lam* > 0 spends all of each budget (complementary slackness)
     budgets = [("transport", eps, theta * over.cost + (1.0 - theta) * under.cost, lam > 0.0)]
     if drain:  # a budget of 0 moves no mass by total variation
         drained = theta * over.weights + (1.0 - theta) * under.weights - np.append(p[p > 0.0], 0.0)
-        # a rounding-level lam > 0 may stand for lam* = 0, where a drain can
-        # run out of mass below max h; only drains that stop below it spend it all
-        full = lam > 0.0 and max(over.level, under.level) < v[top]
-        budgets.append(("total-variation", 2.0 * drain, float(np.abs(drained).sum()), full))
+        budgets.append(("total-variation", 2.0 * drain, float(np.abs(drained).sum()), lam > 0.0))
     return _transport_result(ball, P, h, q, budgets, phi, f"lambda = {lam!r}")
 
 

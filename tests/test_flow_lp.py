@@ -196,7 +196,8 @@ def test_dudley_worst_case_fleet(data):
     at argmax h and at the drain's threshold; zero masses leave points, or
     every argmax of h, out of the rows, so the drain lands on the appended
     target.  worst_q is checked against the ball by the package's own
-    Dudley distance LP."""
+    Dudley distance LP.  The search's lam* is +0.0 itself or at least 1e-12,
+    never a rounding-level crossing."""
     make = data.draw(st.sampled_from([path_space, euclid_space, discrete_space]), "metric")
     n = data.draw(st.integers(2, 40), "n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
@@ -219,6 +220,8 @@ def test_dudley_worst_case_fleet(data):
     assert float(worst.worst_q.weights @ h) == pytest.approx(worst.value, abs=1e-15)
     assert ipm_distance(DudleyBall(space), worst.worst_q, P).value <= eps + LP_FEASIBILITY
     assert worst.value >= P.weights @ h - 1e-15
+    lam = balls._transport_dual(DudleyBall(space), P.weights, h, eps, eps / 2.0)[0]
+    assert (lam == 0.0 and not np.signbit(lam)) or lam >= 1e-12, lam
 
 
 # The penalty LP side is the kernel's weak spot on Euclidean metrics: with

@@ -1,6 +1,8 @@
 """Import-level guarantees: the runtime is numpy-only (scipy and hypothesis are
-test oracles), and the package exports exactly the names pinned here."""
+test oracles), the package exports exactly the names pinned here, and every
+name a module imports is used there."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,3 +46,25 @@ def test_public_api_is_pinned():
     exported = {name for name, value in vars(ipmdro).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_API
+
+
+def _unused_imports(path):
+    """Names that the module at ``path`` imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    """A deletion leaves no stale import behind.  ``__init__`` imports the
+    exports, which ``test_public_api_is_pinned`` checks."""
+    package = Path(ipmdro.__file__).resolve().parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unused_imports(path))}
+    assert unused == {}

@@ -254,15 +254,45 @@ def test_drained_search_without_a_kink_stops_at_its_bound():
 
 def test_dudley_budgets_that_reach_argmax_h_only_together():
     """Uniform P on three points of 2 (1 - I) at eps = 1: the plan onto
-    argmax h costs 4/3 > eps, so the search runs, but the two budgets
-    together move all of P onto argmax h and lam* = 0.  The last crossing
-    lands at a rounding-level lam of about 1e-16 with a drain that runs out
-    of mass, which must not be held to spend its whole budget."""
+    argmax h alone costs 4/3 > eps, but after the drain of eps/2, farthest
+    rows first, it costs 1/3, so phi rises right of 0 and lam* = 0: the two
+    budgets together move all of P onto argmax h, neither of them in full."""
     space = make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3)))
     P = DiscreteDistribution(space, np.full(3, 1.0 / 3.0))
     worst = worst_case_expectation(P, DudleyBall(space), 1.0,
                                    FunctionVec(space, np.array([0.0, 0.5, 1.0])))
     assert worst.value == 1.0 and worst.worst_q.weights.tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("shift", [0.0, -5.0, 1e6])
+@pytest.mark.parametrize("weights, eps", [((1 / 3, 1 / 3, 1 / 3), 1.0), ((0.5, 0.5, 0.0), 1.5)])
+def test_dudley_search_exits_at_a_literal_zero(weights, eps, shift):
+    """phi's right slope at 0 decides lam* = 0, so the search returns +0.0
+    itself, not a crossing that rounding puts at -0.0 or +-1e-16, whatever
+    the sign and size of h; with P = (1/2, 1/2, 0) argmax h holds no mass
+    and the drain lands on the appended target."""
+    space = make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3)))
+    p, h = np.array(weights), np.array([0.0, 0.5, 1.0]) + shift
+    lam = balls._transport_dual(DudleyBall(space), p, h, eps, eps / 2.0)[0]
+    assert lam == 0.0 and not np.signbit(lam)
+    worst = worst_case_expectation(DiscreteDistribution(space, p), DudleyBall(space), eps,
+                                   FunctionVec(space, h))
+    assert abs(worst.value - h.max()) <= 1e-15 * (1.0 + np.abs(h).max())
+    assert worst.worst_q.weights.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_lipschitz_mass_goes_to_its_nearest_argmax_of_h():
+    """On the path 0, 1, 2, 3 with h = (1, 0, 0, 1) and P on the last two
+    points, sending P to its nearest argmax of h costs 1/2 <= eps, so
+    lam* = 0 and Q keeps all mass at point 3.  A search from the first
+    argmax (cost 5/2) ends at a -0.0 crossing and spends all of eps moving
+    mass to point 0 for no gain."""
+    t = np.arange(4.0)
+    space = make_space(list("abcd"), metric=np.abs(t[:, None] - t[None, :]))
+    P = DiscreteDistribution(space, np.array([0.0, 0.0, 0.5, 0.5]))
+    worst = worst_case_expectation(P, LipschitzBall(space), 1.0,
+                                   FunctionVec(space, np.array([1.0, 0.0, 0.0, 1.0])))
+    assert worst.value == 1.0 and worst.worst_q.weights.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("shift", [1e-3, -1e-3, 1e-6, -1e-6])
