@@ -4,12 +4,15 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
-are built once and cached on the instance: on first use, or for RKHS at
-construction, where the same decomposition checks the Gram matrix.  The
-sup-norm ball's worst case and penalty are closed forms of total variation,
-one sort of h each; the Lipschitz ball's, and the Dudley worst case, come
-from a transport dual over the metric.
+quadratic ball's spectrum, the Lipschitz and Dudley balls' seminorm atoms
+and an explicit set's constant LP rows and bounds are built once and cached
+on the instance: on first use, or for RKHS at construction, where the same
+decomposition checks the Gram matrix.  No LP result or standard form is
+cached; each call poses its LP afresh.  Every LP of an explicit set starts
+at its slack basis, so none runs phase 1.  The sup-norm ball's worst case
+and penalty are closed forms of total variation, one sort of h each; the
+Lipschitz ball's, and the Dudley worst case, come from a transport dual over
+the metric.
 """
 
 from __future__ import annotations
@@ -117,32 +120,69 @@ class Explicit(FunctionClass):
     def size(self) -> int:
         return len(self.functions)
 
+    @cached_property
+    def _bounds(self):
+        """NONNEG per member, then FREE per point: the penalty LP reads the
+        first ``size + 1`` rows, the gauge the last n, and the LPs with one
+        point substituted the last n - 1."""
+        return _frozen_array([NONNEG] * self.size + [FREE] * self.space.n)
+
+    @cached_property
+    def _move_rows(self):
+        """The worst case's rows over the move d = q - p with
+        d_n = -sum(d_<n) substituted: -d <= p_<n, sum d <= p_n and
+        M~ d <= eps, where M~ = M[:, :n-1] - M[:, n-1] is M on sum-zero
+        vectors.  The centered gauge reads M~ from the last rows."""
+        n = self.space.n
+        rows = np.zeros((n + self.size, n - 1))
+        np.fill_diagonal(rows, -1.0)
+        rows[n - 1] = 1.0
+        np.subtract(self.matrix[:, :-1], self.matrix[:, -1:], out=rows[n:])
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def _penalty_lp_rows(self):
+        """The penalty LP's rows [-M', -1] over (w, s)."""
+        rows = np.hstack([-self.matrix.T, -np.ones((self.space.n, 1))])
+        rows.setflags(write=False)
+        return rows
+
     def gauge(self, h):
-        """The conic LP min sum(w) over w >= 0 with sum_i w_i f_i = h, its
-        witness w; +infinity when h lies outside the members' cone (the LP
-        is infeasible)."""
-        m = self.size
-        sol = solve_lp(lp_problem(-np.ones(m), eq=(self.matrix.T, h.values)))
-        if sol.status == LpStatus.INFEASIBLE:
+        """min sum(w) over w >= 0 with M'w = h, through its dual
+        max <h, y> over free y with M y <= 1, whose slack basis y = 0 is
+        feasible; the witness w is that LP's row duals.  +infinity when h
+        lies outside the members' cone (the dual is unbounded)."""
+        sol = solve_lp(lp_problem(h.values, ub=(self.matrix, np.ones(self.size)),
+                                  bounds=self._bounds[self.size:]))
+        if sol.status == LpStatus.UNBOUNDED:
             return PenaltyValue(np.inf, None)
         _require_optimal(sol, "gauge LP")
-        return PenaltyValue(max(0.0, -sol.value), sol.x)
+        # a row dual is at least -LP_REDUCED_COST at optimum; rounding below
+        # zero, -0.0 included, becomes +0.0
+        return PenaltyValue(max(0.0, sol.value), np.maximum(sol.dual_ub, 0.0))
 
     def centered_gauge(self, h):
-        m = self.size
-        a_eq = np.hstack([self.matrix.T, np.ones((self.space.n, 1))])
+        """min sum(w) over w >= 0 and a free shift b with M'w + b = h,
+        through the gauge's dual restricted to 1'y = 0, which holds by
+        substituting y_n = -sum(y_<n): max <h_<n - h_n, y'> over free y'
+        with M~ y' <= 1.  The witness w is that LP's row duals and
+        b* = h_n - (M'w)_n.  On one point h - h_0 is zero: no LP."""
+        n, v = self.space.n, h.values
+        if n == 1:
+            return float(v[0]), PenaltyValue(0.0, np.zeros(self.size))
         sol = solve_lp(
             lp_problem(
-                np.concatenate([-np.ones(m), [0.0]]),
-                eq=(a_eq, h.values),
-                bounds=[NONNEG] * m + [FREE],
+                v[:-1] - v[-1],
+                ub=(self._move_rows[n:], np.ones(self.size)),
+                bounds=self._bounds[self.size + 1:],
             )
         )
-        if sol.status == LpStatus.INFEASIBLE:
+        if sol.status == LpStatus.UNBOUNDED:
             return 0.0, PenaltyValue(np.inf, None)
         _require_optimal(sol, "centered gauge LP")
-        b = float(sol.x[m])
-        return b, PenaltyValue(max(0.0, -sol.value), sol.x[:m])
+        w = np.maximum(sol.dual_ub, 0.0)
+        return float(v[-1] - self.matrix[:, -1] @ w), PenaltyValue(max(0.0, sol.value), w)
 
     def distance(self, Q, P):
         gaps = self.matrix @ (Q.weights - P.weights)
@@ -150,18 +190,22 @@ class Explicit(FunctionClass):
         return IpmValue(float(gaps[best]), self.functions[best])
 
     def worst_case(self, P, eps, h):
-        """max <h, q> over the simplex subject to <f, q - p> <= eps per member."""
-        members = self.matrix
+        """max <h, q> over the simplex subject to <f, q - p> <= eps per
+        member, posed over the move d = q - p with d_n substituted (see
+        ``_move_rows``), so the slack basis d = 0, q = P, is feasible.  On
+        one point q = P: no LP."""
+        n, v, p = self.space.n, h.values, P.weights
+        if n == 1:
+            return DroResult(float(v[0]), _as_distribution(P.space, p), DroMethod.EXACT_LP)
         sol = _solve_exact_lp(
             lp_problem(
-                h.values,
-                eq=(np.ones((1, P.space.n)), np.array([1.0])),
-                ub=(members, members @ P.weights + eps),
+                v[:-1] - v[-1],
+                ub=(self._move_rows, np.concatenate([p, np.full(self.size, eps)])),
+                bounds=self._bounds[self.size + 1:],
             )
         )
-        return DroResult(
-            float(sol.value), _as_distribution(P.space, sol.x), DroMethod.EXACT_LP
-        )
+        q = p + np.append(sol.x, -sol.x.sum())
+        return DroResult(float(v @ q), _as_distribution(P.space, q), DroMethod.EXACT_LP)
 
     def lambda_(self, P, eps, h):
         """Penalty LP over the conic weights w >= 0 of h2 = M'w and a free
@@ -174,12 +218,11 @@ class Explicit(FunctionClass):
         """
         members, v = self.matrix, h.values
         top = float(v.max())
-        a_ub = np.hstack([-members.T, -np.ones((v.size, 1))])
         sol = _solve_exact_lp(
             lp_problem(
                 np.concatenate([-(members @ P.weights) - eps, [-1.0]]),
-                ub=(a_ub, top - v),
-                bounds=[NONNEG] * self.size + [FREE],
+                ub=(self._penalty_lp_rows, top - v),
+                bounds=self._bounds[: self.size + 1],
             ),
             "penalty LP",
         )

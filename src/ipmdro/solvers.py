@@ -86,7 +86,10 @@ def lp_problem(objective, eq=None, ub=None, bounds=None) -> LpProblem:
     if bounds is None:
         bnds = np.tile([0.0, np.inf], (n, 1))
     else:
-        bnds = np.asarray(bounds, dtype=float).reshape(n, 2)
+        try:
+            bnds = np.asarray(bounds, dtype=float).reshape(n, 2)
+        except ValueError as exc:
+            raise DimensionMismatch(f"bounds do not fit {n} variables") from exc
     return LpProblem(c, a_eq, b_eq, a_ub, b_ub, bnds)
 
 

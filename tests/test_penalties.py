@@ -18,6 +18,7 @@ from ipmdro import (
     lambda_penalty,
     make_space,
     theta,
+    worst_case_expectation,
 )
 from ipmdro import balls
 from ipmdro.core import lipschitz_constant
@@ -344,10 +345,13 @@ class TestLambdaPenalty:
             assert h1.max() - P.weights @ h1 + tail == pytest.approx(val.value, abs=1e-9)
 
     def test_unusable_lp_status_is_a_breakdown(self, monkeypatch):
-        """A status the penalty or centered-gauge LP cannot have is refused,
-        not read as a solution."""
-        unbounded = LpSolution(LpStatus.UNBOUNDED, None, None, None, None)
-        monkeypatch.setattr(balls, "solve_lp", lambda problem: unbounded)
+        """A status an LP cannot have is refused, not read as a solution:
+        UNBOUNDED for the penalty LPs, INFEASIBLE for the explicit gauge and
+        centered gauge, whose duals are feasible at y = 0, and either for the
+        explicit worst case, feasible at q = P and bounded by the simplex."""
+        status = LpStatus.UNBOUNDED
+        monkeypatch.setattr(balls, "solve_lp",
+                            lambda problem: LpSolution(status, None, None, None, None))
         space = line_space(np.random.default_rng(2), 4)
         P = DiscreteDistribution.uniform(space)
         h = FunctionVec(space, [0.0, 1.0, 3.0, 2.0])
@@ -355,8 +359,15 @@ class TestLambdaPenalty:
         for cls in (DudleyBall(space), explicit):
             with pytest.raises(NumericalBreakdown, match="penalty LP"):
                 lambda_penalty(P, cls, 0.4, h)
+        with pytest.raises(NumericalBreakdown, match="ball LP"):
+            worst_case_expectation(P, explicit, 0.4, h)
+        status = LpStatus.INFEASIBLE
+        with pytest.raises(NumericalBreakdown, match="^gauge LP"):
+            theta(explicit, h)
         with pytest.raises(NumericalBreakdown, match="centered gauge LP"):
             centered_theta(explicit, h)
+        with pytest.raises(NumericalBreakdown, match="ball LP"):
+            worst_case_expectation(P, explicit, 0.4, h)
 
     def _slsqp_reference(self, rng, h, p, mat, eps):
         n = h.size

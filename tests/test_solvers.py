@@ -92,6 +92,11 @@ class TestSolveLp:
             solve_lp(solvers.LpProblem(np.zeros(0), empty, np.ones(1), empty, np.ones(1),
                                        np.zeros((0, 2))))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_bounds_of_the_wrong_length(self, count):
+        with pytest.raises(DimensionMismatch, match="bounds do not fit 3 variables"):
+            lp_problem([1.0, 2.0, 3.0], bounds=[FREE] * count)
+
     def test_random_fleet_matches_scipy(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
