@@ -4,15 +4,14 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum, the Lipschitz and Dudley balls' seminorm atoms
-and an explicit set's constant LP rows and bounds are built once and cached
-on the instance: on first use, or for RKHS at construction, where the same
-decomposition checks the Gram matrix.  No LP result or standard form is
-cached; each call poses its LP afresh.  Every LP of an explicit set starts
-at its slack basis, so none runs phase 1.  The sup-norm ball's worst case
-and penalty are closed forms of total variation, one sort of h each; the
-Lipschitz ball's, and the Dudley worst case, come from a transport dual over
-the metric.
+quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
+are built once and cached on the instance: on first use, or for RKHS at
+construction, where the same decomposition checks the Gram matrix.  An
+explicit set's worst case and penalty LP, and its gauges up to
+``GAUGE_DUAL_MEMBERS`` members, start at their slack basis, so none runs
+phase 1.  The sup-norm ball's worst case and penalty are closed forms of
+total variation, one sort of h each; the Lipschitz ball's, and the Dudley
+worst case, come from a transport dual over the metric.
 """
 
 from __future__ import annotations
@@ -68,6 +67,11 @@ from .solvers import (
 )
 
 GRAM_MIN_EIG = 1e-10
+# Members up to which an explicit set's gauges are posed as their duals (see
+# Explicit._conic_lp).  The dual skips phase 1 and a third of the pivots,
+# but its dense basis inverse is m x m; past a few dozen members that costs
+# more than the primal's phase 1 does.
+GAUGE_DUAL_MEMBERS = 32
 
 
 def _as_distribution(space, q) -> DiscreteDistribution:
@@ -120,69 +124,60 @@ class Explicit(FunctionClass):
     def size(self) -> int:
         return len(self.functions)
 
-    @cached_property
-    def _bounds(self):
-        """NONNEG per member, then FREE per point: the penalty LP reads the
-        first ``size + 1`` rows, the gauge the last n, and the LPs with one
-        point substituted the last n - 1."""
-        return _frozen_array([NONNEG] * self.size + [FREE] * self.space.n)
+    def _conic_lp(self, v, shift, what):
+        """min sum(w) over w >= 0, and a free shift b when ``shift``, with
+        M'w + b = v; returns b and the value with its witness w, +infinity
+        when v - b lies outside the members' cone for every b.
 
-    @cached_property
-    def _move_rows(self):
-        """The worst case's rows over the move d = q - p with
-        d_n = -sum(d_<n) substituted: -d <= p_<n, sum d <= p_n and
-        M~ d <= eps, where M~ = M[:, :n-1] - M[:, n-1] is M on sum-zero
-        vectors.  The centered gauge reads M~ from the last rows."""
-        n = self.space.n
-        rows = np.zeros((n + self.size, n - 1))
-        np.fill_diagonal(rows, -1.0)
-        rows[n - 1] = 1.0
-        np.subtract(self.matrix[:, :-1], self.matrix[:, -1:], out=rows[n:])
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def _penalty_lp_rows(self):
-        """The penalty LP's rows [-M', -1] over (w, s)."""
-        rows = np.hstack([-self.matrix.T, -np.ones((self.space.n, 1))])
-        rows.setflags(write=False)
-        return rows
-
-    def gauge(self, h):
-        """min sum(w) over w >= 0 with M'w = h, through its dual
-        max <h, y> over free y with M y <= 1, whose slack basis y = 0 is
-        feasible; the witness w is that LP's row duals.  +infinity when h
-        lies outside the members' cone (the dual is unbounded)."""
-        sol = solve_lp(lp_problem(h.values, ub=(self.matrix, np.ones(self.size)),
-                                  bounds=self._bounds[self.size:]))
-        if sol.status == LpStatus.UNBOUNDED:
-            return PenaltyValue(np.inf, None)
-        _require_optimal(sol, "gauge LP")
-        # a row dual is at least -LP_REDUCED_COST at optimum; rounding below
-        # zero, -0.0 included, becomes +0.0
-        return PenaltyValue(max(0.0, sol.value), np.maximum(sol.dual_ub, 0.0))
-
-    def centered_gauge(self, h):
-        """min sum(w) over w >= 0 and a free shift b with M'w + b = h,
-        through the gauge's dual restricted to 1'y = 0, which holds by
-        substituting y_n = -sum(y_<n): max <h_<n - h_n, y'> over free y'
-        with M~ y' <= 1.  The witness w is that LP's row duals and
-        b* = h_n - (M'w)_n.  On one point h - h_0 is zero: no LP."""
-        n, v = self.space.n, h.values
-        if n == 1:
-            return float(v[0]), PenaltyValue(0.0, np.zeros(self.size))
+        Up to GAUGE_DUAL_MEMBERS members it is posed as its dual, max <v, y>
+        over free y with M y <= 1, whose slack basis y = 0 is feasible, so no
+        phase 1 runs; the row duals are w, and an unbounded dual means v lies
+        outside the cone.  The shift restricts the dual to 1'y = 0, which
+        holds by substituting y_n = -sum(y_<n): the objective becomes
+        v_<n - v_n, the rows M~ = M[:, :n-1] - M[:, n-1], and
+        b = v_n - (M'w)_n.  Writing 1'y = 0 as two rows instead starts with
+        both tight and takes about a third more pivots.  On one point
+        v - v_0 is zero: no LP.  A larger set poses the primal as it stands:
+        its n equality rows need a phase 1 but keep the dense basis inverse
+        n x n, where the dual's is m x m."""
+        m, n = self.size, v.size
+        if m <= GAUGE_DUAL_MEMBERS:
+            c, rows = v, self.matrix
+            if shift:
+                if n == 1:
+                    return float(v[0]), PenaltyValue(0.0, np.zeros(m))
+                c, rows = v[:-1] - v[-1], rows[:, :-1] - rows[:, -1:]
+            sol = solve_lp(lp_problem(c, ub=(rows, np.ones(m)), bounds=[FREE] * c.size))
+            if sol.status == LpStatus.UNBOUNDED:
+                return 0.0, PenaltyValue(np.inf, None)
+            _require_optimal(sol, what)
+            # a row dual is at least -LP_REDUCED_COST at optimum; rounding
+            # below zero, -0.0 included, becomes +0.0
+            w = np.maximum(sol.dual_ub, 0.0)
+            b = float(v[-1] - self.matrix[:, -1] @ w) if shift else 0.0
+            return b, PenaltyValue(max(0.0, sol.value), w)
+        k = int(shift)  # the shift's column, if any
         sol = solve_lp(
             lp_problem(
-                v[:-1] - v[-1],
-                ub=(self._move_rows[n:], np.ones(self.size)),
-                bounds=self._bounds[self.size + 1:],
+                np.concatenate([-np.ones(m), np.zeros(k)]),
+                eq=(np.hstack([self.matrix.T, np.ones((n, k))]), v),
+                bounds=[NONNEG] * m + [FREE] * k,
             )
         )
-        if sol.status == LpStatus.UNBOUNDED:
+        if sol.status == LpStatus.INFEASIBLE:
             return 0.0, PenaltyValue(np.inf, None)
-        _require_optimal(sol, "centered gauge LP")
-        w = np.maximum(sol.dual_ub, 0.0)
-        return float(v[-1] - self.matrix[:, -1] @ w), PenaltyValue(max(0.0, sol.value), w)
+        _require_optimal(sol, what)
+        b = float(sol.x[m]) if shift else 0.0
+        return b, PenaltyValue(max(0.0, -sol.value), sol.x[:m])
+
+    def gauge(self, h):
+        """min sum(w) over w >= 0 with M'w = h, its witness w; +infinity
+        when h lies outside the members' cone."""
+        return self._conic_lp(h.values, False, "gauge LP")[1]
+
+    def centered_gauge(self, h):
+        """The gauge with a free shift b, M'w + b = h: (b*, value)."""
+        return self._conic_lp(h.values, True, "centered gauge LP")
 
     def distance(self, Q, P):
         gaps = self.matrix @ (Q.weights - P.weights)
@@ -191,17 +186,23 @@ class Explicit(FunctionClass):
 
     def worst_case(self, P, eps, h):
         """max <h, q> over the simplex subject to <f, q - p> <= eps per
-        member, posed over the move d = q - p with d_n substituted (see
-        ``_move_rows``), so the slack basis d = 0, q = P, is feasible.  On
-        one point q = P: no LP."""
-        n, v, p = self.space.n, h.values, P.weights
+        member, posed over the move d = q - p with d_n = -sum(d_<n)
+        substituted: -d <= p_<n, sum d <= p_n and M~ d <= eps, where
+        M~ = M[:, :n-1] - M[:, n-1] is M on sum-zero vectors.  Every
+        right-hand side is non-negative, so the slack basis d = 0, q = P, is
+        feasible and no phase 1 runs.  Writing sum d = 0 as two rows instead
+        starts with both tight and takes about a third more pivots.  On one
+        point q = P: no LP."""
+        n, v, p, members = self.space.n, h.values, P.weights, self.matrix
         if n == 1:
             return DroResult(float(v[0]), _as_distribution(P.space, p), DroMethod.EXACT_LP)
+        # 0.0 - I keeps the off-diagonal zeros +0.0
+        rows = np.vstack([0.0 - np.eye(n - 1), np.ones(n - 1), members[:, :-1] - members[:, -1:]])
         sol = _solve_exact_lp(
             lp_problem(
                 v[:-1] - v[-1],
-                ub=(self._move_rows, np.concatenate([p, np.full(self.size, eps)])),
-                bounds=self._bounds[self.size + 1:],
+                ub=(rows, np.concatenate([p, np.full(self.size, eps)])),
+                bounds=[FREE] * (n - 1),
             )
         )
         q = p + np.append(sol.x, -sol.x.sum())
@@ -218,11 +219,12 @@ class Explicit(FunctionClass):
         """
         members, v = self.matrix, h.values
         top = float(v.max())
+        a_ub = np.hstack([-members.T, -np.ones((v.size, 1))])
         sol = _solve_exact_lp(
             lp_problem(
                 np.concatenate([-(members @ P.weights) - eps, [-1.0]]),
-                ub=(self._penalty_lp_rows, top - v),
-                bounds=self._bounds[: self.size + 1],
+                ub=(a_ub, top - v),
+                bounds=[NONNEG] * self.size + [FREE],
             ),
             "penalty LP",
         )

@@ -23,7 +23,8 @@ class PenaltyValue:
     """A nonnegative penalty with an optional certifying witness.
 
     ``witness`` holds conic-combination weights for gauges (for an explicit
-    set, the row duals of the gauge's dual LP), the argmax index
+    set of at most ``GAUGE_DUAL_MEMBERS`` members, the row duals of the
+    gauge's dual LP), the argmax index
     for the peak-over-mean functional, and an (h1, h2) split for the infimal
     convolution: from the penalty LP for explicit sets and the Dudley ball,
     h2 = max(h, t*) at the eps/2 quantile t* of h under P for the sup-norm
@@ -73,11 +74,12 @@ def centered_theta(cls: FunctionClass, h: FunctionVec):
     form: the Lipschitz and Sobolev seminorms ignore the shift; the sup-norm
     and Dudley balls take the midpoint of h's range, where the sup part is
     half that range; the Fisher and RKHS balls take b = 1'Mh / 1'M1 from
-    their form M.  Explicit sets get one LP, the gauge's dual on sum-zero
-    vectors, whose row duals give the shift; only a zeta ball runs a
-    golden-section search over [min h, max h].  No flow LP or transport
-    search is involved; the sup-norm penalty shifts its split h2 by the same
-    midpoint rule.
+    their form M.  Explicit sets get one LP with the shift as a free
+    variable, posed up to ``GAUGE_DUAL_MEMBERS`` members as the gauge's
+    dual on sum-zero vectors, whose row duals give the shift; only a zeta
+    ball runs a golden-section search over [min h, max h].  No flow LP or
+    transport search is involved; the sup-norm penalty shifts its split h2
+    by the same midpoint rule.
     """
     require_same_space(cls, h)
     return cls.centered_gauge(h)

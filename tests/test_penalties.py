@@ -346,9 +346,10 @@ class TestLambdaPenalty:
 
     def test_unusable_lp_status_is_a_breakdown(self, monkeypatch):
         """A status an LP cannot have is refused, not read as a solution:
-        UNBOUNDED for the penalty LPs, INFEASIBLE for the explicit gauge and
-        centered gauge, whose duals are feasible at y = 0, and either for the
-        explicit worst case, feasible at q = P and bounded by the simplex."""
+        UNBOUNDED for the penalty LPs and for the primal gauges of a set past
+        GAUGE_DUAL_MEMBERS members, INFEASIBLE for the gauges' duals, which
+        are feasible at y = 0, and either for the explicit worst case,
+        feasible at q = P and bounded by the simplex."""
         status = LpStatus.UNBOUNDED
         monkeypatch.setattr(balls, "solve_lp",
                             lambda problem: LpSolution(status, None, None, None, None))
@@ -361,6 +362,12 @@ class TestLambdaPenalty:
                 lambda_penalty(P, cls, 0.4, h)
         with pytest.raises(NumericalBreakdown, match="ball LP"):
             worst_case_expectation(P, explicit, 0.4, h)
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, (balls.GAUGE_DUAL_MEMBERS + 1, 4))
+        large = Explicit(space, tuple(FunctionVec(space, row) for row in rows))
+        with pytest.raises(NumericalBreakdown, match="^gauge LP"):
+            theta(large, h)
+        with pytest.raises(NumericalBreakdown, match="centered gauge LP"):
+            centered_theta(large, h)
         status = LpStatus.INFEASIBLE
         with pytest.raises(NumericalBreakdown, match="^gauge LP"):
             theta(explicit, h)
