@@ -1,9 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipmdro import (
     DudleyBall,
@@ -18,6 +19,7 @@ from ipmdro.cli import (
     CLASS_VARIANTS,
     SCHEMA_VERSION,
     SUBCOMMANDS,
+    _float_rows,
     _json_chunks,
     _jsonable,
     canonical_dict,
@@ -261,6 +263,16 @@ json_values = st.recursive(
                       | st.dictionaries(st.text(), children)),
     max_leaves=20)
 
+# Matrices whose entries repeat: plain floats from a small pool, sometimes
+# mixed with ints, a bool, a string or non-finite floats; ragged, empty and
+# tuple rows.
+matrix_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+matrix_others = st.sampled_from([0, -7, 2**70, True, "x", float("nan"), float("inf"),
+                                 float("-inf")])
+matrix_rows = (st.lists(matrix_floats, max_size=6)
+               | st.lists(matrix_floats | matrix_others, min_size=1, max_size=6))
+matrices = st.lists(matrix_rows | matrix_rows.map(tuple), min_size=1, max_size=8)
+
 
 def json_dump_text(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
@@ -274,6 +286,18 @@ class TestJsonWriter:
     @given(payload=json_values)
     def test_matches_json_dumps(self, payload):
         assert "".join(_json_chunks(payload)) == json_dump_text(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=matrices, depth=st.integers(0, 2))
+    @example(matrix=[[0.0, -0.0, 5e-324], (1e308, 0.0, -0.0)], depth=1)
+    def test_matrix_with_repeated_floats_matches_json_dumps(self, matrix, depth):
+        payload = matrix
+        for _ in range(depth):
+            payload = {"m": [payload]}
+        assert "".join(_json_chunks(payload)) == json_dump_text(payload)
+        tabled = all(row and all(type(x) is float and math.isfinite(x) for x in row)
+                     for row in matrix)
+        assert (_float_rows(matrix, ",") is not None) == tabled
 
     @pytest.mark.parametrize("subcommand", sorted(REPORT_LAYOUT))
     def test_report_matches_json_dump(self, subcommand, tmp_path):

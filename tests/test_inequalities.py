@@ -11,14 +11,16 @@ Euclidean and 2 (1 - I) metrics:
 
 Each holds at the fixed tolerances of ``solvers``: ``IDENTITY_EXACT``, or
 ``IDENTITY_ITERATIVE`` where a penalty is flagged inexact, scaled by one plus
-the size of the bound.  The Dudley penalty is an LP that breaks down
-("phase 1 terminated abnormally") on Euclidean metrics from n = 5, on 9 of
-150 random draws there and 22 of 150 at n = 6, so it is drawn only on path
-metrics and on Euclidean metrics with n <= 4; ROADMAP item 2, the penalty
-from the transport search, lifts this.
+the size of the bound.  The Dudley penalty is an LP that breaks down in its
+phase 1 ("terminated abnormally", "singular basis") on Euclidean metrics from
+n = 4, so it is drawn only on path metrics, where 150 random draws per size up
+to n = 8 found no breakdown.  One four-point Euclidean instance keeps the
+defect in view as a strict xfail; ROADMAP item 2, the penalty from the
+transport search, lifts both.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipmdro import (
@@ -39,6 +41,7 @@ from ipmdro import (
     make_space,
     theta,
 )
+from ipmdro.errors import NumericalBreakdown
 from ipmdro.solvers import IDENTITY_EXACT, IDENTITY_ITERATIVE
 from fleet import even_explicit_class, random_gram
 
@@ -80,10 +83,9 @@ def instances(draw, penalty=False):
     """(cls, P, h, g, eps): h with half-integer ties on some draws, P with
     zero masses on some."""
     variant = draw(st.sampled_from(VARIANTS), "variant")
-    metric = draw(st.sampled_from(METRICS[:2] if penalty and variant == "dudley"
+    metric = draw(st.sampled_from(METRICS[:1] if penalty and variant == "dudley"
                                   else METRICS), "metric")
-    top = 4 if penalty and variant == "dudley" and metric == "euclid" else 7
-    n = draw(st.integers(2, top), "n")
+    n = draw(st.integers(2, 7), "n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "seed"))
     space = _space(rng, metric, n)
     h, g = rng.uniform(-1.0, 1.0, (2, n))
@@ -120,6 +122,31 @@ def test_penalty_is_below_both_trivial_splits(instance):
     penalty = lambda_penalty(P, cls, eps, h)
     tol = IDENTITY_EXACT if penalty.exact else IDENTITY_ITERATIVE
     _below(penalty.value, min(j_penalty(P, h).value, eps * theta(cls, h).value), tol)
+
+
+@pytest.mark.xfail(raises=NumericalBreakdown, strict=True,
+                   reason="the Dudley penalty LP breaks down in phase 1 (ROADMAP item 2)")
+def test_dudley_penalty_on_a_four_point_euclidean_metric():
+    """The space ``_space(np.random.default_rng(165), "euclid", 4)`` with
+    the h and P that ``instances`` draws from the same generator after it
+    (no ties, no zero masses).  The LP breaks down in phase 1, at the same
+    iteration for eps = 0.5, 1 and 2."""
+    c = np.array([
+        [0.0, 0.47789437293956644, 0.6062872336235995, 0.5364455306862034],
+        [0.47789437293956644, 0.0, 0.8289965545727634, 0.6593670044926092],
+        [0.6062872336235995, 0.8289965545727634, 0.0, 1.1427325385761873],
+        [0.5364455306862034, 0.6593670044926092, 1.1427325385761873, 0.0],
+    ])
+    graph = ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+    space = make_space(["x0", "x1", "x2", "x3"], metric=c,
+                       graph=graph + tuple((j, i, w) for i, j, w in graph))
+    P = DiscreteDistribution(space, np.array(
+        [0.4226808344961815, 0.08055468596138661, 0.24168992272368092, 0.2550745568187509]))
+    h = FunctionVec(space, np.array(
+        [0.9949925489859579, 0.915290653775392, 0.2637248349310233, 0.9978781578756075]))
+    cls, eps = DudleyBall(space), 1.0
+    penalty = lambda_penalty(P, cls, eps, h)
+    _below(penalty.value, min(j_penalty(P, h).value, eps * theta(cls, h).value))
 
 
 @EXAMPLES
