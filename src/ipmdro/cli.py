@@ -731,29 +731,11 @@ def _jsonable(value):
 
 # CPython's json.dump runs its pure-Python encoder, one generator step per
 # number, whenever ``indent`` is set.  _json_chunks writes the same text: each
-# flat list of numbers or strings in one join, and a matrix of floats (a
-# metric) from one table of its distinct values, one float.__repr__ each.
+# list that holds no list, tuple or dict through the C encoder, whose item
+# separator carries the indent, and a matrix of floats (a metric) from one
+# table of its distinct values, one float.__repr__ each.
 
 _json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_scalar(value) -> str:
-    """json.dumps's text for a str, None, bool, int or float."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _float_rows(rows, sep):
@@ -779,18 +761,6 @@ def _float_rows(rows, sep):
             for size, end in zip(sizes.tolist(), ends))
 
 
-def _flat_json(values, sep):
-    """The entries of a flat list of plain numbers or of strings, joined by
-    ``sep`` in one pass; None for any other list."""
-    kinds = set(map(type, values))
-    if kinds <= {int, float}:
-        text = sep.join(map(repr, values))
-        return None if "n" in text else text  # nan, inf: json writes NaN, Infinity
-    if kinds == {str}:
-        return sep.join(map(_json_string, values))
-    return None
-
-
 def _json_chunks(value, level=0):
     """The text of ``json.dumps(value, indent=1, sort_keys=True,
     separators=(",", ": "))`` in chunks, one per flat list, matrix row or
@@ -800,10 +770,10 @@ def _json_chunks(value, level=0):
             yield "[]"
             return
         pad = "\n" + " " * (level + 1)
-        flat = _flat_json(value, "," + pad)
-        rows = None if flat is not None else _float_rows(value, "," + pad + " ")
-        if flat is not None:
-            yield "[" + pad + flat
+        flat = not any(isinstance(item, (list, tuple, dict)) for item in value)
+        rows = None if flat else _float_rows(value, "," + pad + " ")
+        if flat:
+            yield "[" + pad + json.JSONEncoder(separators=("," + pad, ": ")).encode(value)[1:-1]
         elif rows is not None:
             for k, row in enumerate(rows):
                 yield ("," if k else "[") + pad + "[" + pad + " " + row + pad + "]"
@@ -822,7 +792,7 @@ def _json_chunks(value, level=0):
             yield from _json_chunks(item, level + 1)
         yield "\n" + " " * level + "}"
     else:
-        yield _json_scalar(value)
+        yield json.dumps(value)
 
 
 # ---------------------------------------------------------------------------

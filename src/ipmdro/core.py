@@ -145,11 +145,12 @@ def require_same_space(a, b) -> None:
 def check_radius(eps, allow_zero: bool = False) -> None:
     """Refuse a ball radius that is not a finite positive number (finite and
     nonnegative with ``allow_zero``): EpsNonPositive, or EpsNegative when
-    zero is allowed.  NaN and infinite radii are refused too."""
+    zero is allowed.  NaN, infinite and boolean radii are refused too."""
+    boolean = isinstance(eps, (bool, np.bool_))
     if allow_zero:
-        if not 0.0 <= eps < np.inf:
+        if boolean or not 0.0 <= eps < np.inf:
             raise EpsNegative(f"eps must be finite and nonnegative, got {eps!r}")
-    elif not 0.0 < eps < np.inf:
+    elif boolean or not 0.0 < eps < np.inf:
         raise EpsNonPositive(f"eps must be finite and positive, got {eps!r}")
 
 

@@ -27,6 +27,10 @@ class DroMethod(Enum):
 
 @dataclass
 class DroResult:
+    """``value`` is E_Q[h] at the solver's maximizer Q, ``worst_q`` is Q
+    clipped at zero and renormalized; off the quadratic balls E_{worst_q}[h]
+    may differ from ``value`` in the last bits, an n-term sum's rounding."""
+
     value: float
     worst_q: DiscreteDistribution
     method: DroMethod
@@ -71,11 +75,12 @@ def worst_case_expectation(
     optimal plans at the least point of the transport dual, and the Dudley
     ball does so with eps/2 of each plan's mass drained as the sup-norm ball
     drains it; quadratic balls run an exact active-set walk.  The value is
-    E_Q[h] of worst_q, certified in the ball at the 1e-9 scale of
-    LP_FEASIBILITY (the LP's residual, the moved mass and the plans' cost
-    against their budgets, or the walk's KKT residual) or refused with
-    NumericalBreakdown; no distance is solved here.  The sup-norm result
-    reports TRANSPORT_DUAL, the total-variation transport dual in closed form.
+    E_Q[h] at the maximizer Q, which worst_q holds clipped and renormalized
+    (see DroResult), certified in the ball at the 1e-9 scale of LP_FEASIBILITY
+    (the LP's residual, the moved mass and the plans' cost against their
+    budgets, or the walk's KKT residual) or refused with NumericalBreakdown;
+    no distance is solved here.  The sup-norm result reports TRANSPORT_DUAL,
+    the total-variation transport dual in closed form.
     """
     require_same_space(P, h)
     require_same_space(P, cls)

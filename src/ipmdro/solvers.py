@@ -146,8 +146,9 @@ class _Simplex:
     Columns come in three blocks: structural columns; from ``first_slack``
     the slacks, one per row of the last ``slack_sign.size`` rows, each the
     unit column ``slack_sign[k] * e_row`` at zero cost; after them the
-    artificials, which may be basic but never enter.  ``stage`` names the
-    phase in every breakdown.
+    artificials, which may be basic but never enter.  ``basis`` holds a unit
+    column for each row, so the first B^-1 is the identity.  ``stage`` names
+    the phase in every breakdown.
 
     The basis inverse B^-1 is held densely and refactorized every
     LP_REFACTOR_EVERY pivots.  An iteration reads it twice, for the duals y
@@ -171,7 +172,7 @@ class _Simplex:
     where a reduced cost lies within rounding of LP_REDUCED_COST.
     """
 
-    def __init__(self, a, b, basis, first_slack, slack_sign, stage, unit_basis=False):
+    def __init__(self, a, b, basis, first_slack, slack_sign, stage):
         self.a = a
         self.at = np.ascontiguousarray(a.T)
         self.b = b
@@ -188,11 +189,8 @@ class _Simplex:
         self.bar[basis] = -np.inf
         scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
         self.least_basic = -LP_REFACTOR_FEASIBILITY * scale
-        if unit_basis:  # every basic column is a unit column: B = I exactly
-            self.binv = np.eye(self.m)
-            self.xb = np.maximum(b, 0.0)
-        else:
-            self.refactor()
+        self.binv = np.eye(self.m)
+        self.xb = np.maximum(b, 0.0)
 
     def breakdown(self, message) -> NumericalBreakdown:
         m, n = self.a.shape
@@ -288,13 +286,12 @@ class _Simplex:
                 since_refactor = 0
 
     def drive_out_artificials(self):
-        """Pivot zero-level artificials out of the basis; drop dependent rows.
-
-        Returns the mask of surviving rows (in the original row order) so
-        callers can map duals back.
-        """
+        """Pivot each zero-level artificial out of the basis on the first
+        column whose tableau entry in its row exceeds LP_DRIVE_OUT_PIVOT.
+        Where none does, the row is redundant and the artificial stays basic
+        at zero: no column that can enter passes the ratio test in its row,
+        and its zero cost gives its own row a zero dual."""
         first_artificial = self.first_artificial
-        keep = np.ones(self.m, dtype=bool)
         for row in (self.basis >= first_artificial).nonzero()[0]:
             tableau_row = (self.binv[row, :] @ self.a)[:first_artificial]
             nz = np.flatnonzero(np.abs(tableau_row) > LP_DRIVE_OUT_PIVOT)
@@ -304,9 +301,6 @@ class _Simplex:
                 self.exchange(row, entering, self.binv @ self.at[entering], pivot)
                 self.xb = self.binv @ self.b
                 np.maximum(self.xb, 0.0, out=self.xb)
-            else:
-                keep[row] = False  # dependent row
-        return keep
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -316,8 +310,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x = x+ - x-, with x+ in the variable's own position and x- right after
     it.  Each row is normalised to a non-negative right-hand side and gets a
     unit slack or artificial column, so the starting basis is the identity.
-    Phase 1 runs only when some row needs an artificial.  Both phases price
-    with Bland's rule.
+    Phase 1 runs only when some row needs an artificial.  Both phases run
+    on one simplex and price with Bland's rule; a redundant equality row
+    keeps its artificial basic at zero and gets a zero dual.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
@@ -359,7 +354,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     basis[art_rows] = art_cols
     n_total = a_full.shape[1]
     slack_sign = row_sign[m_eq:]
-    sx = _Simplex(a_full, b_std, basis, nt, slack_sign, "phase 1", unit_basis=True)
+    sx = _Simplex(a_full, b_std, basis, nt, slack_sign, "phase 1")
 
     # --- phase 1 ------------------------------------------------------------
     if n_art:
@@ -371,20 +366,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if phase1_value > LP_PHASE1:
             return LpSolution(LpStatus.INFEASIBLE, None, None, None, None,
                               iterations=sx.iterations)
-        keep = sx.drive_out_artificials()
-        # an artificial still basic sits in its own row, where that row's
-        # slack has entry +-1, so only equality rows are dropped and the
-        # slacks keep the last rows
-        if not keep.all():
-            a_full = a_full[keep][:, :n_struct]
-            b_std = b_std[keep]
-            iterations = sx.iterations
-            sx = _Simplex(a_full, b_std, sx.basis[keep], nt, slack_sign, "phase 2")
-            sx.iterations = iterations
-            n_total = n_struct
-        row_index = keep.nonzero()[0]
-    else:
-        row_index = np.arange(m)
+        sx.drive_out_artificials()
     sx.stage = "phase 2"
 
     # --- phase 2 ------------------------------------------------------------
@@ -402,13 +384,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x_user[free] -= x_std[minus]
     value = float(c_user @ x_user)
 
-    # duals of the computational problem, mapped back to user rows
-    y = sx.binv.T @ c_min[sx.basis]
-    y_rows = np.zeros(m)
-    y_rows[row_index] = y
-    dual_all = -row_sign * y_rows  # max-form duals
-    dual_eq = dual_all[:m_eq]
-    dual_ub = dual_all[m_eq:]
+    y = sx.binv.T @ c_min[sx.basis]  # duals of the computational problem
+    dual = -row_sign * y  # max-form duals of the user's rows
 
     # --- certification -------------------------------------------------------
     sx.stage = "certification"
@@ -422,12 +399,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if m_ub:
         feas = max(feas, float((problem.a_ub @ x_user - problem.b_ub).max()))
 
-    reduced = c_min - a_full.T @ y if n_total else c_min
-    compl = float(np.abs(reduced * x_std).max()) if n_total else 0.0
+    reduced = c_min - a_full.T @ y
+    compl = float(np.abs(reduced * x_std).max())
     gap = abs(float(c_min @ x_std) - float(y @ b_std))
 
     solution = LpSolution(
-        LpStatus.OPTIMAL, x_user, value, dual_eq, dual_ub,
+        LpStatus.OPTIMAL, x_user, value, dual[:m_eq], dual[m_eq:],
         feasibility_residual=feas, complementarity_residual=compl,
         duality_gap=gap, iterations=sx.iterations,
     )

@@ -5,6 +5,21 @@ side of every dual-route check.
 """
 
 import numpy as np
+from scipy.optimize import linprog
+
+REL = 1e-9  # relative agreement with HiGHS asked of the flow and transport LPs
+
+HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_linprog(c, **kwargs):
+    """HiGHS at feasibility tolerances of 1e-10: at its defaults (1e-7) it may
+    return a point that breaks a row by 3e-8, off the optimum by more than
+    REL."""
+    res = linprog(c, method="highs", options=HIGHS_TOLERANCES, **kwargs)
+    assert res.status == 0, res.message
+    return res
 
 
 def greedy_l1_worst_case(h, p, eps):

@@ -140,6 +140,29 @@ class TestWorstCaseExpectation:
         assert abs(got - grid_worst_case_quadratic(h.values, P.weights, mat, eps)) <= 2e-3
 
 
+    def test_value_is_within_rounding_of_the_worst_q_expectation(self):
+        """The explicit and transport paths take the value from the solver's
+        q, before worst_q clips and renormalizes it, so E_{worst_q}[h] may
+        differ in its last bits: by at most the rounding of an n-term sum.
+        On the first instance the two differ in the last bit."""
+        space = unit_space(3)
+        uniform = DiscreteDistribution(space, np.full(3, 1.0 / 3.0))
+        cases = [(uniform, SupNormBall(space), 0.3, FunctionVec(space, [0.0, 1.0, 3.0]))]
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            space = line_space(rng, n)
+            P = random_distribution(rng, space)
+            h = FunctionVec(space, rng.uniform(-5.0, 5.0, n))
+            for cls in (SupNormBall(space), LipschitzBall(space), DudleyBall(space),
+                        even_explicit_class(rng, space, 3)):
+                cases.append((P, cls, float(rng.uniform(0.05, 2.0)), h))
+        for P, cls, eps, h in cases:
+            result = worst_case_expectation(P, cls, eps, h)
+            gap = abs(result.value - float(result.worst_q.weights @ h.values))
+            assert gap <= 2 * h.values.size * np.spacing(np.abs(h.values).max())
+
+
 class TestVerifyIdentity:
     def test_explicit_even_fleet(self):
         rng = np.random.default_rng(5)

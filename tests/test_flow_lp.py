@@ -14,7 +14,6 @@ over every point pair.
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import linprog
 
 from ipmdro import (
     DiscreteDistribution,
@@ -33,28 +32,14 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.errors import SizeCapExceeded
 from ipmdro.solvers import LP_FEASIBILITY
-
-REL = 1e-9
-
-HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
-                    "dual_feasibility_tolerance": 1e-10}
-
-
-def _highs(c, **kwargs):
-    """HiGHS at feasibility tolerances of 1e-10: at its defaults (1e-7) it may
-    return a point that breaks a row by 3e-8, off the optimum by more than
-    REL."""
-    res = linprog(c, method="highs", options=HIGHS_TOLERANCES, **kwargs)
-    assert res.status == 0, res.message
-    return res
-
+from oracles import REL, highs_linprog
 
 def coupling_worst_case(h, p, metric, eps):
     """max sum_ij h_i pi_ij over couplings with column sums p and cost <= eps."""
     n = h.size
     a_eq = np.kron(np.ones((1, n)), np.eye(n))  # column sums of pi (row-major)
-    res = _highs(-np.repeat(h, n), A_ub=metric.reshape(1, -1), b_ub=[eps],
-                 A_eq=a_eq, b_eq=p)
+    res = highs_linprog(-np.repeat(h, n), A_ub=metric.reshape(1, -1), b_ub=[eps],
+                        A_eq=a_eq, b_eq=p)
     return -res.fun
 
 
@@ -76,8 +61,8 @@ def arc_dudley_worst_case(h, p, metric, eps):
     a_eq[n, :n] = 1.0
     c = np.zeros(a_eq.shape[1])
     c[:n] = -h
-    res = _highs(c, A_ub=a_ub, b_ub=[eps, eps], A_eq=a_eq,
-                 b_eq=np.concatenate([p, [1.0]]))
+    res = highs_linprog(c, A_ub=a_ub, b_ub=[eps, eps], A_eq=a_eq,
+                        b_eq=np.concatenate([p, [1.0]]))
     return -res.fun
 
 
@@ -102,9 +87,9 @@ def function_side_distance(metric, delta, sup_weight):
     budget = np.zeros((1, n + 2))
     budget[0, n:] = 1.0
     upper = [(0, None) if sup_weight else (0, 0), (0, None)]
-    res = _highs(-np.concatenate([delta, [0.0, 0.0]]),
-                 A_ub=np.vstack(rows + [budget]), b_ub=np.r_[np.zeros(len(rows)), 1.0],
-                 bounds=[(None, None)] * n + upper)
+    res = highs_linprog(-np.concatenate([delta, [0.0, 0.0]]),
+                        A_ub=np.vstack(rows + [budget]), b_ub=np.r_[np.zeros(len(rows)), 1.0],
+                        bounds=[(None, None)] * n + upper)
     return -res.fun
 
 

@@ -192,6 +192,14 @@ def dual_value(problem, sol, tol=1e-8):
     return float(problem.b_eq @ sol.dual_eq + problem.b_ub @ sol.dual_ub)
 
 
+def basic_artificials_at_zero(sx):
+    """The artificials left basic after drive-out, each asserted at the
+    zero level of phase 1."""
+    at = sx.basis >= sx.first_artificial
+    assert np.all(sx.xb[at] <= solvers.LP_PHASE1)
+    return int(np.sum(at))
+
+
 def bounded_fleet_problem(rng):
     """A random LP around a point x0 that meets its bounds, over NONNEG and
     FREE variables, with duplicated equality rows and inequality rows with
@@ -221,15 +229,14 @@ class TestBoundedFleetAgainstHighs:
     bounds and the dual objective."""
 
     def test_fleet(self, monkeypatch):
-        dropped, pivoted_out = [], []
+        stayed, pivoted_out = [], []
         drive_out = solvers._Simplex.drive_out_artificials
 
         def counting_drive_out(sx):
             basic_artificials = int(np.sum(sx.basis >= sx.first_artificial))
-            keep = drive_out(sx)
-            dropped.append(int(np.sum(~keep)))
-            pivoted_out.append(basic_artificials - dropped[-1])
-            return keep
+            drive_out(sx)
+            stayed.append(basic_artificials_at_zero(sx))
+            pivoted_out.append(basic_artificials - stayed[-1])
 
         monkeypatch.setattr(solvers._Simplex, "drive_out_artificials", counting_drive_out)
         rng = np.random.default_rng(11)
@@ -252,7 +259,51 @@ class TestBoundedFleetAgainstHighs:
             assert dual_value(problem, sol) == pytest.approx(sol.value, abs=1e-7, rel=1e-7)
         # the fleet reaches each outcome and both drive-out branches
         assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(statuses)
-        assert sum(dropped) > 0 and sum(pivoted_out) > 0
+        assert sum(stayed) > 0 and sum(pivoted_out) > 0
+
+
+class TestRedundantEqualityRow:
+    """max c'x s.t. two equality rows and one inequality row, x >= 0, posed
+    again with one equality row repeated.  The repeat's artificial stays
+    basic at zero through phase 2, on the simplex that ran phase 1."""
+
+    C = np.array([1.0, 2.0, 0.5, 1.5])
+    A_EQ = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 2.0]])
+    B_EQ = np.array([1.0, 0.3])
+    UB = (np.array([[0.0, 1.0, 2.0, 0.0]]), np.array([0.5]))
+
+    def problem(self, rows):
+        return lp_problem(self.C, eq=(self.A_EQ[rows], self.B_EQ[rows]), ub=self.UB)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 0]])
+    def test_duals_of_the_two_copies_sum_to_the_row_dual(self, rows):
+        base = solve_lp(self.problem([0, 1]))
+        problem = self.problem(rows)
+        sol = solve_lp(problem)
+        status, value = highs(problem)
+        assert sol.status == status == LpStatus.OPTIMAL
+        assert sol.value == pytest.approx(base.value, abs=1e-12)
+        assert sol.value == pytest.approx(value, abs=1e-9)
+        assert dual_value(problem, sol) == pytest.approx(sol.value, abs=1e-12)
+        for row in (0, 1):
+            copies = np.flatnonzero(np.array(rows) == row)
+            assert abs(sol.dual_eq[copies].sum() - base.dual_eq[row]) <= 1e-12
+        assert abs(sol.dual_ub[0] - base.dual_ub[0]) <= 1e-12
+
+    def test_one_simplex_per_call(self, monkeypatch):
+        built = []
+
+        def counting_simplex(*args):
+            built.append(args)
+            return simplex(*args)
+
+        simplex = solvers._Simplex
+        monkeypatch.setattr(solvers, "_Simplex", counting_simplex)
+        problems = [self.problem([0, 1, 0]), self.problem([0, 1])]
+        problems += [bounded_fleet_problem(np.random.default_rng(seed)) for seed in range(20)]
+        for count, problem in enumerate(problems, start=1):
+            solve_lp(problem)
+            assert len(built) == count
 
 
 class TestBreakdownNamesPhaseAndShape:
@@ -514,7 +565,7 @@ class TestSparsePivotMatchesDensePivot:
 
     def test_same_bytes(self, monkeypatch):
         problems = list(self.problems()) + [self.euclid_dudley_penalty_lp(monkeypatch)]
-        branches, dropped = set(), []
+        branches, stayed = set(), []
         exchange = solvers._Simplex.exchange
         drive_out = solvers._Simplex.drive_out_artificials
 
@@ -524,9 +575,8 @@ class TestSparsePivotMatchesDensePivot:
             branches.add(sx.m >= solvers.LP_SPARSE_UPDATE_ROWS and sparse_row)
 
         def spy_drive_out(sx):
-            keep = drive_out(sx)
-            dropped.append(int(np.sum(~keep)))
-            return keep
+            drive_out(sx)
+            stayed.append(basic_artificials_at_zero(sx))
 
         with monkeypatch.context() as patch:
             patch.setattr(solvers._Simplex, "exchange", spy_exchange)
@@ -542,8 +592,9 @@ class TestSparsePivotMatchesDensePivot:
         assert default == reference
         assert sparse_always == reference
         # both update branches at the default crossover, phase 1 with a
-        # dropped dependent row, unbounded and optimal LPs, the breakdown
+        # dependent row whose artificial stays basic, unbounded and optimal
+        # LPs, the breakdown
         assert branches == {True, False}
-        assert sum(dropped) > 0
+        assert sum(stayed) > 0
         assert {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} <= {o[0] for o in reference[:-1]}
         assert reference[-1].startswith("solve_lp phase 1 (80 rows, 136 columns, ")

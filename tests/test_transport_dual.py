@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
 
 from ipmdro import (
     DiscreteDistribution,
@@ -46,30 +45,15 @@ from ipmdro import (
 from ipmdro import balls
 from ipmdro.errors import EpsNegative, NumericalBreakdown
 from ipmdro.solvers import DENSE_LP_CAP, IDENTITY_EXACT, LP_FEASIBILITY
-from oracles import greedy_l1_worst_case
-
-REL = 1e-9
-
-HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
-                    "dual_feasibility_tolerance": 1e-10}
-
-
-def _highs(c, **kwargs):
-    """HiGHS at feasibility tolerances of 1e-10: at its defaults (1e-7) it may
-    return a point that breaks a row by 3e-8, off the optimum by more than
-    REL."""
-    res = linprog(c, method="highs", options=HIGHS_TOLERANCES, **kwargs)
-    assert res.status == 0, res.message
-    return res
-
+from oracles import REL, greedy_l1_worst_case, highs_linprog
 
 def coupling_worst_case(h, p, cost, eps):
     """max sum_ij h_j pi_ij over couplings pi >= 0 with row sums p and
     transport cost <= eps (pi flattened row-major)."""
     n = h.size
     rows = sparse.kron(sparse.eye(n), np.ones((1, n)))
-    res = _highs(-np.tile(h, n), A_ub=cost.reshape(1, -1), b_ub=[eps],
-                 A_eq=rows, b_eq=p)
+    res = highs_linprog(-np.tile(h, n), A_ub=cost.reshape(1, -1), b_ub=[eps],
+                        A_eq=rows, b_eq=p)
     return -res.fun
 
 
@@ -79,7 +63,8 @@ def transport_cost(q, p, cost):
     n = p.size
     rows = sparse.kron(sparse.eye(n), np.ones((1, n)))
     cols = sparse.kron(np.ones((1, n)), sparse.eye(n))
-    res = _highs(cost.ravel(), A_eq=sparse.vstack([rows, cols]), b_eq=np.concatenate([p, q]))
+    res = highs_linprog(cost.ravel(), A_eq=sparse.vstack([rows, cols]),
+                        b_eq=np.concatenate([p, q]))
     return res.fun
 
 
@@ -113,7 +98,7 @@ def penalty_lp(h, p, eps, pairs=None, cost=None):
             add([(i, 1.0), (j, -1.0), (s, -cost[i, j])], h[i] - h[j])
     a_ub = sparse.csr_matrix((val, (row, col)), shape=(len(rhs), n + 2))
     c = np.concatenate([-p, [1.0, eps]])
-    res = _highs(c, A_ub=a_ub, b_ub=rhs, bounds=[(None, None)] * (n + 1) + [(0, None)])
+    res = highs_linprog(c, A_ub=a_ub, b_ub=rhs, bounds=[(None, None)] * (n + 1) + [(0, None)])
     return res.fun
 
 

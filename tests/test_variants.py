@@ -244,6 +244,17 @@ def test_non_finite_radius_refused(variant, operation, eps):
         RADIUS_OPERATIONS[operation](cls, P, Q, h, eps)
 
 
+@pytest.mark.parametrize("eps", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("operation", sorted(RADIUS_OPERATIONS))
+def test_boolean_radius_refused(operation, eps):
+    """A bool is an int to Python, so True would run at eps = 1 and False
+    at eps = 0; it is refused as NaN is, as the CLI refuses it."""
+    cls, P, Q, h = _instance("lipschitz")
+    refusal = EpsNegative if operation == "worst_case_expectation" else EpsNonPositive
+    with pytest.raises(refusal, match="finite"):
+        RADIUS_OPERATIONS[operation](cls, P, Q, h, eps)
+
+
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "zeta"])
 def test_worst_case_and_alignment_solve_no_distance(variant, monkeypatch):
     """Each ball certifies its worst case where it builds it.  The aligned h
