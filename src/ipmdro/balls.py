@@ -4,14 +4,14 @@ the distance ball, and the infimal-convolution penalty.
 
 The public functions (``theta``, ``ipm_distance``, ``worst_case_expectation``,
 ``lambda_penalty``, ...) validate their inputs and call these methods.  A
-quadratic ball's spectrum and the Lipschitz and Dudley balls' seminorm atoms
-are built once and cached on the instance: on first use, or for RKHS at
-construction, where the same decomposition checks the Gram matrix.  An
-explicit set's worst case and penalty LP, and its gauges up to
-``GAUGE_DUAL_MEMBERS`` members, start at their slack basis, so none runs
+quadratic ball's spectrum is built once and cached on the instance: on first
+use, or for RKHS at construction, where the same decomposition checks the
+Gram matrix.  An explicit set's worst case and penalty LP, and its gauges up
+to ``GAUGE_DUAL_MEMBERS`` members, start at their slack basis, so none runs
 phase 1.  The sup-norm ball's worst case and penalty are closed forms of
 total variation, one sort of h each; the Lipschitz ball's, and the Dudley
-worst case, come from a transport dual over the metric.
+worst case, come from a transport dual over the metric, which the balls
+read only through ``core``'s c-transform, plan costs and Lipschitz pairs.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from .core import (
     FunctionVec,
     SymmetrizeResult,
     _frozen_array,
+    c_transform,
+    check_count,
     graph_is_connected,
     lipschitz_constant,
     lipschitz_pairs,
+    plan_cost,
     require_same_space,
     sobolev_matrix,
     sup_norm,
@@ -276,8 +279,7 @@ class _Ball(FunctionClass):
         boundary reachable this way (a zeta that vanishes everywhere, or a
         seminorm on one point), and NumericalBreakdown is raised.
         """
-        if budget < 2:
-            raise ValueError("budget must be at least 2")
+        check_count("budget", budget, 2)
         n = self.space.n
         rng = np.random.default_rng(seed)
         samples = self._boundary_vertices()[:budget]
@@ -312,23 +314,15 @@ class _Ball(FunctionClass):
 # block has no j, so f[j] reads as zero.  Two LPs are built from the atoms:
 # the penalty LP, whose rows bound each atom, and the distance LP, whose flow
 # columns move one unit of mass onto i_k (and off j_k) at cost cost_k, one
-# pair of opposite columns per atom.  The Dudley ball poses both; the
-# Lipschitz ball, one block, only the distance LP.  Each LP's size is checked
+# pair of opposite columns per atom.  The Lipschitz block is
+# ``core.lipschitz_pairs``.  The Dudley ball poses both LPs; the Lipschitz
+# ball, one block, only the distance LP.  Each LP's size is checked
 # against the dense cap before its matrices are allocated.
 
 
 def _sup_block(space):
     """The sup norm: one atom per point at cost one."""
     return np.arange(space.n), None, np.ones(space.n)
-
-
-def _lip_block(space):
-    """The Lipschitz constant: one atom per pair of ``lipschitz_pairs``
-    (adjacent pairs on a path metric, where the cost is additive, else all)
-    at cost c(i, j)."""
-    pairs = np.array(lipschitz_pairs(space), dtype=int).reshape(-1, 2)
-    i, j = pairs[:, 0], pairs[:, 1]
-    return i, j, space.metric[i, j]
 
 
 def _atom_count(atoms) -> int:
@@ -579,33 +573,33 @@ def _transport_dual(ball, p, h, eps, drain):
     they are then adjacent and cross at lam* > 0.  A search past n^2 + 2
     steps (n^2 (n + 2) + 2 with a drain) raises NumericalBreakdown.
     """
-    n = p.size
+    n, space = p.size, ball.space
     src = np.flatnonzero(p > 0.0)
-    metric = ball.space.metric
-    cost = metric if src.size == n else metric[src]
-    rows, top = np.arange(src.size), float(h.max())
+    rows, top = (None if src.size == n else src), float(h.max())
     mass = np.append(p[src], 0.0)
     tol = 1e-12 * (1.0 + float(np.abs(h).max()))
 
     def piece(plan, values, target):
         weights = _drain(np.append(values, target), mass, drain)[0] if drain else mass
         sent = weights[:-1]
-        paid = float(sent @ cost[rows, plan])
+        paid = float(sent @ plan_cost(space, src, plan))
         value = float(sent @ h[plan]) + float(weights[-1]) * top
         return _Piece(plan, weights, paid, value, eps - paid)
 
-    near = np.where(h == top, -cost, -np.inf)  # minus the cost to each argmax of h
-    plan = near.argmax(axis=1)
-    over = piece(plan, near[rows, plan], np.inf)
+    # the c-transform at lam = 1 of 0 on argmax h, -inf elsewhere: minus each
+    # row's cost to its nearest argmax of h, lowest index among equal costs
+    # (a row on argmax h reads 0.0 - 0.0 = +0.0 there, not -0.0; only the
+    # drain's stable sort sees it, and that sort takes the two as equal)
+    near, plan = c_transform(space, np.where(h == top, 0.0, -np.inf), 1.0, rows)
+    over = piece(plan, near, np.inf)
     if over.slope >= 0.0:  # phi rises right of 0
         return 0.0, over.intercept, over, over
     under = piece(src, h[src], top)
     steps = n * n * (n + 2 if drain else 1) + 2
     for _ in range(steps):
         lam = (under.intercept - over.intercept) / (over.slope - under.slope)
-        gain = h - lam * cost
-        plan = gain.argmax(axis=1)
-        cut = piece(plan, gain[rows, plan], top)
+        values, plan = c_transform(space, h, lam, rows)
+        cut = piece(plan, values, top)
         phi = cut.intercept + cut.slope * lam
         model = max(over.intercept + over.slope * lam, under.intercept + under.slope * lam)
         if phi <= model + tol:
@@ -664,10 +658,6 @@ class LipschitzBall(_Ball):
         if self.space.metric is None:
             raise MissingMetric("a Lipschitz ball needs a metric on the space")
 
-    @cached_property
-    def _atoms(self):
-        return [_lip_block(self.space)]
-
     def gauge(self, h):
         return PenaltyValue(lipschitz_constant(self.space, h.values))
 
@@ -676,7 +666,7 @@ class LipschitzBall(_Ball):
         return 0.0, self.gauge(h)
 
     def distance(self, Q, P):
-        return _flow_distance(self, self._atoms, Q, P)
+        return _flow_distance(self, [lipschitz_pairs(self.space)], Q, P)
 
     def worst_case(self, P, eps, h):
         """The transport dual's two plans at lam*, without a drain."""
@@ -687,7 +677,7 @@ class LipschitzBall(_Ball):
         which is lam*-Lipschitz."""
         v = h.values
         lam = _transport_dual(self, P.weights, v, eps, 0.0)[0]
-        return _split_penalty(self, P, eps, h, (v - lam * self.space.metric).max(axis=1))
+        return _split_penalty(self, P, eps, h, c_transform(self.space, v, lam)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,10 +688,6 @@ class DudleyBall(_Ball):
     def __post_init__(self):
         if self.space.metric is None:
             raise MissingMetric("a Dudley ball needs a metric on the space")
-
-    @cached_property
-    def _atoms(self):
-        return [_sup_block(self.space), _lip_block(self.space)]
 
     def gauge(self, h):
         v = h.values
@@ -715,7 +701,7 @@ class DudleyBall(_Ball):
         return float(0.5 * (v.max() + v.min())), PenaltyValue(value)
 
     def distance(self, Q, P):
-        return _flow_distance(self, self._atoms, Q, P)
+        return _flow_distance(self, [_sup_block(self.space), lipschitz_pairs(self.space)], Q, P)
 
     def worst_case(self, P, eps, h):
         """The transport dual's two plans at lam*, each piece draining eps/2
@@ -727,7 +713,7 @@ class DudleyBall(_Ball):
         scalar t >= max(h1) and one seminorm epigraph variable per block
         (nonnegative): it maximizes p'h1 - t - eps * (sum of the block
         variables), whose negative is the penalty."""
-        n, atoms = self.space.n, self._atoms
+        n, atoms = self.space.n, [_sup_block(self.space), lipschitz_pairs(self.space)]
         check_dense_size(n + 1 + len(atoms), n + 2 * _atom_count(atoms))
         c = np.concatenate([P.weights, [-1.0], np.full(len(atoms), -eps)])
         bounds = [FREE] * (n + 1) + [NONNEG] * len(atoms)

@@ -3,12 +3,14 @@ function classes that parameterize the supported divergences (the variants
 live in ``balls``), and the structural helpers the variants share.
 
 Every type is immutable after construction and validated eagerly, so the
-numerical modules can assume well-formed inputs.
+numerical modules can assume well-formed inputs.  The transport balls read
+the dense metric only through ``c_transform``, ``plan_cost`` and
+``lipschitz_pairs``, whose path test ``SampleSpace`` makes once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,6 @@ from .errors import (
     EpsNegative,
     EpsNonPositive,
     MissingGraph,
-    MissingMetric,
     SelfLoop,
     TriangleInequalityViolated,
     UnsupportedVariant,
@@ -65,6 +66,9 @@ class SampleSpace:
     points: tuple
     metric: Optional[np.ndarray] = None
     graph: Optional[tuple] = None
+    # a path metric in index order, whose adjacent pairs fix the Lipschitz
+    # constant (``lipschitz_pairs``); decided with the metric's validation
+    _path: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         points = tuple(str(p) for p in self.points)
@@ -94,24 +98,33 @@ class SampleSpace:
             off = ~np.eye(n, dtype=bool)
             if n > 1 and np.min(c[off]) <= 0.0:
                 raise ValueError("metric must be strictly positive off the diagonal")
-            # A path metric passes in O(n^2): if |c_ij - |c_0j - c_0i|| <= 3e-13
-            # for all i, j, then c_ij - c_ik - c_kj <= 9e-13 + 5 u max(c) with
-            # u = 2^-53, the rounding of this test and of the loop.  With
-            # entries at most 128 that is below METRIC_TOL, so the loop would
-            # find no violation; any other metric takes the loop.
+            # The slack |c_ij - |c_0j - c_0i|| decides the path test and lets a
+            # path metric pass in O(n^2): if it is at most 3e-13 for all i, j,
+            # then c_ij - c_ik - c_kj <= 9e-13 + 5 u max(c) with u = 2^-53,
+            # the rounding of this test and of the loop.  With entries at most
+            # 128 that is below METRIC_TOL, so the loop would find no
+            # violation; any other metric takes the loop, which reuses the
+            # slack's buffer.
             slack = np.subtract.outer(c[0], c[0])
             np.abs(slack, out=slack)
             np.subtract(c, slack, out=slack)
             np.abs(slack, out=slack)
-            if c.max() > 128.0 or slack.max() > 3e-13:
+            off_line, top = slack.max(), c.max()
+            # the path test: c[0] increases strictly, and the slack is at most
+            # 1e-9 (1 + max c), so c_ij = |c_0j - c_0i| up to rounding
+            path = off_line <= 1e-9 * (1.0 + top) and np.all(np.diff(c[0]) > 0.0)
+            object.__setattr__(self, "_path", bool(path))
+            if top > 128.0 or off_line > 3e-13:
                 _check_triangle(c, slack)
             object.__setattr__(self, "metric", _frozen_array(c))
 
         if self.graph is not None:
             edges = []
             for e in self.graph:
-                if any(isinstance(x, (bool, np.bool_)) for x in e[:3]):
-                    raise ValueError(f"edge {tuple(e[:3])!r} holds a bool, not a number")
+                if len(e) != 3:
+                    raise ValueError(f"edge {e!r} must have three entries (i, j, w)")
+                if any(isinstance(x, (bool, np.bool_)) for x in e):
+                    raise ValueError(f"edge {e!r} holds a bool, not a number")
                 i, j, w = int(e[0]), int(e[1]), float(e[2])
                 if (i, j) != (e[0], e[1]):
                     raise ValueError(f"edge ({e[0]!r},{e[1]!r}) endpoints must be integers")
@@ -152,6 +165,12 @@ def check_radius(eps, allow_zero: bool = False) -> None:
             raise EpsNegative(f"eps must be finite and nonnegative, got {eps!r}")
     elif boolean or not 0.0 < eps < np.inf:
         raise EpsNonPositive(f"eps must be finite and positive, got {eps!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count below ``least``, a bool or a non-integer, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def graph_is_connected(space: SampleSpace) -> bool:
@@ -305,32 +324,36 @@ def lipschitz_constant(space: SampleSpace, values: np.ndarray) -> float:
     """Largest |v_i - v_j| / c(i, j) over point pairs.  The diagonal is
     divided by one, not zero: its quotients are zeros, which never exceed
     the maximum, and c(i, j) + 0.0 leaves every other quotient as it is."""
-    if space.metric is None:
-        raise MissingMetric("Lipschitz constant needs a metric")
     quotient = np.abs(values[:, None] - values[None, :])
     quotient /= space.metric + np.eye(space.n)
     return float(quotient.max())
 
 
-def metric_is_path(space: SampleSpace) -> bool:
-    """True when c(i, j) equals the sum of adjacent gaps in index order."""
-    c = space.metric
-    if c is None or space.n < 3:
-        return c is not None
-    gaps = np.diag(c, k=1)
-    cum = np.concatenate(([0.0], np.cumsum(gaps)))
-    approx = np.abs(cum[:, None] - cum[None, :])
-    return bool(np.max(np.abs(c - approx)) <= 1e-9 * (1.0 + np.max(c)))
-
-
 def lipschitz_pairs(space: SampleSpace):
-    """Point pairs whose difference quotients determine the Lipschitz constant.
+    """(i, j, c(i, j)) over the pairs whose difference quotients fix the
+    Lipschitz constant: on a path metric, where the cost is additive, the
+    adjacent pairs in index order; otherwise every i < j, row by row."""
+    if space._path:
+        i, j = np.arange(space.n - 1), np.arange(1, space.n)
+    else:
+        i, j = np.triu_indices(space.n, 1)
+    return i, j, space.metric[i, j]
 
-    On a path metric the adjacent pairs suffice; otherwise all pairs.
-    """
-    if metric_is_path(space):
-        return [(i, i + 1) for i in range(space.n - 1)]
-    return [(i, j) for i in range(space.n) for j in range(i + 1, space.n)]
+
+def c_transform(space: SampleSpace, g: np.ndarray, lam: float, rows=None):
+    """(values, plan): max_j (g_j - lam c_ij) for each row i of ``rows``, an
+    index array (every point when None), and the lowest-index j attaining
+    it.  One array of len(rows) x n is allocated."""
+    c = space.metric if rows is None else space.metric[rows]
+    gain = np.multiply(c, lam, out=None if rows is None else c)
+    np.subtract(g, gain, out=gain)
+    plan = gain.argmax(axis=1)
+    return gain[np.arange(plan.size), plan], plan
+
+
+def plan_cost(space: SampleSpace, rows: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """c(rows[k], plan[k]): the cost of each row's move under ``plan``."""
+    return space.metric[rows, plan]
 
 
 def sobolev_matrix(space: SampleSpace, mu: DiscreteDistribution) -> np.ndarray:

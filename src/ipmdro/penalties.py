@@ -101,18 +101,16 @@ def lambda_penalty(
     Explicit sets and the Dudley ball are solved by one exact LP.  The
     sup-norm ball splits h at the first value t*, ascending, at which P's
     cumulative mass reaches eps/2: h2 = max(h, t*).  The Lipschitz ball
-    searches the transport dual
-    min_{lam >= 0} lam eps + sum_i p_i max_j (h_j - lam c_ij) for its least
-    point lam* and splits at h2 = max_j (h_j - lam* c_.j).  Either split,
-    h2 shifted to its least gauge and h1 = h - h2, is valued as
-    J_P(h1) + eps * Theta(h2) through the centered gauge.  Quadratic
-    classes run a
-    Douglas-Rachford splitting until its iterates settle (or its iteration
-    budget runs out), keep the best split seen and are flagged inexact; each
-    iteration's gauge prox projects onto the dual ball through one Newton
-    root of the secular equation.  The
-    penalty never reads the worst case, so the two sides of the identity
-    stay independent.
+    searches the transport dual min_{lam >= 0} lam eps + sum_i p_i h^lam_i
+    for its least point lam* and splits at the c-transform
+    h2 = h^lam*, h^lam_i = max_j (h_j - lam c_ij).  Either split, h2
+    shifted to its least gauge and h1 = h - h2, is valued as
+    J_P(h1) + eps * Theta(h2) through the centered gauge.  Quadratic classes
+    run a Douglas-Rachford splitting until its iterates settle (or its
+    iteration budget runs out), keep the best split seen and are flagged
+    inexact; each iteration's gauge prox projects onto the dual ball through
+    one Newton root of the secular equation.  The penalty never reads the
+    worst case, so the two sides of the identity stay independent.
     """
     require_same_space(P, h)
     require_same_space(P, cls)

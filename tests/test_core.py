@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from ipmdro import (
     theta,
 )
 from ipmdro import core
-from ipmdro.core import METRIC_TOL, lipschitz_constant, metric_is_path, require_same_space
+from ipmdro.core import (
+    METRIC_TOL,
+    c_transform,
+    lipschitz_constant,
+    lipschitz_pairs,
+    plan_cost,
+    require_same_space,
+)
 from ipmdro.errors import (
     AsymmetricMetric,
     DimensionMismatch,
@@ -39,6 +47,21 @@ from oracles import sign_vectors
 def index_metric(n):
     idx = np.arange(n, dtype=float)
     return np.abs(idx[:, None] - idx[None, :])
+
+
+def assert_pairs(space, pairs):
+    """``lipschitz_pairs`` returns exactly ``pairs``, in order, with their costs."""
+    i, j, cost = lipschitz_pairs(space)
+    assert list(zip(i.tolist(), j.tolist())) == pairs
+    assert cost.tobytes() == np.array([space.metric[a, b] for a, b in pairs]).tobytes()
+
+
+def adjacent(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def row_major(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def expect_reference_triangle_check(c) -> bool:
@@ -66,7 +89,7 @@ class TestMakeSpace:
     def test_path_metric(self):
         space = make_space(["a", "b", "c"], metric=index_metric(3))
         assert space.n == 3
-        assert metric_is_path(space)
+        assert_pairs(space, adjacent(3))
 
     def test_triangle_violation(self):
         metric = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
@@ -103,9 +126,12 @@ class TestMakeSpace:
                 i, j = sorted(rng.choice(n, 2, replace=False))
                 c[i, j] = c[j, i] = c[i, j] + rng.choice([-1.0, 1.0]) * shift
                 before = len(loops)
-                refused += expect_reference_triangle_check(c)
+                refusal = expect_reference_triangle_check(c)
                 skipped += len(loops) == before
                 assert (len(loops) == before) == (scale < 128.0 and shift <= 2.5e-13)
+                if not refusal:  # an accepted near-path metric keeps its adjacent pairs
+                    assert_pairs(make_space([str(k) for k in range(n)], metric=c), adjacent(n))
+                refused += refusal
         assert refused > 0 and skipped > 0
 
     def test_repeated_label(self):
@@ -119,7 +145,7 @@ class TestMakeSpace:
         metric = np.abs(t[:, None] - t[None, :])
         space = make_space([f"{x:.2f}" for x in t], metric=metric)
         assert space.n == 201
-        assert metric_is_path(space)
+        assert_pairs(space, adjacent(201))
 
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
@@ -131,6 +157,13 @@ class TestMakeSpace:
             make_space(["a", "b", "c"], graph=((0.7, 1.9, 1.0), (1, 2, 1.0)))
         space = make_space(["a", "b", "c"], graph=((0.0, np.int64(1), 1.0),))
         assert space.graph == ((0, 1, 1.0),)
+
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1.0, "x")])
+    def test_edge_needs_three_entries(self, edge):
+        """A two-entry edge has no weight and a fourth entry would be
+        dropped; both are refused, naming the edge."""
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} must have three"):
+            make_space(["a", "b"], graph=(edge,))
 
     @pytest.mark.parametrize("edge", [
         (True, 2, 1.0), (0, np.True_, 1.0), (0, 1, True), (0, 1, np.False_),
@@ -154,6 +187,99 @@ class TestPointMass:
         space = make_space(["a", "b", "c"])
         with pytest.raises(ValueError, match=rf"integer in range\(3\), got {re.escape(repr(index))}$"):
             DiscreteDistribution.point_mass(space, index)
+
+
+class TestLipschitzPairs:
+    @pytest.mark.parametrize("scale", [2.0**-7, 1.0, 60.0, 2.0**10, 2.0**13])
+    def test_adjacent_on_path_metrics(self, scale):
+        """Lines in index order, either direction, also past the triangle
+        check's 128 cap, where its O(n^2) shortcut does not run.  Integer
+        gaps times a power of two keep every distance exact, so the triangle
+        check's absolute METRIC_TOL accepts them at any scale."""
+        rng = np.random.default_rng(int(scale * 128))
+        for n in (1, 2, 3, 9, 40):
+            t = np.cumsum(rng.integers(1, 50, n)).astype(float) * scale
+            for coords in (t, -t):
+                space = make_space([f"x{i}" for i in range(n)],
+                                   metric=np.abs(coords[:, None] - coords[None, :]))
+                assert_pairs(space, adjacent(n))
+
+    @pytest.mark.parametrize("kind", ["shuffled", "euclid", "grid"])
+    def test_all_pairs_in_row_major_order_otherwise(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n in (3, 5, 8, 13):
+            if kind == "shuffled":  # points on a line, out of the line's order
+                x = rng.permutation(np.cumsum(rng.uniform(0.1, 1.0, n)))[:, None]
+            elif kind == "euclid":
+                x = rng.uniform(0.0, 1.0, (n, 2))
+            else:
+                x = np.array([(a, b) for a in range(n) for b in range(2)], dtype=float)[:n]
+            space = make_space([f"x{i}" for i in range(n)],
+                               metric=np.linalg.norm(x[:, None] - x[None, :], axis=2))
+            assert_pairs(space, row_major(n))
+
+
+class TestCTransform:
+    @staticmethod
+    def brute_force(c, g, lam, rows):
+        """Each row's max of g_j - lam c_ij, scanning j upward and keeping
+        the first strict maximum: the lowest-index argmax."""
+        values, plan = [], []
+        for i in rows:
+            best, arg = None, None
+            for j in range(len(g)):
+                x = g[j] - lam * c[i, j]
+                if best is None or x > best:
+                    best, arg = x, j
+            values.append(best)
+            plan.append(arg)
+        return np.array(values), np.array(plan)
+
+    @pytest.mark.parametrize("kind", ["path", "euclid"])
+    def test_matches_the_brute_force_loop(self, kind):
+        """Integer values on an integer path metric tie exactly; -inf
+        entries of g are never chosen while a row has a finite one; row
+        subsets skip the zero-mass points, as the transport search does."""
+        rng = np.random.default_rng(len(kind))
+        for draw in range(40):
+            n = int(rng.integers(1, 12))
+            if kind == "path":
+                t = np.cumsum(rng.integers(1, 3, n)).astype(float)
+                c = np.abs(t[:, None] - t[None, :])
+                g = rng.integers(-3, 4, n).astype(float)
+                lam = float(rng.integers(0, 3))
+            else:
+                x = rng.uniform(0.0, 1.0, (n, 2))
+                c = np.linalg.norm(x[:, None] - x[None, :], axis=2)
+                g = rng.uniform(-1.0, 1.0, n)
+                lam = float(rng.uniform(0.0, 3.0))
+            space = make_space([f"x{i}" for i in range(n)], metric=c)
+            if draw % 3 == 1:
+                g[rng.random(n) < 0.5] = -np.inf
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+            for rows in (None, np.flatnonzero(p > 0.0)):
+                values, plan = c_transform(space, g, lam, rows)
+                want = self.brute_force(c, g, lam, range(n) if rows is None else rows)
+                assert values.tobytes() == want[0].tobytes()
+                assert plan.tolist() == want[1].tolist()
+                if rows is not None:
+                    assert plan_cost(space, rows, plan).tolist() == [
+                        c[i, j] for i, j in zip(rows, plan)]
+
+    def test_row_subset_holds_one_array(self):
+        """Over k of n rows the transform allocates one k x n array, not a
+        copy of the rows plus a product and a difference."""
+        n, rows = 400, np.arange(0, 400, 8)
+        t = np.arange(n, dtype=float)
+        space = make_space([str(i) for i in range(n)], metric=np.abs(t[:, None] - t[None, :]))
+        g = np.sin(t)
+        tracemalloc.start()
+        try:
+            c_transform(space, g, 0.3, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size * n * 8 <= peak < 1.5 * rows.size * n * 8
 
 
 class TestLipschitzConstant:
@@ -469,3 +595,17 @@ class TestDiscretize:
         space = make_space(["a", "b"])
         with pytest.raises(ValueError):
             discretize_structured_class(SupNormBall(space), 1, seed=0)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, np.True_, "4", None])
+    def test_budget_must_be_an_integer(self, budget):
+        """A fractional budget would fail in a slice, and a bool would pass
+        as 1 or 0; both are refused naming the value."""
+        space = make_space(["a", "b"])
+        with pytest.raises(ValueError, match=rf"^budget must be an integer of at least 2, "
+                                             rf"got {re.escape(repr(budget))}$"):
+            discretize_structured_class(SupNormBall(space), budget, seed=0)
+
+    def test_numpy_integer_budget_is_accepted(self):
+        space = make_space(["a", "b"])
+        got = discretize_structured_class(SupNormBall(space), np.int64(3), seed=0)
+        assert len(got.functions) == 3

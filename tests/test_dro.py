@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,22 @@ class TestCorollaryBound:
 
 
 class TestTightnessReport:
+    @pytest.mark.parametrize("samples", [0, -1, True, np.False_, 2.5, 2.0, "3", None])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        """True would run one sample and report samples=True, and 2.5 would
+        fail in range(); each is refused naming the value."""
+        space = unit_space(3)
+        P = DiscreteDistribution.uniform(space)
+        with pytest.raises(ValueError, match=rf"^samples must be an integer of at least 1, "
+                                             rf"got {re.escape(repr(samples))}$"):
+            tightness_report(P, SupNormBall(space), 0.5, samples=samples, seed=0)
+
+    def test_numpy_integer_samples_are_accepted(self):
+        space = unit_space(3)
+        P = DiscreteDistribution.uniform(space)
+        report = tightness_report(P, SupNormBall(space), 0.5, samples=np.int64(2), seed=0)
+        assert report.samples == 2
+
     def test_explicit_class_no_violations(self):
         rng = np.random.default_rng(8)
         space = unit_space(5)

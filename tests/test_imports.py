@@ -68,3 +68,20 @@ def test_every_imported_name_is_used():
     unused = {path.name: names for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert unused == {}
+
+
+
+def test_balls_read_the_metric_only_to_test_for_none():
+    """The dense metric's layout stays behind ``core``: ``balls`` reads
+    ``.metric`` only in ``... is None`` and ``... is not None`` tests, and
+    takes every cost through core's operations."""
+    tree = ast.parse((Path(ipmdro.__file__).resolve().parent / "balls.py").read_text())
+    none_tests = {id(node.left) for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and len(node.ops) == 1
+                  and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                  and isinstance(node.comparators[0], ast.Constant)
+                  and node.comparators[0].value is None}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "metric"]
+    assert reads, "the balls test for a missing metric"
+    assert [node.lineno for node in reads if id(node) not in none_tests] == []

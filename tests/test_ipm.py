@@ -95,14 +95,14 @@ class TestTransport:
             primal = ipm_distance(LipschitzBall(space), Q, P).value
             nv = n
             rows, rhs = [], []
-            for i, j in lipschitz_pairs(space):
+            for i, j, cost in zip(*lipschitz_pairs(space)):
                 row = np.zeros(nv)
                 row[i] = 1.0
                 row[j] = -1.0
                 rows.append(row)
-                rhs.append(space.metric[i, j])
+                rhs.append(cost)
                 rows.append(-row)
-                rhs.append(space.metric[i, j])
+                rhs.append(cost)
             sol = solve_lp(
                 lp_problem(
                     Q.weights - P.weights,
