@@ -239,7 +239,7 @@ def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     _refuse_unknown("config", data, _CONFIG_FIELDS)
 

@@ -36,15 +36,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_triangle(c: np.ndarray, slack: np.ndarray) -> None:
-    """Refuse a metric c with c_ij > c_ik + c_kj + METRIC_TOL, naming the
-    violation of least k, then least (i, j); one pass per k in ``slack``."""
+def _check_triangle(c: np.ndarray, slack: np.ndarray, tol: float) -> None:
+    """Refuse a metric c with c_ij > c_ik + c_kj + tol, naming the violation
+    of least k, then least (i, j), and its excess over c_ik + c_kj; one pass
+    per k in ``slack``."""
     for k in range(c.shape[0]):  # slack = c - (c[:, k] + c[k, :]), in place
         np.add(c[:, k : k + 1], c[k : k + 1, :], out=slack)
         np.subtract(c, slack, out=slack)
-        if slack.max() > METRIC_TOL:
-            i, j = np.argwhere(slack > METRIC_TOL)[0]
-            raise TriangleInequalityViolated(f"c({i},{j}) > c({i},{k}) + c({k},{j})")
+        if slack.max() > tol:
+            i, j = np.argwhere(slack > tol)[0]
+            raise TriangleInequalityViolated(
+                f"c({i},{j}) > c({i},{k}) + c({k},{j}) by {slack[i, j]:.3g} (tol {tol:.3g})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +56,16 @@ class SampleSpace:
 
     Point labels are opaque strings, unique within the space (a repeated
     label is a ValueError naming it); all numerics operate on indices.  The
-    metric must be finite, symmetric, zero exactly on the diagonal and
-    satisfy the triangle inequality, each to ``METRIC_TOL``.  The triangle
-    check accepts a path metric from its first row in O(n^2); any other
-    metric takes one pass per intermediate point ``k`` in one reused n x n
-    buffer.  The graph is a tuple of ``(i, j, w)`` edges with integer
-    endpoints and ``w > 0``; each stored edge contributes to the discrete
-    gradient at its source ``i``, so callers who want a symmetric
-    neighbourhood list both orientations.
+    metric must be finite, symmetric, zero on the diagonal and satisfy the
+    triangle inequality, each to ``tol = METRIC_TOL * max |c|``, so the
+    verdict does not depend on the metric's units.  One line test,
+    ``|c_ij - |c_0j - c_0i|| <= 0.3 tol`` for all i, j, proves the triangle
+    inequality in O(n^2) and, with ``c[0]`` increasing strictly, makes the
+    metric a path metric in index order; any other metric takes one pass per
+    intermediate point ``k`` in one reused n x n buffer.  The graph is a
+    tuple of ``(i, j, w)`` edges with integer endpoints and ``w > 0``; each
+    stored edge contributes to the discrete gradient at its source ``i``, so
+    callers who want a symmetric neighbourhood list both orientations.
     """
 
     points: tuple
@@ -86,36 +91,32 @@ class SampleSpace:
         if self.metric is not None:
             c = np.array(self.metric, dtype=float)
             if c.shape != (n, n):
-                raise DimensionMismatch(
-                    f"metric shape {c.shape} does not match {n} points"
-                )
+                raise DimensionMismatch(f"metric shape {c.shape} does not match {n} points")
             if not np.all(np.isfinite(c)):
                 raise ValueError("metric entries must be finite")
-            if np.max(np.abs(c - c.T)) > METRIC_TOL:
-                raise AsymmetricMetric("metric matrix is not symmetric")
-            if np.max(np.abs(np.diag(c))) > METRIC_TOL:
-                raise ValueError("metric diagonal must be zero")
-            off = ~np.eye(n, dtype=bool)
-            if n > 1 and np.min(c[off]) <= 0.0:
+            tol = METRIC_TOL * np.abs(c).max()
+            slack = np.abs(c - c.T)
+            i, j = np.unravel_index(slack.argmax(), slack.shape)
+            if slack[i, j] > tol:
+                raise AsymmetricMetric(f"metric matrix is not symmetric: |c({i},{j}) - "
+                                       f"c({j},{i})| = {slack[i, j]:.3g} (tol {tol:.3g})")
+            k = np.abs(np.diag(c)).argmax()
+            if abs(c[k, k]) > tol:
+                raise ValueError(f"metric diagonal must be zero: c({k},{k}) = {c[k, k]:.3g}")
+            if n > 1 and np.min(c[~np.eye(n, dtype=bool)]) <= 0.0:
                 raise ValueError("metric must be strictly positive off the diagonal")
-            # The slack |c_ij - |c_0j - c_0i|| decides the path test and lets a
-            # path metric pass in O(n^2): if it is at most 3e-13 for all i, j,
-            # then c_ij - c_ik - c_kj <= 9e-13 + 5 u max(c) with u = 2^-53,
-            # the rounding of this test and of the loop.  With entries at most
-            # 128 that is below METRIC_TOL, so the loop would find no
-            # violation; any other metric takes the loop, which reuses the
-            # slack's buffer.
-            slack = np.subtract.outer(c[0], c[0])
-            np.abs(slack, out=slack)
-            np.subtract(c, slack, out=slack)
-            np.abs(slack, out=slack)
-            off_line, top = slack.max(), c.max()
-            # the path test: c[0] increases strictly, and the slack is at most
-            # 1e-9 (1 + max c), so c_ij = |c_0j - c_0i| up to rounding
-            path = off_line <= 1e-9 * (1.0 + top) and np.all(np.diff(c[0]) > 0.0)
-            object.__setattr__(self, "_path", bool(path))
-            if top > 128.0 or off_line > 3e-13:
-                _check_triangle(c, slack)
+            # The line test: if the slack |c_ij - |c_0j - c_0i|| is at most
+            # 0.3 tol for all i, j, then c_ij - c_ik - c_kj <= 0.9 tol + 5 u max c
+            # < tol, with u = 2^-53 the rounding of this test and of the loop,
+            # so the loop would find no violation; with c[0] increasing
+            # strictly, c is a path metric in index order.  Any other metric
+            # takes the loop; both reuse the symmetry test's buffer.
+            np.abs(np.subtract.outer(c[0], c[0], out=slack), out=slack)
+            np.abs(np.subtract(c, slack, out=slack), out=slack)
+            line = slack.max() <= 0.3 * tol
+            object.__setattr__(self, "_path", bool(line and np.all(np.diff(c[0]) > 0.0)))
+            if not line:
+                _check_triangle(c, slack, tol)
             object.__setattr__(self, "metric", _frozen_array(c))
 
         if self.graph is not None:

@@ -168,6 +168,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer(self, version):
+        """True == 1.0 == 1 in Python, so a bare comparison would accept
+        either and echo it into every report's config."""
+        with pytest.raises(ConfigError, match=rf"^schema_version: expected 1, got {version!r}$"):
+            parse_config({"schema_version": version, "space": {"points": ["a"]}})
+
     def test_bad_distribution_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(

@@ -64,16 +64,22 @@ def row_major(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def metric_tol(c) -> float:
+    """The triangle check's tolerance, in the metric's own units."""
+    return METRIC_TOL * np.abs(c).max()
+
+
 def expect_reference_triangle_check(c) -> bool:
-    """make_space accepts c, or refuses it naming the first violating triple,
-    exactly as the plain triangle loop does; True when it refuses."""
-    n = c.shape[0]
+    """make_space accepts c, or refuses it naming the first violating triple
+    and its excess, exactly as the plain triangle loop does; True when it
+    refuses."""
+    n, tol = c.shape[0], metric_tol(c)
     expected = None
     for k in range(n):
         slack = c - (c[:, k : k + 1] + c[k : k + 1, :])
-        if slack.max() > METRIC_TOL:
-            i, j = np.argwhere(slack > METRIC_TOL)[0]
-            expected = f"c({i},{j}) > c({i},{k}) + c({k},{j})"
+        if slack.max() > tol:
+            i, j = np.argwhere(slack > tol)[0]
+            expected = f"c({i},{j}) > c({i},{k}) + c({k},{j}) by {slack[i, j]:.3g} (tol {tol:.3g})"
             break
     labels = [str(i) for i in range(n)]
     if expected is None:
@@ -93,8 +99,23 @@ class TestMakeSpace:
 
     def test_triangle_violation(self):
         metric = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        with pytest.raises(TriangleInequalityViolated, match=r"^c\(0,2\) > c\(0,1\) \+ c\(1,2\)$"):
+        with pytest.raises(TriangleInequalityViolated,
+                           match=r"^c\(0,2\) > c\(0,1\) \+ c\(1,2\) by 3 \(tol 5e-12\)$"):
             make_space(["a", "b", "c"], metric=metric)
+
+    def test_asymmetry_names_the_worst_pair(self):
+        metric = index_metric(4)
+        metric[0, 1] += 0.25
+        metric[3, 1] += 0.5
+        with pytest.raises(AsymmetricMetric, match=r"^metric matrix is not symmetric: "
+                           r"\|c\(1,3\) - c\(3,1\)\| = 0\.5 \(tol 3e-12\)$"):
+            make_space(["a", "b", "c", "d"], metric=metric)
+
+    def test_diagonal_refusal_names_the_entry(self):
+        metric = index_metric(4)
+        metric[1, 1], metric[2, 2] = 1e-3, -0.5
+        with pytest.raises(ValueError, match=r"^metric diagonal must be zero: c\(2,2\) = -0\.5$"):
+            make_space(["a", "b", "c", "d"], metric=metric)
 
     def test_triangle_check_matches_the_reference_loop(self):
         """The in-place check refuses exactly the matrices the plain loop
@@ -110,27 +131,34 @@ class TestMakeSpace:
         assert 0 < refused < 60
 
     def test_near_path_metrics_match_the_reference_loop(self, monkeypatch):
-        """Path metrics on a line, one pair moved by up to 3e-12 and scaled
-        up to 1000: acceptance and the first violating triple stay those of
-        the plain loop, which runs only when the O(n^2) path test fails."""
+        """Path metrics on a line, one pair moved by up to 3 tol, at scales
+        2^-10 to 10^4: acceptance and the first violating triple stay those of
+        the plain loop, which runs exactly when the shift exceeds 0.3 tol,
+        the line test's bound, at every scale.  The same test decides the
+        Lipschitz pairs: adjacent ones while it holds, all pairs after the
+        loop accepts."""
         loops = []
         check = core._check_triangle
-        monkeypatch.setattr(core, "_check_triangle", lambda c, s: loops.append(1) or check(c, s))
+        monkeypatch.setattr(core, "_check_triangle",
+                            lambda c, s, tol: loops.append(1) or check(c, s, tol))
         rng = np.random.default_rng(6)
         refused = skipped = 0
-        for scale in (1.0, 60.0, 1000.0):
-            for shift in (0.0, 1e-13, 2.5e-13, 3.5e-13, 6e-13, 1.1e-12, 3e-12):
+        for scale in (2.0**-10, 1.0, 60.0, 1000.0, 1e4):
+            for share in (0.0, 0.1, 0.25, 0.35, 0.6, 1.1, 3.0):
                 n = int(rng.integers(3, 12))
                 t = np.cumsum(rng.uniform(0.1, 1.0, n)) * scale / n
                 c = np.abs(t[:, None] - t[None, :])
                 i, j = sorted(rng.choice(n, 2, replace=False))
+                shift = share * metric_tol(c)
                 c[i, j] = c[j, i] = c[i, j] + rng.choice([-1.0, 1.0]) * shift
                 before = len(loops)
                 refusal = expect_reference_triangle_check(c)
-                skipped += len(loops) == before
-                assert (len(loops) == before) == (scale < 128.0 and shift <= 2.5e-13)
-                if not refusal:  # an accepted near-path metric keeps its adjacent pairs
-                    assert_pairs(make_space([str(k) for k in range(n)], metric=c), adjacent(n))
+                line = len(loops) == before
+                assert line == (shift <= 0.3 * metric_tol(c))
+                if not refusal:
+                    space = make_space([str(k) for k in range(n)], metric=c)
+                    assert_pairs(space, adjacent(n) if line else row_major(n))
+                skipped += line
                 refused += refusal
         assert refused > 0 and skipped > 0
 
@@ -175,6 +203,80 @@ class TestMakeSpace:
             make_space(["a", "b", "c"], graph=(edge,))
 
 
+class TestMetricUnits:
+    """The metric checks compare residuals with METRIC_TOL * max |c|, so a
+    metric's verdict does not depend on its units."""
+
+    @staticmethod
+    def metrics():
+        """(name, c): a line, a Euclidean and a random a + a.T metric, each
+        also with a planted triangle violation, asymmetry or diagonal entry
+        of 1e-9 max c."""
+        rng = np.random.default_rng(28)
+        for n in (3, 7, 12):
+            t = np.cumsum(rng.uniform(0.1, 1.0, n))
+            x = rng.uniform(0.0, 1.0, (n, 2))
+            a = rng.uniform(0.5, 2.0, (n, n))
+            bases = {"line": np.abs(t[:, None] - t[None, :]),
+                     "euclid": np.linalg.norm(x[:, None] - x[None, :], axis=2),
+                     "sum": (a + a.T) * ~np.eye(n, dtype=bool)}
+            for name, c in bases.items():
+                yield f"{name}{n}", c
+                delta = 1e-9 * c.max()
+                i, j = (0, 2) if name == "line" else sorted(rng.choice(n, 2, replace=False))
+                k = np.delete(np.arange(n), [i, j])
+                bent = c.copy()
+                bent[i, j] = bent[j, i] = np.min(c[i, k] + c[k, j]) + delta
+                yield f"{name}{n}-violation", bent
+                skew = c.copy()
+                skew[i, j] += delta
+                yield f"{name}{n}-asymmetry", skew
+                diagonal = c.copy()
+                diagonal[j, j] = delta
+                yield f"{name}{n}-diagonal", diagonal
+
+    @staticmethod
+    def outcome(c):
+        """(verdict, message head, residuals in the message, path flag)."""
+        try:
+            space = make_space([str(k) for k in range(c.shape[0])], metric=c)
+        except (TriangleInequalityViolated, AsymmetricMetric, ValueError) as exc:
+            head, _, tail = re.split(r" (by|=) ", str(exc), maxsplit=1)
+            residuals = [float(v) for v in re.findall(r"-?\d[\d.]*(?:e[-+]\d+)?", tail)]
+            return type(exc), head, residuals, None
+        return None, "", [], space._path
+
+    def test_verdict_head_and_path_are_scale_free(self):
+        """Powers of two scale every float exactly, so 2^k c for k in -20..20
+        gets c's verdict, message head and path flag, and residuals 2^k
+        times c's."""
+        verdicts = set()
+        for name, c in self.metrics():
+            kind, head, residuals, path = self.outcome(c)
+            verdicts.add(kind)
+            if "-" in name:
+                assert kind is not None, name
+            for k in range(-20, 21):
+                got = self.outcome(2.0**k * c)
+                assert got[0] is kind and got[1] == head and got[3] == path, (name, k)
+                assert got[2] == pytest.approx([2.0**k * v for v in residuals], rel=1e-2)
+        assert verdicts == {None, TriangleInequalityViolated, AsymmetricMetric, ValueError}
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_long_lines_pass_without_the_loop(self, scale, monkeypatch):
+        """Lines in large units, whose rounding exceeds an absolute 1e-12,
+        and a line 220 units long pass the O(n^2) line test as path metrics
+        without the cubic loop."""
+        monkeypatch.setattr(core, "_check_triangle", lambda *args: pytest.fail("loop ran"))
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            t = np.cumsum(rng.uniform(0.1, 1.0, 40)) * scale
+            space = make_space([f"x{i}" for i in range(40)], metric=np.abs(t[:, None] - t))
+            assert space._path
+        t = np.cumsum(rng.uniform(0.1, 1.0, 400))
+        assert make_space([f"x{i}" for i in range(400)], metric=np.abs(t[:, None] - t))._path
+
+
 class TestPointMass:
     def test_integer_indices(self):
         space = make_space(["a", "b", "c"])
@@ -192,10 +294,8 @@ class TestPointMass:
 class TestLipschitzPairs:
     @pytest.mark.parametrize("scale", [2.0**-7, 1.0, 60.0, 2.0**10, 2.0**13])
     def test_adjacent_on_path_metrics(self, scale):
-        """Lines in index order, either direction, also past the triangle
-        check's 128 cap, where its O(n^2) shortcut does not run.  Integer
-        gaps times a power of two keep every distance exact, so the triangle
-        check's absolute METRIC_TOL accepts them at any scale."""
+        """Lines in index order, either direction, at scales 2^-7 to 2^13.
+        Integer gaps times a power of two keep every distance exact."""
         rng = np.random.default_rng(int(scale * 128))
         for n in (1, 2, 3, 9, 40):
             t = np.cumsum(rng.integers(1, 50, n)).astype(float) * scale
