@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ipmdro.solvers import (
     project_simplex,
     solve_lp,
 )
+from lp_record import solution_bytes
 from oracles import greedy_l1_worst_case
 from test_flow_lp import distribution, euclid_space
 
@@ -260,6 +262,31 @@ class TestBoundedFleetAgainstHighs:
         # the fleet reaches each outcome and both drive-out branches
         assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(statuses)
         assert sum(stayed) > 0 and sum(pivoted_out) > 0
+
+
+# SHA-256 over ``solution_bytes`` of the 400 LPs of TestBoundedFleetAgainstHighs
+FLEET_SOLUTIONS_DIGEST = "592790c05e4edf85f53726dba289eee463373a5e937b9c840b7986bd9848d0c5"
+
+
+def test_fleet_solutions_are_pinned():
+    """Every field of every LpSolution of the bounded fleet, byte for byte.
+
+    The fleet poses equality rows, dependent rows, negative right-hand
+    sides, phase 1 with both drive-out branches, and infeasible and
+    unbounded LPs, each over at most 7 variables, so BLAS threading cannot
+    move a bit.  A change to the LP kernel that moves a pivot or a bit of
+    any solution must update this digest and say why in CHANGES.md; one
+    that moves none leaves it as it is.
+    """
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    statuses = set()
+    for _ in range(400):
+        sol = solve_lp(bounded_fleet_problem(rng))
+        statuses.add(sol.status)
+        digest.update(solution_bytes(sol))
+    assert statuses == set(LpStatus)
+    assert digest.hexdigest() == FLEET_SOLUTIONS_DIGEST
 
 
 class TestRedundantEqualityRow:
