@@ -99,6 +99,15 @@ def _solve_exact_lp(problem, what="ball LP (P is feasible)"):
 # explicit sets
 
 
+def _bounds(nonneg: int, free: int) -> np.ndarray:
+    """Bounds of an LP over ``nonneg`` NONNEG variables followed by ``free``
+    FREE ones."""
+    bounds = np.empty((nonneg + free, 2))
+    bounds[:nonneg] = NONNEG
+    bounds[nonneg:] = FREE
+    return bounds
+
+
 def _member_key(values: np.ndarray) -> bytes:
     return (values + 0.0).tobytes()  # fold -0.0 into +0.0
 
@@ -150,7 +159,7 @@ class Explicit(FunctionClass):
                 if n == 1:
                     return float(v[0]), PenaltyValue(0.0, np.zeros(m))
                 c, rows = v[:-1] - v[-1], rows[:, :-1] - rows[:, -1:]
-            sol = solve_lp(lp_problem(c, ub=(rows, np.ones(m)), bounds=[FREE] * c.size))
+            sol = solve_lp(lp_problem(c, ub=(rows, np.ones(m)), bounds=_bounds(0, c.size)))
             if sol.status == LpStatus.UNBOUNDED:
                 return 0.0, PenaltyValue(np.inf, None)
             _require_optimal(sol, what)
@@ -160,13 +169,13 @@ class Explicit(FunctionClass):
             b = float(v[-1] - self.matrix[:, -1] @ w) if shift else 0.0
             return b, PenaltyValue(max(0.0, sol.value), w)
         k = int(shift)  # the shift's column, if any
-        sol = solve_lp(
-            lp_problem(
-                np.concatenate([-np.ones(m), np.zeros(k)]),
-                eq=(np.hstack([self.matrix.T, np.ones((n, k))]), v),
-                bounds=[NONNEG] * m + [FREE] * k,
-            )
-        )
+        c = np.zeros(m + k)
+        c[:m] = -1.0
+        # the certification's product a_eq @ x reads the rows in this layout
+        a_eq = np.empty((n, m + k), order="F" if shift else "C")
+        a_eq[:, :m] = self.matrix.T
+        a_eq[:, m:] = 1.0
+        sol = solve_lp(lp_problem(c, eq=(a_eq, v), bounds=_bounds(m, k)))
         if sol.status == LpStatus.INFEASIBLE:
             return 0.0, PenaltyValue(np.inf, None)
         _require_optimal(sol, what)
@@ -199,16 +208,18 @@ class Explicit(FunctionClass):
         n, v, p, members = self.space.n, h.values, P.weights, self.matrix
         if n == 1:
             return DroResult(float(v[0]), _as_distribution(P.space, p), DroMethod.EXACT_LP)
-        # 0.0 - I keeps the off-diagonal zeros +0.0
-        rows = np.vstack([0.0 - np.eye(n - 1), np.ones(n - 1), members[:, :-1] - members[:, -1:]])
-        sol = _solve_exact_lp(
-            lp_problem(
-                v[:-1] - v[-1],
-                ub=(rows, np.concatenate([p, np.full(self.size, eps)])),
-                bounds=[FREE] * (n - 1),
-            )
-        )
-        q = p + np.append(sol.x, -sol.x.sum())
+        rows = np.zeros((n + self.size, n - 1))
+        rows[: n - 1].flat[:: n] = -1.0
+        rows[n - 1] = 1.0
+        np.subtract(members[:, :-1], members[:, -1:], out=rows[n:])
+        rhs = np.empty(n + self.size)
+        rhs[:n] = p
+        rhs[n:] = eps
+        sol = _solve_exact_lp(lp_problem(v[:-1] - v[-1], ub=(rows, rhs), bounds=_bounds(0, n - 1)))
+        move = np.empty(n)
+        move[:-1] = sol.x
+        move[-1] = -sol.x.sum()
+        q = p + move
         return DroResult(float(v @ q), _as_distribution(P.space, q), DroMethod.EXACT_LP)
 
     def lambda_(self, P, eps, h):
@@ -220,17 +231,16 @@ class Explicit(FunctionClass):
         so the penalty is max h - E_P h - opt.  Every right-hand side is
         non-negative, so the slack basis is feasible and phase 1 never runs.
         """
-        members, v = self.matrix, h.values
+        members, v, m = self.matrix, h.values, self.size
         top = float(v.max())
-        a_ub = np.hstack([-members.T, -np.ones((v.size, 1))])
-        sol = _solve_exact_lp(
-            lp_problem(
-                np.concatenate([-(members @ P.weights) - eps, [-1.0]]),
-                ub=(a_ub, top - v),
-                bounds=[NONNEG] * self.size + [FREE],
-            ),
-            "penalty LP",
-        )
+        c = np.empty(m + 1)
+        np.negative(members @ P.weights, out=c[:m])
+        c[:m] -= eps
+        c[m] = -1.0
+        a_ub = np.empty((v.size, m + 1), order="F")  # column-major, as members.T is
+        np.negative(members.T, out=a_ub[:, :m])
+        a_ub[:, m] = -1.0
+        sol = _solve_exact_lp(lp_problem(c, ub=(a_ub, top - v), bounds=_bounds(m, 1)), "penalty LP")
         h2 = members.T @ sol.x[: self.size]
         value = top - float(P.weights @ v) - sol.value
         return PenaltyValue(max(value, 0.0), (v - h2, h2))

@@ -31,6 +31,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``: the one copy a value type makes."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -89,10 +90,10 @@ class SampleSpace:
         n = len(points)
 
         if self.metric is not None:
-            c = np.array(self.metric, dtype=float)
+            c = _frozen_array(self.metric)
             if c.shape != (n, n):
                 raise DimensionMismatch(f"metric shape {c.shape} does not match {n} points")
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ValueError("metric entries must be finite")
             tol = METRIC_TOL * np.abs(c).max()
             slack = np.abs(c - c.T)
@@ -117,7 +118,7 @@ class SampleSpace:
             object.__setattr__(self, "_path", bool(line and np.all(np.diff(c[0]) > 0.0)))
             if not line:
                 _check_triangle(c, slack, tol)
-            object.__setattr__(self, "metric", _frozen_array(c))
+            object.__setattr__(self, "metric", c)
 
         if self.graph is not None:
             edges = []
@@ -203,18 +204,19 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _frozen_array(self.weights)
         if w.shape != (self.space.n,):
             raise DimensionMismatch(
                 f"weight vector has shape {w.shape}, expected ({self.space.n},)"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.min(w) < 0.0:
+        if w.min() < 0.0:
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        object.__setattr__(self, "weights", _frozen_array(w))
+        total = w.sum()
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, space: SampleSpace) -> "DiscreteDistribution":
@@ -240,14 +242,14 @@ class FunctionVec:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _frozen_array(self.values)
         if v.shape != (self.space.n,):
             raise DimensionMismatch(
                 f"function vector has shape {v.shape}, expected ({self.space.n},)"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("function values must be finite")
-        object.__setattr__(self, "values", _frozen_array(v))
+        object.__setattr__(self, "values", v)
 
     def negated(self) -> "FunctionVec":
         return FunctionVec(self.space, -self.values)
@@ -322,12 +324,11 @@ def sup_norm(values: np.ndarray) -> float:
 
 
 def lipschitz_constant(space: SampleSpace, values: np.ndarray) -> float:
-    """Largest |v_i - v_j| / c(i, j) over point pairs.  The diagonal is
-    divided by one, not zero: its quotients are zeros, which never exceed
-    the maximum, and c(i, j) + 0.0 leaves every other quotient as it is."""
-    quotient = np.abs(values[:, None] - values[None, :])
-    quotient /= space.metric + np.eye(space.n)
-    return float(quotient.max())
+    """Largest |v_i - v_j| / c(i, j) over the pairs of ``lipschitz_pairs``,
+    which fix it: O(n) on a path metric, one quotient per pair i < j on any
+    other; 0.0 on one point."""
+    i, j, cost = lipschitz_pairs(space)
+    return float((np.abs(values[i] - values[j]) / cost).max(initial=0.0))
 
 
 def lipschitz_pairs(space: SampleSpace):

@@ -121,25 +121,6 @@ def check_dense_size(n_vars: int, n_rows: int) -> None:
                               "variables and constraints")
 
 
-def _validate(p: LpProblem) -> None:
-    n = p.n
-    if p.a_eq.shape[1] != n or p.a_ub.shape[1] != n:
-        raise DimensionMismatch("constraint matrices do not match objective size")
-    if p.a_eq.shape[0] != p.b_eq.size or p.a_ub.shape[0] != p.b_ub.size:
-        raise DimensionMismatch("constraint rhs does not match matrix rows")
-    if n == 0:
-        raise DimensionMismatch("an LP needs at least one variable")
-    check_dense_size(n, p.a_eq.shape[0] + p.a_ub.shape[0])
-    if p.bounds.shape != (n, 2):
-        raise DimensionMismatch("bounds must be (n, 2)")
-    for arr in (p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub):
-        if not np.isfinite(arr).all():
-            raise ValueError("LP data must be finite")
-    lo, up = p.bounds.T
-    if not ((up == np.inf) & ((lo == 0.0) | (lo == -np.inf))).all():
-        raise ValueError("each variable's bounds must be NONNEG (0, inf) or FREE (-inf, inf)")
-
-
 class _Simplex:
     """Revised simplex on  min c'x s.t. Ax = b, x >= 0  with Bland's rule.
 
@@ -170,6 +151,12 @@ class _Simplex:
     reduced cost may differ in its last bit, since BLAS may sum the last
     rows of a shorter product in another order; that changes a pivot only
     where a reduced cost lies within rounding of LP_REDUCED_COST.
+
+    The pivot loop allocates no m x m array: the views of the priced
+    columns are taken once, the dense rank-one term is written into one
+    buffer made on the first dense update, and the step and the pivot are
+    Python floats.  ``y`` holds the duals of the last pricing, which
+    ``solve_lp`` reads at the optimum.
     """
 
     def __init__(self, a, b, basis, first_slack, slack_sign, stage):
@@ -187,10 +174,13 @@ class _Simplex:
         # the reduced cost below which a column enters; -inf while it is basic
         self.bar = np.full(a.shape[1], -LP_REDUCED_COST)
         self.bar[basis] = -np.inf
-        scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
-        self.least_basic = -LP_REFACTOR_FEASIBILITY * scale
+        self.at_priced, self.bar_priced = self.at[:self.priced], self.bar[:self.priced]
+        self.scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
+        self.least_basic = -LP_REFACTOR_FEASIBILITY * self.scale
         self.binv = np.eye(self.m)
         self.xb = np.maximum(b, 0.0)
+        self.y = None
+        self.update = None  # the dense rank-one term, m x m once needed
 
     def breakdown(self, message) -> NumericalBreakdown:
         m, n = self.a.shape
@@ -222,24 +212,27 @@ class _Simplex:
             cols = pivot_row.nonzero()[0]
             binv[:, cols] -= direction[:, None] * pivot_row[cols]
         else:
-            binv -= direction[:, None] * pivot_row
+            if self.update is None:
+                self.update = np.empty_like(binv)
+            binv -= np.multiply(direction[:, None], pivot_row, out=self.update)
         self.bar[self.basis[row]] = -LP_REDUCED_COST
         self.bar[entering] = -np.inf
         self.basis[row] = entering
 
     def entering(self, c):
-        """Bland's entering column for the costs ``c``, or None at optimum."""
-        y = self.binv.T @ c[self.basis]
-        priced, bar = self.priced, self.bar
-        improving = c[:priced] - self.at[:priced] @ y < bar[:priced]
+        """Bland's entering column for the costs ``c`` at the duals ``y``, or
+        None at optimum."""
+        y = self.y
+        improving = c[:self.priced] - self.at_priced @ y < self.bar_priced
         entering = improving.argmax()  # Bland: lowest index
         if improving[entering]:
             return entering
+        priced = self.priced
         if priced == self.first_artificial:
             return None
         # a slack improves where -slack_sign * y < bar; here both sides negated
         slack_y = y[self.m - self.slack_sign.size:]
-        improving = self.slack_sign * slack_y > -bar[priced:self.first_artificial]
+        improving = self.slack_sign * slack_y > -self.bar[priced:self.first_artificial]
         entering = improving.argmax()
         return priced + entering if improving[entering] else None
 
@@ -249,6 +242,7 @@ class _Simplex:
         while True:
             if self.iterations > LP_MAX_ITERATIONS:
                 raise self.breakdown("simplex iteration limit reached")
+            self.y = self.binv.T @ c[self.basis]
             entering = self.entering(c)
             if entering is None:
                 if since_refactor == 0:
@@ -264,18 +258,18 @@ class _Simplex:
                 return "unbounded"
             ratios = xb[eligible] / direction[eligible]
             least = ratios.argmin()
-            theta = float(ratios[least])
-            ties = ratios <= theta + LP_RATIO_TIE * (1.0 + abs(theta))
-            if np.count_nonzero(ties) > 1:  # Bland: lowest basic index
-                tied = eligible[ties]
-                leave_row = tied[basis[tied].argmin()]
-            else:
-                leave_row = eligible[least]
-            pivot = direction[leave_row]
+            leave_row = eligible[least]
+            if eligible.size > 1:
+                theta = float(ratios[least])
+                ties = ratios <= theta + LP_RATIO_TIE * (1.0 + abs(theta))
+                if np.count_nonzero(ties) > 1:  # Bland: lowest basic index
+                    tied = eligible[ties]
+                    leave_row = tied[basis[tied].argmin()]
+            pivot = float(direction[leave_row])
             if pivot < LP_PIVOT:
                 raise self.breakdown(f"pivot {pivot:.3e} below tolerance")
             self.exchange(leave_row, entering, direction, pivot)
-            theta_star = xb[leave_row] / pivot
+            theta_star = float(xb[leave_row]) / pivot
             xb -= theta_star * direction
             xb[leave_row] = theta_star
             np.maximum(xb, 0.0, out=xb)
@@ -303,16 +297,101 @@ class _Simplex:
                 np.maximum(self.xb, 0.0, out=self.xb)
 
 
+def _standard_form(problem: LpProblem):
+    """Validate ``problem`` and pose it as  min c'x s.t. Ax = b, x >= 0  in
+    one pass; returns (simplex, phase-2 costs, user columns, minus columns,
+    free mask, row signs or None).
+
+    A free variable x becomes two columns, x = x+ - x-, with x+ in the
+    variable's own position and x- right after it; columns of NONNEG
+    variables only, or of FREE only, are slices.  A row with a negative
+    right-hand side is negated, so b >= 0.  An equality row, or an
+    inequality row whose slack was negated, starts on an artificial column;
+    every other row on its slack.  A block that is empty is never built:
+    no split without a free variable, no row-sign pass without a negative
+    right-hand side, no artificial column without an equality row or one
+    negated."""
+    c_user, a_eq, b_eq, a_ub, b_ub = (problem.objective, problem.a_eq, problem.b_eq,
+                                      problem.a_ub, problem.b_ub)
+    n = c_user.size
+    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    if a_eq.shape[1] != n or a_ub.shape[1] != n:
+        raise DimensionMismatch("constraint matrices do not match objective size")
+    if m_eq != b_eq.size or m_ub != b_ub.size:
+        raise DimensionMismatch("constraint rhs does not match matrix rows")
+    if n == 0:
+        raise DimensionMismatch("an LP needs at least one variable")
+    check_dense_size(n, m_eq + m_ub)
+    if problem.bounds.shape != (n, 2):
+        raise DimensionMismatch("bounds must be (n, 2)")
+    for arr in (c_user, a_eq, b_eq, a_ub, b_ub):
+        if arr.size and not np.isfinite(arr).all():
+            raise ValueError("LP data must be finite")
+    lo, up = problem.bounds.T
+    free = lo == -np.inf
+    if not ((up == np.inf) & (free | (lo == 0.0))).all():
+        raise ValueError("each variable's bounds must be NONNEG (0, inf) or FREE (-inf, inf)")
+
+    # the column of each variable's x+; a free variable's x- follows it
+    n_free = int(np.count_nonzero(free))
+    if n_free == 0:
+        cols = plus = slice(0, n)
+        minus = None
+    elif n_free == n:
+        cols = plus = slice(0, 2 * n, 2)
+        minus = slice(1, 2 * n, 2)
+    else:
+        cols = np.arange(n) + (np.cumsum(free) - free)
+        plus = cols[free]
+        minus = plus + 1
+    nt = n + n_free
+    m = m_eq + m_ub
+    n_struct = nt + m_ub  # split vars + slacks
+    b_std = np.concatenate([b_eq, b_ub]) if m_eq else b_ub.copy()
+    neg_ub = (b_ub < 0.0).nonzero()[0]
+    art_rows = np.concatenate([np.arange(m_eq), m_eq + neg_ub]) if neg_ub.size else np.arange(m_eq)
+    n_art = art_rows.size
+
+    a_full = np.zeros((m, n_struct + n_art))
+    a_full[:m_eq, cols] = a_eq
+    a_full[m_eq:, cols] = a_ub
+    if n_free:
+        a_full[:, minus] = 0.0 - a_full[:, plus]  # 0.0 - x keeps zeros +0.0
+    basis = np.arange(nt, nt + m) - m_eq  # the slack column of each inequality row
+    a_full[np.arange(m_eq, m), basis[m_eq:]] = 1.0
+    row_sign = None
+    if (b_eq < 0.0).any() or neg_ub.size:
+        row_sign = np.where(b_std < 0.0, -1.0, 1.0)
+        b_std *= row_sign
+        a_full[:, :n_struct] *= row_sign[:, None]
+    if n_art:
+        art_cols = np.arange(n_struct, n_struct + n_art)
+        a_full[art_rows, art_cols] = 1.0
+        basis[art_rows] = art_cols
+    slack_sign = np.ones(m_ub) if row_sign is None else row_sign[m_eq:]
+    sx = _Simplex(a_full, b_std, basis, nt, slack_sign, "phase 1")
+
+    c_min = np.zeros(a_full.shape[1])
+    c_min[cols] = -c_user
+    if n_free:
+        c_min[minus] = c_user[free]
+    return sx, c_min, cols, minus, free, row_sign
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP with a deterministic two-phase revised simplex.
 
-    Every variable is NONNEG or FREE.  A free variable x becomes two columns,
-    x = x+ - x-, with x+ in the variable's own position and x- right after
-    it.  Each row is normalised to a non-negative right-hand side and gets a
-    unit slack or artificial column, so the starting basis is the identity.
-    Phase 1 runs only when some row needs an artificial.  Both phases run
-    on one simplex and price with Bland's rule; a redundant equality row
-    keeps its artificial basic at zero and gets a zero dual.
+    Every variable is NONNEG or FREE.  One pass validates the problem and
+    builds its standard form (``_standard_form``): a free variable x becomes
+    two columns, x = x+ - x-, each row is normalised to a non-negative
+    right-hand side and gets a unit slack or artificial column, so the
+    starting basis is the identity, and an empty block (no free variable,
+    no negative right-hand side, no artificial) costs nothing.  Phase 1 runs
+    only when some row needs an artificial.  Both phases run on one simplex
+    and price with Bland's rule; a redundant equality row keeps its
+    artificial basic at zero and gets a zero dual.  The duals returned are
+    those of the final pricing, and the dense basis update reuses one
+    buffer, so the pivot loop allocates no m x m array.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
@@ -321,45 +400,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Every breakdown names the phase, the standard-form shape and the
     iteration.
     """
-    _validate(problem)
+    sx, c_min, cols, minus, free, row_sign = _standard_form(problem)
     c_user = problem.objective
-    free = problem.bounds[:, 0] == -np.inf
-    # the column of each variable's x+; a free variable's x- follows it
-    cols = np.arange(c_user.size) + (np.cumsum(free) - free)
-    plus, minus = cols[free], cols[free] + 1
-    nt = c_user.size + plus.size
-    m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
-    m = m_eq + m_ub
-    n_struct = nt + m_ub  # split vars + slacks
-    b_std = np.concatenate([problem.b_eq, problem.b_ub])
-    # each row is negated where needed so that b_std >= 0; an equality row,
-    # or an inequality row whose slack was negated, starts on an artificial
-    # column, every other row on its slack
-    neg = b_std < 0
-    row_sign = np.where(neg, -1.0, 1.0)
-    b_std *= row_sign
-    rows = np.arange(m)
-    art_rows = (neg | (rows < m_eq)).nonzero()[0]
-    n_art = art_rows.size
-
-    a_full = np.zeros((m, n_struct + n_art))
-    a_full[:m_eq, cols] = problem.a_eq
-    a_full[m_eq:, cols] = problem.a_ub
-    a_full[:, minus] = 0.0 - a_full[:, plus]  # 0.0 - x keeps zeros +0.0
-    basis = rows + (nt - m_eq)  # the slack column of each inequality row
-    a_full[rows[m_eq:], basis[m_eq:]] = 1.0
-    a_full[:, :n_struct] *= row_sign[:, None]
-    art_cols = n_struct + np.arange(n_art)
-    a_full[art_rows, art_cols] = 1.0
-    basis[art_rows] = art_cols
-    n_total = a_full.shape[1]
-    slack_sign = row_sign[m_eq:]
-    sx = _Simplex(a_full, b_std, basis, nt, slack_sign, "phase 1")
+    m_eq = problem.a_eq.shape[0]
+    first_artificial = sx.first_artificial
 
     # --- phase 1 ------------------------------------------------------------
-    if n_art:
-        c_phase1 = np.zeros(n_total)
-        c_phase1[n_struct:] = 1.0
+    if first_artificial < c_min.size:
+        c_phase1 = np.zeros(c_min.size)
+        c_phase1[first_artificial:] = 1.0
         if sx.run(c_phase1) != "optimal":
             raise sx.breakdown("terminated abnormally")
         phase1_value = float(c_phase1[sx.basis] @ sx.xb)
@@ -370,45 +419,42 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     sx.stage = "phase 2"
 
     # --- phase 2 ------------------------------------------------------------
-    c_min = np.zeros(n_total)
-    c_min[cols] = -c_user
-    c_min[minus] = c_user[free]
-    status = sx.run(c_min)
-    if status == "unbounded":
+    if sx.run(c_min) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, None, None,
                           iterations=sx.iterations)
 
-    x_std = np.zeros(n_total)
+    x_std = np.zeros(c_min.size)
     x_std[sx.basis] = sx.xb
-    x_user = x_std[cols]
-    x_user[free] -= x_std[minus]
+    if minus is None:
+        x_user = x_std[cols].copy()
+    elif isinstance(cols, slice):
+        x_user = x_std[cols] - x_std[minus]
+    else:
+        x_user = x_std[cols]
+        x_user[free] -= x_std[minus]
     value = float(c_user @ x_user)
 
-    y = sx.binv.T @ c_min[sx.basis]  # duals of the computational problem
-    dual = -row_sign * y  # max-form duals of the user's rows
+    y = sx.y  # duals of the computational problem, from the final pricing
+    dual = -y if row_sign is None else -row_sign * y  # max-form duals of the user's rows
 
     # --- certification -------------------------------------------------------
     sx.stage = "certification"
-    rhs_scale = 1.0
-    for arr in (problem.b_eq, problem.b_ub):
-        if arr.size:
-            rhs_scale = max(rhs_scale, 1.0 + float(np.abs(arr).max()))
     feas = 0.0
     if m_eq:
         feas = max(feas, float(np.abs(problem.a_eq @ x_user - problem.b_eq).max()))
-    if m_ub:
+    if problem.a_ub.shape[0]:
         feas = max(feas, float((problem.a_ub @ x_user - problem.b_ub).max()))
 
-    reduced = c_min - a_full.T @ y
+    reduced = c_min - sx.a.T @ y
     compl = float(np.abs(reduced * x_std).max())
-    gap = abs(float(c_min @ x_std) - float(y @ b_std))
+    gap = abs(float(c_min @ x_std) - float(y @ sx.b))
 
     solution = LpSolution(
         LpStatus.OPTIMAL, x_user, value, dual[:m_eq], dual[m_eq:],
         feasibility_residual=feas, complementarity_residual=compl,
         duality_gap=gap, iterations=sx.iterations,
     )
-    if feas > LP_FEASIBILITY * rhs_scale:
+    if feas > LP_FEASIBILITY * sx.scale:
         raise sx.breakdown(f"primal residual {feas:.3e} above tolerance")
     if compl > LP_COMPLEMENTARITY:
         raise sx.breakdown(f"complementarity residual {compl:.3e} above tolerance")

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 from scipy.optimize import linprog
 
 import ipmdro
-from ipmdro import DudleyBall, FunctionVec, balls, lambda_penalty, solvers
+from ipmdro import (
+    DiscreteDistribution,
+    DudleyBall,
+    FunctionVec,
+    balls,
+    lambda_penalty,
+    make_space,
+    solvers,
+)
 from ipmdro.errors import DimensionMismatch, NumericalBreakdown
 from ipmdro.solvers import (
     FREE,
@@ -625,3 +634,42 @@ class TestSparsePivotMatchesDensePivot:
         assert sum(stayed) > 0
         assert {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} <= {o[0] for o in reference[:-1]}
         assert reference[-1].startswith("solve_lp phase 1 (80 rows, 136 columns, ")
+
+
+def test_dense_updates_reuse_one_buffer(monkeypatch):
+    """After the first dense rank-one update, further dense updates allocate
+    no m x m array: under tracemalloc, the peak over the next 50 dense
+    pivots stays below m^2 x 8 bytes.  The Dudley penalty LP on a 51-point
+    path has 253 rows and takes the dense update on most pivots after its
+    first 190; no refactorization falls in the window."""
+    exchange, refactor = solvers._Simplex.exchange, solvers._Simplex.refactor
+    dense, refactors, peak, rows = [0], [0], [], []
+
+    def spy_exchange(sx, row, entering, direction, pivot):
+        exchange(sx, row, entering, direction, pivot)
+        if peak or 8 * np.count_nonzero(sx.binv[row]) < sx.m:
+            return
+        if dense[0] == 0:
+            tracemalloc.start()
+        elif dense[0] == 50:
+            peak.append(tracemalloc.get_traced_memory()[1])
+            rows.append(sx.m)
+            tracemalloc.stop()
+        dense[0] += 1
+
+    def spy_refactor(sx):
+        refactors[0] += tracemalloc.is_tracing()
+        refactor(sx)
+
+    monkeypatch.setattr(solvers._Simplex, "exchange", spy_exchange)
+    monkeypatch.setattr(solvers._Simplex, "refactor", spy_refactor)
+    t = np.linspace(0.0, 8.0, 51)
+    space = make_space([f"x{i}" for i in range(t.size)], metric=np.abs(t[:, None] - t[None, :]))
+    P = DiscreteDistribution(space, np.full(t.size, 1.0 / t.size))
+    try:
+        lambda_penalty(P, DudleyBall(space), 0.3, FunctionVec(space, np.sin(2.0 * t) + t))
+    finally:
+        tracemalloc.stop()
+    m = rows[0]
+    assert m >= solvers.LP_SPARSE_UPDATE_ROWS and refactors[0] == 0
+    assert peak[0] < m * m * 8
