@@ -328,7 +328,10 @@ def lipschitz_constant(space: SampleSpace, values: np.ndarray) -> float:
     which fix it: O(n) on a path metric, one quotient per pair i < j on any
     other; 0.0 on one point."""
     i, j, cost = lipschitz_pairs(space)
-    return float((np.abs(values[i] - values[j]) / cost).max(initial=0.0))
+    quotient = values[i] - values[j]
+    np.abs(quotient, out=quotient)
+    quotient /= cost
+    return float(quotient.max(initial=0.0))
 
 
 def lipschitz_pairs(space: SampleSpace):

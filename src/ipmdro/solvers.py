@@ -7,6 +7,14 @@ breaking), fixed iteration budgets, no randomness.  The simplex reads its
 reduced costs and ratios from BLAS products, whose last bits depend on how
 the library splits a sum across threads, so another thread count may pick
 other pivots on the same LP.
+
+The LPs it serves are mostly small and take a handful of pivots, so
+``solve_lp`` is written to pay for pivots rather than set-up: one pass
+validates an LP and builds its standard form, building no block the LP does
+not need (no free-variable split, row-sign pass or artificial column), and
+between refactorizations the pivot loop allocates no m x m array: each
+dense rank-one update of the basis inverse is written into one buffer, made
+on the first such update.
 """
 
 from __future__ import annotations
@@ -152,11 +160,12 @@ class _Simplex:
     rows of a shorter product in another order; that changes a pivot only
     where a reduced cost lies within rounding of LP_REDUCED_COST.
 
-    The pivot loop allocates no m x m array: the views of the priced
-    columns are taken once, the dense rank-one term is written into one
-    buffer made on the first dense update, and the step and the pivot are
-    Python floats.  ``y`` holds the duals of the last pricing, which
-    ``solve_lp`` reads at the optimum.
+    Between refactorizations the pivot loop allocates no m x m array: the
+    views of the priced columns are taken once, the dense rank-one term is
+    written into one buffer (``update``) made on the first dense update, and
+    the step and the pivot are Python floats.  ``run`` computes the duals
+    ``y`` before each pricing; at the optimum they are the duals
+    ``solve_lp`` returns.
     """
 
     def __init__(self, a, b, basis, first_slack, slack_sign, stage):
@@ -353,14 +362,15 @@ def _standard_form(problem: LpProblem):
     n_art = art_rows.size
 
     a_full = np.zeros((m, n_struct + n_art))
-    a_full[:m_eq, cols] = a_eq
+    if m_eq:
+        a_full[:m_eq, cols] = a_eq
     a_full[m_eq:, cols] = a_ub
     if n_free:
         a_full[:, minus] = 0.0 - a_full[:, plus]  # 0.0 - x keeps zeros +0.0
     basis = np.arange(nt, nt + m) - m_eq  # the slack column of each inequality row
     a_full[np.arange(m_eq, m), basis[m_eq:]] = 1.0
     row_sign = None
-    if (b_eq < 0.0).any() or neg_ub.size:
+    if neg_ub.size or (m_eq and (b_eq < 0.0).any()):
         row_sign = np.where(b_std < 0.0, -1.0, 1.0)
         b_std *= row_sign
         a_full[:, :n_struct] *= row_sign[:, None]
@@ -391,7 +401,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     and price with Bland's rule; a redundant equality row keeps its
     artificial basic at zero and gets a zero dual.  The duals returned are
     those of the final pricing, and the dense basis update reuses one
-    buffer, so the pivot loop allocates no m x m array.
+    buffer, so between refactorizations the pivot loop allocates no m x m
+    array.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
