@@ -171,7 +171,8 @@ class Explicit(FunctionClass):
         k = int(shift)  # the shift's column, if any
         c = np.zeros(m + k)
         c[:m] = -1.0
-        # the certification's product a_eq @ x reads the rows in this layout
+        # the layout np.hstack left: the certificate's a_eq @ x reads it, and
+        # another one can move the residual's last bit
         a_eq = np.empty((n, m + k), order="F" if shift else "C")
         a_eq[:, :m] = self.matrix.T
         a_eq[:, m:] = 1.0
@@ -209,7 +210,7 @@ class Explicit(FunctionClass):
         if n == 1:
             return DroResult(float(v[0]), _as_distribution(P.space, p), DroMethod.EXACT_LP)
         rows = np.zeros((n + self.size, n - 1))
-        rows[: n - 1].flat[:: n] = -1.0
+        rows[: n - 1].flat[:: n] = -1.0  # -I: its diagonal is n apart in flat order
         rows[n - 1] = 1.0
         np.subtract(members[:, :-1], members[:, -1:], out=rows[n:])
         rhs = np.empty(n + self.size)
@@ -237,7 +238,9 @@ class Explicit(FunctionClass):
         np.negative(members @ P.weights, out=c[:m])
         c[:m] -= eps
         c[m] = -1.0
-        a_ub = np.empty((v.size, m + 1), order="F")  # column-major, as members.T is
+        # column-major, as np.hstack left it: the certificate's a_ub @ x reads
+        # this layout, and another one can move the residual's last bit
+        a_ub = np.empty((v.size, m + 1), order="F")
         np.negative(members.T, out=a_ub[:, :m])
         a_ub[:, m] = -1.0
         sol = _solve_exact_lp(lp_problem(c, ub=(a_ub, top - v), bounds=_bounds(m, 1)), "penalty LP")

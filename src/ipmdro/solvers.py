@@ -231,12 +231,11 @@ class _Simplex:
     def entering(self, c):
         """Bland's entering column for the costs ``c`` at the duals ``y``, or
         None at optimum."""
-        y = self.y
-        improving = c[:self.priced] - self.at_priced @ y < self.bar_priced
+        priced, y = self.priced, self.y
+        improving = c[:priced] - self.at_priced @ y < self.bar_priced
         entering = improving.argmax()  # Bland: lowest index
         if improving[entering]:
             return entering
-        priced = self.priced
         if priced == self.first_artificial:
             return None
         # a slack improves where -slack_sign * y < bar; here both sides negated
