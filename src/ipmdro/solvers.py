@@ -8,13 +8,9 @@ reduced costs and ratios from BLAS products, whose last bits depend on how
 the library splits a sum across threads, so another thread count may pick
 other pivots on the same LP.
 
-The LPs it serves are mostly small and take a handful of pivots, so
-``solve_lp`` is written to pay for pivots rather than set-up: one pass
-validates an LP and builds its standard form, building no block the LP does
-not need (no free-variable split, row-sign pass or artificial column), and
-between refactorizations the pivot loop allocates no m x m array: each
-dense rank-one update of the basis inverse is written into one buffer, made
-on the first such update.
+Most LPs here are small and take a handful of pivots, so ``solve_lp`` keeps
+its set-up to one pass that builds only the blocks an LP needs, and its
+pivot loop writes each dense update of the basis inverse into one buffer.
 """
 
 from __future__ import annotations
@@ -161,11 +157,9 @@ class _Simplex:
     where a reduced cost lies within rounding of LP_REDUCED_COST.
 
     Between refactorizations the pivot loop allocates no m x m array: the
-    views of the priced columns are taken once, the dense rank-one term is
-    written into one buffer (``update``) made on the first dense update, and
-    the step and the pivot are Python floats.  ``run`` computes the duals
-    ``y`` before each pricing; at the optimum they are the duals
-    ``solve_lp`` returns.
+    dense rank-one term goes into one buffer, ``update``, made on the first
+    dense update.  ``run`` computes the duals ``y`` before each pricing; at
+    the optimum they are the duals ``solve_lp`` returns.
     """
 
     def __init__(self, a, b, basis, first_slack, slack_sign, stage):
@@ -307,18 +301,17 @@ class _Simplex:
 
 def _standard_form(problem: LpProblem):
     """Validate ``problem`` and pose it as  min c'x s.t. Ax = b, x >= 0  in
-    one pass; returns (simplex, phase-2 costs, user columns, minus columns,
-    free mask, row signs or None).
+    one pass; returns (simplex, phase-2 costs, x+ columns, x- columns or
+    None, free mask, row signs or None).
 
     A free variable x becomes two columns, x = x+ - x-, with x+ in the
-    variable's own position and x- right after it; columns of NONNEG
-    variables only, or of FREE only, are slices.  A row with a negative
+    variable's own position and x- right after it; when all variables are
+    NONNEG, or all FREE, the columns are slices.  A row with a negative
     right-hand side is negated, so b >= 0.  An equality row, or an
-    inequality row whose slack was negated, starts on an artificial column;
-    every other row on its slack.  A block that is empty is never built:
-    no split without a free variable, no row-sign pass without a negative
-    right-hand side, no artificial column without an equality row or one
-    negated."""
+    inequality row whose slack was negated, starts on an artificial column,
+    every other row on its slack.  An LP with no free variable, negative
+    right-hand side or artificial builds no split, row-sign pass or
+    artificial column."""
     c_user, a_eq, b_eq, a_ub, b_ub = (problem.objective, problem.a_eq, problem.b_eq,
                                       problem.a_ub, problem.b_ub)
     n = c_user.size
@@ -391,17 +384,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP with a deterministic two-phase revised simplex.
 
     Every variable is NONNEG or FREE.  One pass validates the problem and
-    builds its standard form (``_standard_form``): a free variable x becomes
-    two columns, x = x+ - x-, each row is normalised to a non-negative
-    right-hand side and gets a unit slack or artificial column, so the
-    starting basis is the identity, and an empty block (no free variable,
-    no negative right-hand side, no artificial) costs nothing.  Phase 1 runs
-    only when some row needs an artificial.  Both phases run on one simplex
-    and price with Bland's rule; a redundant equality row keeps its
-    artificial basic at zero and gets a zero dual.  The duals returned are
-    those of the final pricing, and the dense basis update reuses one
-    buffer, so between refactorizations the pivot loop allocates no m x m
-    array.
+    builds its standard form (``_standard_form``), whose starting basis is
+    the identity.  Phase 1 runs only when some row needs an artificial.
+    Both phases run on one simplex and price with Bland's rule; a redundant
+    equality row keeps its artificial basic at zero and gets a zero dual.
+    The duals returned are those of the final pricing, and the dense basis
+    update reuses one buffer.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
