@@ -210,7 +210,7 @@ class Explicit(FunctionClass):
         if n == 1:
             return DroResult(float(v[0]), _as_distribution(P.space, p), DroMethod.EXACT_LP)
         rows = np.zeros((n + self.size, n - 1))
-        rows[: n - 1].flat[:: n] = -1.0  # -I: its diagonal is n apart in flat order
+        np.fill_diagonal(rows, -1.0)  # -I in the first n - 1 rows
         rows[n - 1] = 1.0
         np.subtract(members[:, :-1], members[:, -1:], out=rows[n:])
         rhs = np.empty(n + self.size)
