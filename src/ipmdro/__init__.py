@@ -1,5 +1,8 @@
 """Worst-case expectations, gauge penalties, and robust GAN bounds over IPM
-uncertainty balls on finite sample spaces."""
+uncertainty balls on finite sample spaces.
+
+The package exports the paper's operations; the LP kernel and the other
+numerical kernels behind them stay in ``ipmdro.solvers``."""
 
 from .balls import (
     DudleyBall,
@@ -57,15 +60,6 @@ from .penalties import (
     j_penalty,
     lambda_penalty,
     theta,
-)
-from .solvers import (
-    LpProblem,
-    LpSolution,
-    LpStatus,
-    lp_problem,
-    minimize_scalar_convex,
-    project_simplex,
-    solve_lp,
 )
 
 __version__ = "0.1.0"

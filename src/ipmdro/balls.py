@@ -73,7 +73,11 @@ GRAM_MIN_EIG = 1e-10
 # Members up to which an explicit set's gauges are posed as their duals (see
 # Explicit._conic_lp).  The dual skips phase 1 and a third of the pivots,
 # but its dense basis inverse is m x m; past a few dozen members that costs
-# more than the primal's phase 1 does.
+# more than the primal's phase 1 does.  Dual time over primal time, gauge
+# plus centered gauge on a discretized Fisher ball (one core, best of 3):
+# 0.64-0.84 at 33 members on 4-24 points but 1.17 on 40; 0.62-1.07 at 64;
+# 0.89-2.2 at 128; 2.3-6.5 at 256; 7.7-26 at 512.  No one count is best at
+# every size, so this one is a compromise.
 GAUGE_DUAL_MEMBERS = 32
 
 

@@ -68,10 +68,6 @@ class LpProblem:
     b_ub: np.ndarray
     bounds: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.objective.size
-
 
 def lp_problem(objective, eq=None, ub=None, bounds=None) -> LpProblem:
     """Assemble an LpProblem from (matrix, rhs) pairs; ``bounds`` lists NONNEG

@@ -1,7 +1,9 @@
 """Shared random-instance generators for the property and acceptance fleets.
 
 All generators are deterministic functions of the passed rng; acceptance and
-unit tests seed them explicitly.
+unit tests seed them explicitly.  ``aligned_instance`` plants its alignment
+certificate and solves no LP, so the instances it draws depend on its
+construction alone, not on the LP kernel's pivots.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ from ipmdro import (
     make_space,
     theta,
 )
-from ipmdro.solvers import LpStatus, lp_problem, solve_lp
+
+HALF_SIZE = 2  # member pairs of an aligned instance's class, besides the +-unit vectors
+EPS_HI = 0.4  # an aligned instance's radius is drawn from [0.05, EPS_HI)
 
 
 def plain_space(n):
@@ -47,21 +51,19 @@ def random_distribution(rng, space):
     return DiscreteDistribution(space, rng.dirichlet(np.ones(space.n)))
 
 
-def even_explicit_class(rng, space, half_size, with_units=True):
-    """Random even explicit class, optionally padded with +-unit vectors so
-    the gauge is finite everywhere."""
-    fns = []
-    for _ in range(half_size):
-        v = rng.uniform(-1.0, 1.0, space.n)
-        fns.append(FunctionVec(space, v))
-        fns.append(FunctionVec(space, -v))
+def even_class(space, vectors, with_units=True):
+    """The explicit class of +-v for each row v of ``vectors``, in that
+    order, followed by the +-unit vectors when ``with_units``, which make the
+    gauge finite everywhere."""
     if with_units:
-        for i in range(space.n):
-            e = np.zeros(space.n)
-            e[i] = 1.0
-            fns.append(FunctionVec(space, e))
-            fns.append(FunctionVec(space, -e))
-    return Explicit(space, tuple(fns))
+        vectors = np.vstack([vectors, np.eye(space.n)])
+    return Explicit(space, tuple(FunctionVec(space, sign * v)
+                                 for v in vectors for sign in (1.0, -1.0)))
+
+
+def even_explicit_class(rng, space, half_size, with_units=True):
+    """Random even explicit class of ``half_size`` uniform pairs +-v."""
+    return even_class(space, rng.uniform(-1.0, 1.0, (half_size, space.n)), with_units)
 
 
 def random_gram(rng, n):
@@ -84,70 +86,41 @@ def sobolev_instance(rng, n):
     return space, SobolevBall(space, mu=DiscreteDistribution(space, mu / mu.sum()))
 
 
-def _witness_direction(space, members, support, eps, p):
-    """A ball-boundary direction delta with <f_i, delta> pinned to eps on the
-    gauge-witness support, feasible as mu = p + delta; None when the exposed
-    face is empty.  The LP is posed in y = delta - lo >= 0 with lo = -p, so
-    each right-hand side b becomes b - A @ lo."""
-    lo = -p
-    a_eq = np.vstack([members[support], np.ones((1, space.n))])
-    b_eq = np.append(np.full(a_eq.shape[0] - 1, eps), 0.0)
-    a_ub = members[~support]
-    b_ub = np.full(a_ub.shape[0], eps)
-    problem = lp_problem(
-        np.zeros(space.n), eq=(a_eq, b_eq - a_eq @ lo), ub=(a_ub, b_ub - a_ub @ lo)
-    )
-    solution = solve_lp(problem)
-    if solution.status != LpStatus.OPTIMAL:
-        return None
-    return solution.x + lo
-
-
-def aligned_instance(rng, n, half_size=2, eps_hi=0.4):
+def aligned_instance(rng, n):
     """Construct (P, F, eps, h, mu) with mu certifying alignment of h.
 
-    h is a conic combination of members with its gauge witness w*; mu = P +
-    delta where delta pins <f_i, delta> = eps on the support of w*, so
-    <mu - P, h> = eps * gauge(h) and mu lies in the one-sided ball, i.e. the
-    alignment condition holds by construction.
+    The certificate is planted.  A sum-zero direction u is drawn first and
+    scaled so that |u|_inf <= 1 and mu = P + eps u >= 0.  Each member pair
+    +-f of F is a random vector orthogonal to u plus a u / |u|^2, with
+    a = 1 on the tight pairs and a in (-1, 1) on the others, so every member,
+    the +-unit vectors included, has <f, u> <= 1 and mu lies in the one-sided
+    eps-ball.  h = sum_k w_k f_k over the tight members then has gauge
+    exactly sum(w): that representation attains it, and <h, u> = sum(w)
+    bounds every other conic one from below.  So <mu - P, h> = eps * gauge(h)
+    and h is aligned, with no LP solved.  Needs n >= 2.
     """
-    for _ in range(64):
-        space = plain_space(n)
-        cls = even_explicit_class(rng, space, half_size)
-        P = interior_distribution(rng, space)
-        weights = rng.uniform(0.2, 1.0, cls.size) * (rng.random(cls.size) < 0.4)
-        if weights.sum() <= 0.0:
-            continue
-        target = weights @ cls.matrix
-        if np.max(np.abs(target)) < 1e-6:
-            continue
-        h = FunctionVec(space, target)
-        gauge = theta(cls, h)
-        if not np.isfinite(gauge.value) or gauge.value < 1e-6:
-            continue
-        support = gauge.witness > 1e-9
-        eps = float(rng.uniform(0.05, eps_hi))
-        # delta = eps u with p + eps u >= 0: the feasible set only grows as
-        # eps shrinks, so no radius of the ladder has a witness if its last
-        # one has none
-        if _witness_direction(space, cls.matrix, support, eps * 2.0**-7, P.weights) is None:
-            continue
-        for _ in range(8):
-            delta = _witness_direction(space, cls.matrix, support, eps, P.weights)
-            if delta is not None:
-                mu = DiscreteDistribution(
-                    space, np.maximum(P.weights + delta, 0.0)
-                    / (P.weights + delta).sum()
-                )
-                return P, cls, eps, h, mu
-            eps *= 0.5
-    raise RuntimeError("failed to construct an aligned instance")
+    space = plain_space(n)
+    P = interior_distribution(rng, space)
+    eps = float(rng.uniform(0.05, EPS_HI))
+    u = rng.uniform(-1.0, 1.0, n)
+    u -= u.mean()
+    u /= max(np.abs(u).max(), np.max(-eps * u / P.weights))
+    along = u / (u @ u)
+    tight = rng.random(HALF_SIZE) < 0.5
+    tight[rng.integers(HALF_SIZE)] = True
+    a = np.where(tight, 1.0, rng.uniform(-1.0, 1.0, HALF_SIZE))
+    g = rng.uniform(-1.0, 1.0, (HALF_SIZE, n))
+    members = g - np.outer(g @ along, u) + np.outer(a, along)
+    cls = even_class(space, members)
+    h = FunctionVec(space, (rng.uniform(0.2, 1.0, HALF_SIZE) * tight) @ members)
+    mu = DiscreteDistribution(space, np.maximum(P.weights + eps * u, 0.0))
+    return P, cls, eps, h, mu
 
 
-def misaligned_instance(rng, n, half_size=2):
+def misaligned_instance(rng, n):
     """Aligned instance with a constant added until the gauge strictly
     dominates the penalty (the constant leaves the penalty unchanged)."""
-    P, cls, eps, h, _ = aligned_instance(rng, n, half_size)
+    P, cls, eps, h, _ = aligned_instance(rng, n)
     base_gauge = theta(cls, h).value
     shift = 1.0
     for _ in range(14):

@@ -23,17 +23,21 @@ from ipmdro import (
 from ipmdro import core
 from ipmdro.core import (
     METRIC_TOL,
+    FunctionClass,
     c_transform,
+    graph_is_connected,
     lipschitz_constant,
     lipschitz_pairs,
     plan_cost,
     require_same_space,
+    sobolev_matrix,
 )
 from ipmdro.errors import (
     AsymmetricMetric,
     DimensionMismatch,
     GraphDisconnected,
     HomogeneityViolated,
+    MissingGraph,
     NumericalBreakdown,
     SelfLoop,
     SingularGram,
@@ -709,3 +713,57 @@ class TestDiscretize:
         space = make_space(["a", "b"])
         got = discretize_structured_class(SupNormBall(space), np.int64(3), seed=0)
         assert len(got.functions) == 3
+
+
+_PAIR = make_space(["a", "b"])
+_UNIFORM = DiscreteDistribution.uniform(_PAIR)
+_H = FunctionVec(_PAIR, [1.0, -1.0])
+_BASE = FunctionClass(_PAIR)
+
+REFUSALS = {
+    "empty_space": (lambda: make_space([]), DimensionMismatch,
+                    "a sample space needs at least one point"),
+    "non_finite_metric": (lambda: make_space(["a", "b"], metric=[[0.0, np.inf], [np.inf, 0.0]]),
+                          ValueError, "metric entries must be finite"),
+    "zero_off_diagonal": (lambda: make_space(["a", "b"], metric=np.zeros((2, 2))), ValueError,
+                          "metric must be strictly positive off the diagonal"),
+    "edge_out_of_range": (lambda: make_space(["a", "b"], graph=((0, 2, 1.0),)),
+                          DimensionMismatch, "edge (0,2) out of range"),
+    "edge_weight_zero": (lambda: make_space(["a", "b"], graph=((0, 1, 0.0),)), ValueError,
+                         "edge (0,1) needs a positive weight"),
+    "edge_weight_negative": (lambda: make_space(["a", "b"], graph=((1, 0, -1.0),)), ValueError,
+                             "edge (1,0) needs a positive weight"),
+    "edge_weight_nan": (lambda: make_space(["a", "b"], graph=((0, 1, np.nan),)), ValueError,
+                        "edge (0,1) needs a positive weight"),
+    "non_finite_weights": (lambda: DiscreteDistribution(_PAIR, [np.nan, 1.0]), ValueError,
+                           "weights must be finite"),
+    "connectivity_without_graph": (lambda: graph_is_connected(_PAIR), MissingGraph,
+                                   "space has no graph"),
+    "laplacian_without_graph": (lambda: sobolev_matrix(_PAIR, _UNIFORM), MissingGraph,
+                                "Sobolev seminorm needs a graph"),
+    "base_gauge": (lambda: _BASE.gauge(_H), UnsupportedVariant,
+                   "no closed-form gauge for FunctionClass"),
+    "base_centered_gauge": (lambda: _BASE.centered_gauge(_H), UnsupportedVariant,
+                            "no centered gauge for FunctionClass"),
+    "base_distance": (lambda: _BASE.distance(_UNIFORM, _UNIFORM), UnsupportedVariant,
+                      "no distance for FunctionClass"),
+    "base_worst_case": (lambda: _BASE.worst_case(_UNIFORM, 0.5, _H), UnsupportedVariant,
+                        "no ball encoding for FunctionClass"),
+    "base_lambda": (lambda: _BASE.lambda_(_UNIFORM, 0.5, _H), UnsupportedVariant,
+                    "infimal convolution not implemented for FunctionClass"),
+    "base_is_even": (lambda: _BASE.is_even(), UnsupportedVariant,
+                     "evenness undefined for FunctionClass"),
+    "base_symmetrized": (lambda: _BASE.symmetrized(), UnsupportedVariant,
+                         "cannot symmetrize FunctionClass; only explicit sets and the "
+                         "structured balls are supported"),
+    "base_discretize": (lambda: _BASE.discretize(4, 0), UnsupportedVariant,
+                        "discretization applies to structured classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

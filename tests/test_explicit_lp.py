@@ -122,6 +122,26 @@ def test_fleet_against_highs():
         assert worst.value == pytest.approx(q @ v, abs=1e-12 * scale)
 
 
+def test_primal_gauge_outside_the_cone(monkeypatch):
+    """Past GAUGE_DUAL_MEMBERS members the gauge poses the primal LP, which
+    is infeasible when h lies outside the members' cone.  Every member here
+    is positive at the first point, so -e_0 is outside: the gauge is
+    +infinity with no witness, and HiGHS finds the primal infeasible too."""
+    rng = np.random.default_rng(37)
+    n, m = 5, balls.GAUGE_DUAL_MEMBERS + 8
+    members = rng.standard_normal((m, n))
+    members[:, 0] = rng.uniform(0.1, 1.0, m)
+    space = make_space([str(i) for i in range(n)])
+    h = -np.eye(n)[0]
+    posed = []
+    monkeypatch.setattr(balls, "solve_lp",
+                        lambda problem: posed.append(problem) or solve_lp(problem))
+    gauge = theta(_explicit(space, members), FunctionVec(space, h))
+    assert gauge.value == np.inf and gauge.witness is None
+    assert [lp.a_eq.shape for lp in posed] == [(n, m)]
+    assert _highs(np.ones(m), A_eq=members.T, b_eq=h) is None
+
+
 def test_one_point_space(monkeypatch):
     """On one point every h is constant: the substitutions leave no variable,
     so neither the centered gauge nor the worst case poses an LP, and the

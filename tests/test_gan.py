@@ -41,6 +41,13 @@ class TestCatalog:
         with pytest.raises(UnknownDivergence):
             f_divergence_catalog("hellinger")
 
+    @pytest.mark.parametrize("offset", [1.0, -0.5, 1e-9])
+    def test_f_must_vanish_at_one(self, offset):
+        with pytest.raises(ValueError) as info:
+            FDivergence("shifted", lambda t: t * math.log(t) + offset, lambda y: np.exp(y - 1.0))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "shifted: f(1) must vanish"
+
     def test_fenchel_young_violation_rejected(self):
         with pytest.raises(ValueError):
             FDivergence("broken", lambda t: (t - 1.0) ** 2, lambda y: 0.0 * np.asarray(y) - 10.0)

@@ -1,6 +1,7 @@
 """Import-level guarantees: the runtime is numpy-only (scipy and hypothesis are
-test oracles), the package exports exactly the names pinned here, and every
-name a module imports is used there."""
+test oracles), the package exports exactly the names pinned here, every name
+a module imports is used there, and only the class variants import the
+numerical kernels."""
 
 import ast
 import os
@@ -30,14 +31,13 @@ PUBLIC_API = {
     "AlignmentReport", "BoundReport", "CriticInfimumReport", "DiscreteDistribution",
     "DroMethod", "DroResult", "DudleyBall", "Explicit", "FDivergence", "FisherBall",
     "FunctionClass", "FunctionVec", "GanBoundReport", "GanValue", "IdentityReport",
-    "IpmValue", "LipschitzBall", "LpProblem", "LpSolution", "LpStatus", "PenaltyValue",
-    "RkhsBall", "SampleSpace", "SobolevBall", "SupNormBall", "SymmetrizeResult",
-    "TightnessReport", "TwoSidedReport", "ZetaBall", "centered_theta", "check_alignment",
-    "corollary_bound", "critic_infimum", "critic_loss", "discretize_structured_class",
-    "f_divergence_catalog", "gan_bound_check", "gan_objective", "ipm_distance",
-    "j_penalty", "lambda_penalty", "lp_problem", "make_space", "minimize_scalar_convex",
-    "project_simplex", "robust_gan_sup", "solve_lp", "symmetrize_class", "theta",
-    "tightness_report", "two_sided_check", "verify_identity", "worst_case_expectation",
+    "IpmValue", "LipschitzBall", "PenaltyValue", "RkhsBall", "SampleSpace", "SobolevBall",
+    "SupNormBall", "SymmetrizeResult", "TightnessReport", "TwoSidedReport", "ZetaBall",
+    "centered_theta", "check_alignment", "corollary_bound", "critic_infimum", "critic_loss",
+    "discretize_structured_class", "f_divergence_catalog", "gan_bound_check",
+    "gan_objective", "ipm_distance", "j_penalty", "lambda_penalty", "make_space",
+    "robust_gan_sup", "symmetrize_class", "theta", "tightness_report", "two_sided_check",
+    "verify_identity", "worst_case_expectation",
 }
 
 
@@ -69,6 +69,23 @@ def test_every_imported_name_is_used():
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert unused == {}
 
+
+def test_only_balls_imports_the_kernels():
+    """The LP kernel and the other numerical kernels of ``solvers`` serve the
+    class variants alone: no other module imports a callable or class from
+    it, or the module itself.  Its ALL_CAPS tolerances are shared."""
+    package = Path(ipmdro.__file__).resolve().parent
+    importers = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [a.name for a in node.names
+                         if (node.module == "solvers" and not a.name.isupper())
+                         or (node.module is None and a.name == "solvers")]
+                if names:
+                    importers.setdefault(path.name, []).extend(names)
+    assert importers.pop("balls.py")
+    assert importers == {}
 
 
 def test_balls_read_the_metric_only_to_test_for_none():

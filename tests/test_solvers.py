@@ -22,6 +22,7 @@ from ipmdro.errors import DimensionMismatch, NumericalBreakdown
 from ipmdro.solvers import (
     FREE,
     NONNEG,
+    LpProblem,
     LpStatus,
     lp_problem,
     minimize_scalar_convex,
@@ -673,3 +674,43 @@ def test_dense_updates_reuse_one_buffer(monkeypatch):
     m = rows[0]
     assert m >= solvers.LP_SPARSE_UPDATE_ROWS and refactors[0] == 0
     assert peak[0] < m * m * 8
+
+
+def _hand_built(**fields):
+    """A feasible LP over two NONNEG variables, built without ``lp_problem``
+    (which reshapes its input), with ``fields`` replaced."""
+    base = dict(objective=np.ones(2), a_eq=np.zeros((0, 2)), b_eq=np.zeros(0),
+                a_ub=np.ones((1, 2)), b_ub=np.ones(1), bounds=np.array([NONNEG, NONNEG]))
+    return LpProblem(**(base | fields))
+
+
+REFUSALS = {
+    "ub_columns": (lambda: solve_lp(_hand_built(a_ub=np.ones((1, 3)))), DimensionMismatch,
+                   "constraint matrices do not match objective size"),
+    "eq_columns": (lambda: solve_lp(_hand_built(a_eq=np.ones((1, 1)), b_eq=np.ones(1))),
+                   DimensionMismatch, "constraint matrices do not match objective size"),
+    "ub_rhs": (lambda: solve_lp(_hand_built(b_ub=np.ones(2))), DimensionMismatch,
+               "constraint rhs does not match matrix rows"),
+    "eq_rhs": (lambda: solve_lp(_hand_built(b_eq=np.ones(1))), DimensionMismatch,
+               "constraint rhs does not match matrix rows"),
+    "bounds_rows": (lambda: solve_lp(_hand_built(bounds=np.array([NONNEG]))), DimensionMismatch,
+                    "bounds must be (n, 2)"),
+    "bounds_flat": (lambda: solve_lp(_hand_built(bounds=np.zeros(4))), DimensionMismatch,
+                    "bounds must be (n, 2)"),
+    "nan_objective": (lambda: solve_lp(_hand_built(objective=np.array([np.nan, 1.0]))),
+                      ValueError, "LP data must be finite"),
+    "inf_matrix": (lambda: solve_lp(_hand_built(a_ub=np.array([[np.inf, 1.0]]))), ValueError,
+                   "LP data must be finite"),
+    "nan_rhs": (lambda: solve_lp(_hand_built(b_ub=np.array([np.nan]))), ValueError,
+                "LP data must be finite"),
+    "project_nan": (lambda: project_simplex(np.array([np.nan, 1.0])), ValueError,
+                    "projection input must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

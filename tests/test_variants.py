@@ -1,5 +1,6 @@
 """Every class variant against every operation on the class: each pair either
-returns a finite result or raises the exception type pinned below."""
+returns a finite result or raises the exception type pinned below.  Each
+constructor refuses the inputs pinned below with its own type and message."""
 
 import math
 import sys
@@ -37,7 +38,15 @@ from ipmdro import (
 )
 from ipmdro import balls
 from ipmdro.core import class_is_even, lipschitz_constant, sobolev_matrix
-from ipmdro.errors import EpsNegative, EpsNonPositive, UnsupportedVariant
+from ipmdro.errors import (
+    DimensionMismatch,
+    EpsNegative,
+    EpsNonPositive,
+    MissingGraph,
+    MissingMetric,
+    SingularGram,
+    UnsupportedVariant,
+)
 from ipmdro.solvers import BALL_FEASIBILITY, solve_lp
 
 N = 3
@@ -355,3 +364,49 @@ def test_structured_centered_gauges_are_closed_form(monkeypatch):
     assert b == pytest.approx(0.5 * (v.max() + v.min()), abs=1e-15)
     expected = 0.5 * (v.max() - v.min()) + lipschitz_constant(cls.space, v)
     assert value.value == pytest.approx(expected, abs=1e-15)
+
+
+_PLAIN = make_space(["x0", "x1", "x2"])
+_FOREIGN = DiscreteDistribution.uniform(make_space(["y0", "y1", "y2"]))
+_ASYMMETRIC = np.eye(N) + np.triu(np.ones((N, N)), 1)
+
+CONSTRUCTOR_REFUSALS = {
+    "explicit_empty": (lambda: Explicit(_PLAIN, ()), DimensionMismatch,
+                       "an explicit class needs at least one member"),
+    "explicit_array_member": (lambda: Explicit(_PLAIN, (np.zeros(N),)), TypeError,
+                              "explicit members must be FunctionVec instances"),
+    "lipschitz_no_metric": (lambda: LipschitzBall(_PLAIN), MissingMetric,
+                            "a Lipschitz ball needs a metric on the space"),
+    "dudley_no_metric": (lambda: DudleyBall(_PLAIN), MissingMetric,
+                         "a Dudley ball needs a metric on the space"),
+    "rkhs_shape": (lambda: RkhsBall(_PLAIN, gram=np.eye(N - 1)), DimensionMismatch,
+                   "Gram matrix shape (2, 2) != (3,3)"),
+    "rkhs_non_finite": (lambda: RkhsBall(_PLAIN, gram=np.diag([1.0, np.nan, 1.0])), ValueError,
+                        "Gram entries must be finite"),
+    "rkhs_asymmetric": (lambda: RkhsBall(_PLAIN, gram=_ASYMMETRIC), SingularGram,
+                        "Gram matrix is not symmetric"),
+    "fisher_array_mu": (lambda: FisherBall(_PLAIN, mu=np.full(N, 1.0 / N)), TypeError,
+                        "FisherBall needs a DiscreteDistribution mu"),
+    "fisher_foreign_mu": (lambda: FisherBall(_PLAIN, mu=_FOREIGN), DimensionMismatch,
+                          "mu lives on a different space"),
+    "sobolev_array_mu": (lambda: SobolevBall(_space(), mu=np.full(N, 1.0 / N)), TypeError,
+                         "SobolevBall needs a DiscreteDistribution mu"),
+    "sobolev_foreign_mu": (lambda: SobolevBall(_space(), mu=_FOREIGN), DimensionMismatch,
+                           "mu lives on a different space"),
+    "sobolev_no_graph": (lambda: SobolevBall(_PLAIN, mu=DiscreteDistribution.uniform(_PLAIN)),
+                         MissingGraph, "a Sobolev ball needs a graph on the space"),
+    "zeta_not_callable": (lambda: ZetaBall(_PLAIN, zeta=1.0), TypeError,
+                          "zeta must be callable"),
+    "zeta_zero_degree": (lambda: ZetaBall(_PLAIN, zeta=np.sum, degree=0.0), ValueError,
+                         "degree must be positive"),
+    "zeta_negative_degree": (lambda: ZetaBall(_PLAIN, zeta=np.sum, degree=-1.0), ValueError,
+                             "degree must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_REFUSALS))
+def test_constructor_refusals(case):
+    build, error, message = CONSTRUCTOR_REFUSALS[case]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
