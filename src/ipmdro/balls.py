@@ -16,6 +16,7 @@ read only through ``core``'s c-transform, plan costs and Lipschitz pairs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -1141,7 +1142,8 @@ class ZetaBall(_Ball):
     def __post_init__(self):
         if not callable(self.zeta):
             raise TypeError("zeta must be callable")
-        if not (np.isfinite(self.degree) and self.degree > 0.0):
+        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Real)
+                or not (np.isfinite(self.degree) and self.degree > 0.0)):
             raise ValueError("degree must be positive")
         rng = np.random.default_rng(1618)
         for _ in range(16):

@@ -40,7 +40,7 @@ class FDivergence:
     open_hi: bool = False
 
     def __post_init__(self):
-        if abs(float(self.f(1.0))) > 1e-12:
+        if not abs(float(self.f(1.0))) <= 1e-12:  # NaN fails it too
             raise ValueError(f"{self.name}: f(1) must vanish")
         lo, hi = self.conj_domain
         xs = np.linspace(0.05, 4.0, 32)
@@ -50,7 +50,7 @@ class FDivergence:
         for x in xs:
             fx = float(self.f(float(x)))
             lhs = fx + np.asarray(self.f_conj(ys), dtype=float)
-            if np.any(lhs < x * ys - 1e-9):
+            if not np.all(lhs >= x * ys - 1e-9):
                 raise ValueError(f"{self.name}: Fenchel-Young inequality fails")
 
     def conj(self, values: np.ndarray) -> np.ndarray:

@@ -155,7 +155,10 @@ class _Simplex:
     Between refactorizations the pivot loop allocates no m x m array: the
     dense rank-one term goes into one buffer, ``update``, made on the first
     dense update.  ``run`` computes the duals ``y`` before each pricing; at
-    the optimum they are the duals ``solve_lp`` returns.
+    the optimum they are the duals ``solve_lp`` returns.  Phase 1 confirms
+    its optimum against a fresh factorization; phase 2 ends on the updated
+    B^-1, and ``solve_lp`` refactors it only when the certificate fails
+    while ``stale`` says B^-1 has been updated since it was factorized.
     """
 
     def __init__(self, a, b, basis, first_slack, slack_sign, stage):
@@ -177,6 +180,7 @@ class _Simplex:
         self.scale = 1.0 + float(np.abs(b).max()) if b.size else 1.0
         self.least_basic = -LP_REFACTOR_FEASIBILITY * self.scale
         self.binv = np.eye(self.m)
+        self.stale = False  # B^-1 updated since the identity or the last refactor
         self.xb = np.maximum(b, 0.0)
         self.y = None
         self.update = None  # the dense rank-one term, m x m once needed
@@ -193,6 +197,7 @@ class _Simplex:
             self.binv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise self.breakdown(f"singular basis: {exc}") from exc
+        self.stale = False
         self.xb = self.binv @ self.b
         if self.xb.size and self.xb.min() < self.least_basic:
             raise self.breakdown("basic solution lost feasibility")
@@ -217,6 +222,7 @@ class _Simplex:
         self.bar[self.basis[row]] = -LP_REDUCED_COST
         self.bar[entering] = -np.inf
         self.basis[row] = entering
+        self.stale = True
 
     def entering(self, c):
         """Bland's entering column for the costs ``c`` at the duals ``y``, or
@@ -234,8 +240,10 @@ class _Simplex:
         entering = improving.argmax()
         return priced + entering if improving[entering] else None
 
-    def run(self, c):
-        """Pivot until optimal or unbounded; returns the status string."""
+    def run(self, c, confirm=False):
+        """Pivot until optimal or unbounded; returns the status string.  With
+        ``confirm``, an optimum reached by pivots is priced again against a
+        fresh factorization before it is returned."""
         since_refactor = 0
         while True:
             if self.iterations > LP_MAX_ITERATIONS:
@@ -243,9 +251,8 @@ class _Simplex:
             self.y = self.binv.T @ c[self.basis]
             entering = self.entering(c)
             if entering is None:
-                if since_refactor == 0:
+                if since_refactor == 0 or not confirm:
                     return "optimal"
-                # confirm optimality against a fresh factorization
                 self.refactor()
                 since_refactor = 0
                 continue
@@ -384,39 +391,56 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     the identity.  Phase 1 runs only when some row needs an artificial.
     Both phases run on one simplex and price with Bland's rule; a redundant
     equality row keeps its artificial basic at zero and gets a zero dual.
-    The duals returned are those of the final pricing, and the dense basis
-    update reuses one buffer.
+    Phase 1 confirms its optimum against a fresh factorization, since its
+    verdict and the basis it hands on carry no certificate.  Phase 2 ends
+    at its first optimal pricing, with the basis inverse as the pivots left
+    it, and returns that pricing's x and duals once they pass the
+    certificate.
 
     Returns a certified solution: on OPTIMAL status the primal residual,
     complementarity residual, and duality gap are verified against
-    LP_FEASIBILITY, LP_COMPLEMENTARITY and LP_DUALITY_GAP, and a violation
-    raises NumericalBreakdown rather than returning a silently wrong answer.
-    Every breakdown names the phase, the standard-form shape and the
-    iteration.
+    LP_FEASIBILITY, LP_COMPLEMENTARITY and LP_DUALITY_GAP.  When a check
+    fails on a basis inverse updated since its last factorization, phase 2
+    refactors, resumes pivoting and is certified again; a second violation,
+    or a first one on a fresh factorization, raises NumericalBreakdown
+    rather than returning a silently wrong answer.  Every breakdown names
+    the phase, the standard-form shape and the iteration.
     """
     sx, c_min, cols, minus, free, row_sign = _standard_form(problem)
-    c_user = problem.objective
-    m_eq = problem.a_eq.shape[0]
     first_artificial = sx.first_artificial
 
     # --- phase 1 ------------------------------------------------------------
     if first_artificial < c_min.size:
         c_phase1 = np.zeros(c_min.size)
         c_phase1[first_artificial:] = 1.0
-        if sx.run(c_phase1) != "optimal":
+        if sx.run(c_phase1, confirm=True) != "optimal":
             raise sx.breakdown("terminated abnormally")
         phase1_value = float(c_phase1[sx.basis] @ sx.xb)
         if phase1_value > LP_PHASE1:
             return LpSolution(LpStatus.INFEASIBLE, None, None, None, None,
                               iterations=sx.iterations)
         sx.drive_out_artificials()
-    sx.stage = "phase 2"
 
-    # --- phase 2 ------------------------------------------------------------
-    if sx.run(c_min) == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, None, None,
-                          iterations=sx.iterations)
+    # --- phase 2, ended by its certificate -----------------------------------
+    for retry in (False, True):
+        sx.stage = "phase 2"
+        if retry:
+            sx.refactor()
+        if sx.run(c_min) == "unbounded":
+            return LpSolution(LpStatus.UNBOUNDED, None, None, None, None,
+                              iterations=sx.iterations)
+        sx.stage = "certification"
+        solution, failure = _certify(problem, sx, c_min, cols, minus, free, row_sign)
+        if failure is None:
+            return solution
+        if retry or not sx.stale:
+            raise sx.breakdown(failure)
 
+
+def _certify(problem, sx, c_min, cols, minus, free, row_sign):
+    """The solution at the simplex's last pricing, and the first of its
+    primal residual, complementarity residual and duality gap that is above
+    tolerance, as a breakdown message, or None."""
     x_std = np.zeros(c_min.size)
     x_std[sx.basis] = sx.xb
     if minus is None:
@@ -426,13 +450,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     else:
         x_user = x_std[cols]
         x_user[free] -= x_std[minus]
-    value = float(c_user @ x_user)
+    value = float(problem.objective @ x_user)
 
-    y = sx.y  # duals of the computational problem, from the final pricing
+    y = sx.y  # duals of the computational problem, from the last pricing
     dual = -y if row_sign is None else -row_sign * y  # max-form duals of the user's rows
 
-    # --- certification -------------------------------------------------------
-    sx.stage = "certification"
+    m_eq = problem.a_eq.shape[0]
     feas = 0.0
     if m_eq:
         feas = max(feas, float(np.abs(problem.a_eq @ x_user - problem.b_eq).max()))
@@ -449,12 +472,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         duality_gap=gap, iterations=sx.iterations,
     )
     if feas > LP_FEASIBILITY * sx.scale:
-        raise sx.breakdown(f"primal residual {feas:.3e} above tolerance")
+        return solution, f"primal residual {feas:.3e} above tolerance"
     if compl > LP_COMPLEMENTARITY:
-        raise sx.breakdown(f"complementarity residual {compl:.3e} above tolerance")
+        return solution, f"complementarity residual {compl:.3e} above tolerance"
     if gap > LP_DUALITY_GAP * (1.0 + abs(value)):
-        raise sx.breakdown(f"duality gap {gap:.3e} above tolerance")
-    return solution
+        return solution, f"duality gap {gap:.3e} above tolerance"
+    return solution, None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ SHA-256 digest over
 - ``lp``: every field of each ``LpSolution`` (status, x, value, dual_eq,
   dual_ub, the three residuals and the iteration count), or the message of
   the breakdown it raised;
+- ``pivots``: each LP's status and iteration count, or the message of the
+  breakdown it raised, so a kernel change that moves bits but no pivot
+  leaves this line as it is;
 - ``transport``: each return of the transport dual's search;
 - ``output``: each operation's output;
 - ``files``: every file the pass wrote (the CLI's reports), by path.
@@ -45,6 +48,11 @@ def solution_bytes(sol) -> bytes:
                       numbers.tobytes()])
 
 
+def pivots_bytes(sol) -> bytes:
+    """An LpSolution's status and iteration count, as bytes."""
+    return f"{sol.status.value} {sol.iterations}".encode()
+
+
 def value_bytes(value) -> bytes:
     """A nested return value (arrays, numbers, tuples, dicts, strings) as bytes."""
     if isinstance(value, np.ndarray):
@@ -71,14 +79,18 @@ class Recorder:
         self.digests.setdefault(kind, hashlib.sha256()).update(data)
         self.counts[kind] += 1
 
-    def _wrap(self, kind, fn, serialize):
+    def _wrap(self, fn, **serializers):
+        """``fn``, recording each return under every kind of ``serializers``
+        by that kind's serializer, and each exception's message under all."""
         def recorded(*args):
             try:
                 out = fn(*args)
             except Exception as exc:
-                self.add(kind, f"{type(exc).__name__}: {exc}".encode())
+                for kind in serializers:
+                    self.add(kind, f"{type(exc).__name__}: {exc}".encode())
                 raise
-            self.add(kind, serialize(out))
+            for kind, serialize in serializers.items():
+                self.add(kind, serialize(out))
             return out
 
         return recorded
@@ -87,8 +99,8 @@ class Recorder:
         from ipmdro import balls
 
         self._saved = balls.solve_lp, balls._transport_dual
-        balls.solve_lp = self._wrap("lp", balls.solve_lp, solution_bytes)
-        balls._transport_dual = self._wrap("transport", balls._transport_dual, value_bytes)
+        balls.solve_lp = self._wrap(balls.solve_lp, lp=solution_bytes, pivots=pivots_bytes)
+        balls._transport_dual = self._wrap(balls._transport_dual, transport=value_bytes)
         return self
 
     def __exit__(self, *exc):

@@ -48,6 +48,22 @@ class TestCatalog:
         assert type(info.value) is ValueError
         assert str(info.value) == "shifted: f(1) must vanish"
 
+    def test_f_that_is_nan_at_one_is_refused(self):
+        """NaN compares False with everything, so a tolerance test written
+        as ``> 1e-12`` would let it through."""
+        with pytest.raises(ValueError) as info:
+            FDivergence("nan", lambda t: float("nan"), lambda y: np.exp(y - 1.0))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "nan: f(1) must vanish"
+
+    def test_nan_in_the_fenchel_young_check_is_refused(self):
+        """f(1) = 0 but f is NaN elsewhere, so only the spot check sees it."""
+        with pytest.raises(ValueError) as info:
+            FDivergence("nan_off_one", lambda t: 0.0 if t == 1.0 else float("nan"),
+                        lambda y: np.exp(y - 1.0))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "nan_off_one: Fenchel-Young inequality fails"
+
     def test_fenchel_young_violation_rejected(self):
         with pytest.raises(ValueError):
             FDivergence("broken", lambda t: (t - 1.0) ** 2, lambda y: 0.0 * np.asarray(y) - 10.0)

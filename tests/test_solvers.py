@@ -275,7 +275,7 @@ class TestBoundedFleetAgainstHighs:
 
 
 # SHA-256 over ``solution_bytes`` of the 400 LPs of TestBoundedFleetAgainstHighs
-FLEET_SOLUTIONS_DIGEST = "592790c05e4edf85f53726dba289eee463373a5e937b9c840b7986bd9848d0c5"
+FLEET_SOLUTIONS_DIGEST = "13594b57fec3f14b28bef13f24223d5fe61e57a173efecd3b6ef3642257509e2"
 
 
 def test_fleet_solutions_are_pinned():
@@ -394,6 +394,97 @@ class TestBreakdownNamesPhaseAndShape:
         with pytest.raises(NumericalBreakdown, match=r"^solve_lp certification \(2 rows, "
                            rf"4 columns, iteration 2\): {residual} 0\.000e\+00 above tolerance$"):
             solve_lp(self.PROBLEM)
+
+
+class TestPhase2EndsOnItsCertificate:
+    """Phase 2 returns at its first optimal pricing without refactorizing;
+    only a failed certificate on an updated basis inverse makes it refactor,
+    resume and certify again."""
+
+    # max c'x s.t. Ax <= b, x >= 0 with positive data: no phase 1, a unique
+    # optimum after 4 pivots
+    RNG = np.random.default_rng(3)
+    A, B, C = RNG.uniform(0.1, 1.0, (6, 4)), RNG.uniform(1.0, 2.0, 6), RNG.uniform(0.5, 1.0, 4)
+    PROBLEM = lp_problem(C, ub=(A, B))
+
+    @staticmethod
+    def spy_refactor(monkeypatch, after=None):
+        """Count refactorizations, by stage; ``after(sx)`` runs after each."""
+        stages = []
+        refactor = solvers._Simplex.refactor
+
+        def spy(sx):
+            stages.append(sx.stage)
+            refactor(sx)
+            if after is not None:
+                after(sx)
+
+        monkeypatch.setattr(solvers._Simplex, "refactor", spy)
+        return stages
+
+    def perturb_last_pivot(self, monkeypatch):
+        """Add 1e-6 to every entry of B^-1 right after the last pivot of the
+        unmutated solve; returns that solve."""
+        clean = solve_lp(self.PROBLEM)
+        exchange = solvers._Simplex.exchange
+
+        def spy(sx, row, entering, direction, pivot):
+            exchange(sx, row, entering, direction, pivot)
+            if sx.iterations == clean.iterations - 1:
+                sx.binv += 1e-6
+
+        monkeypatch.setattr(solvers._Simplex, "exchange", spy)
+        return clean
+
+    def test_no_refactorization_without_phase_1(self, monkeypatch):
+        stages = self.spy_refactor(monkeypatch)
+        sol = solve_lp(self.PROBLEM)
+        assert sol.status == LpStatus.OPTIMAL
+        assert 0 < sol.iterations < solvers.LP_REFACTOR_EVERY
+        assert stages == []
+
+    def test_phase_1_confirms_once(self, monkeypatch):
+        stages = self.spy_refactor(monkeypatch)
+        sol = solve_lp(TestBreakdownNamesPhaseAndShape.PROBLEM)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.value == pytest.approx(1.0, abs=1e-12)
+        assert stages == ["phase 1"]
+
+    def test_failed_certificate_refactors_and_resumes(self, monkeypatch):
+        clean = self.perturb_last_pivot(monkeypatch)
+        stages = self.spy_refactor(monkeypatch)
+        with monkeypatch.context() as patch:
+            failures = []
+            certify = solvers._certify
+
+            def spy_certify(*args):
+                solution, failure = certify(*args)
+                failures.append(failure)
+                return solution, failure
+
+            patch.setattr(solvers, "_certify", spy_certify)
+            sol = solve_lp(self.PROBLEM)
+        assert failures[0] is not None and failures[1:] == [None]
+        assert stages == ["phase 2"]
+        assert sol.status == LpStatus.OPTIMAL
+        assert np.abs(sol.x - clean.x).max() <= 1e-9
+        assert abs(sol.value - clean.value) <= 1e-9
+        assert np.abs(sol.dual_ub - clean.dual_ub).max() <= 1e-9
+
+    def test_second_failed_certificate_raises(self, monkeypatch):
+        self.perturb_last_pivot(monkeypatch)
+
+        def corrupt(sx):
+            # an update after the refactorization, as if the resumed run
+            # had pivoted: the second failure must raise all the same
+            sx.binv += 1e-6
+            sx.stale = True
+
+        stages = self.spy_refactor(monkeypatch, after=corrupt)
+        with pytest.raises(NumericalBreakdown, match=r"^solve_lp certification \(6 rows, "
+                           r"10 columns, iteration \d+\): "):
+            solve_lp(self.PROBLEM)
+        assert stages == ["phase 2"]
 
 
 class TestProjectSimplex:

@@ -401,6 +401,10 @@ CONSTRUCTOR_REFUSALS = {
                          "degree must be positive"),
     "zeta_negative_degree": (lambda: ZetaBall(_PLAIN, zeta=np.sum, degree=-1.0), ValueError,
                              "degree must be positive"),
+    "zeta_string_degree": (lambda: ZetaBall(_PLAIN, zeta=np.sum, degree="2"), ValueError,
+                           "degree must be positive"),
+    "zeta_bool_degree": (lambda: ZetaBall(_PLAIN, zeta=np.sum, degree=True), ValueError,
+                         "degree must be positive"),
 }
 
 
