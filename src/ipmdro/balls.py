@@ -75,10 +75,13 @@ GRAM_MIN_EIG = 1e-10
 # Explicit._conic_lp).  The dual skips phase 1 and a third of the pivots,
 # but its dense basis inverse is m x m; past a few dozen members that costs
 # more than the primal's phase 1 does.  Dual time over primal time, gauge
-# plus centered gauge on a discretized Fisher ball (one core, best of 3):
-# 0.64-0.84 at 33 members on 4-24 points but 1.17 on 40; 0.62-1.07 at 64;
-# 0.89-2.2 at 128; 2.3-6.5 at 256; 7.7-26 at 512.  No one count is best at
-# every size, so this one is a compromise.
+# plus centered gauge on a discretized Fisher ball (10 h, one core, best of
+# 5, two runs): 0.52-0.57 at 33 and 64 members on 4 points, 0.54-0.78 on 8,
+# 0.80-0.81 at 64 on 16 and 0.90-1.03 on 24; at 128 members 0.74-0.85 on
+# 4-8 points but 1.06-1.53 on 16-40; 1.3-3.8 at 256 and 4.3-13.5 at 512 on
+# every size.  (At 33 members on 16-40 points and 64 on 40, every h lay
+# outside the members' cone.)  No one count is best at every size, so this
+# one is a compromise.
 GAUGE_DUAL_MEMBERS = 32
 
 
@@ -463,12 +466,13 @@ def _split_penalty(ball, P, eps, h, h2):
 def _transport_result(ball, P, h, q, budgets, bound, at):
     """The worst case E_Q[h] of a transport ball, certified: q spends at most
     each budget's (name, limit, spent, tight) limit, all of it when tight,
-    and E_Q[h] meets the dual ``bound``, at the dual point ``at``."""
+    and E_Q[h] meets the dual ``bound``, at the dual point ``at``, within
+    LP_DUALITY_GAP max|h|."""
     value = float(q @ h.values)
-    gap = abs(value - bound)
+    gap, scale = abs(value - bound), float(np.abs(h.values).max())
     for name, limit, spent, tight in budgets:
         residual = abs(spent - limit) if tight else spent - limit
-        if residual > LP_FEASIBILITY * (1.0 + limit) or gap > LP_DUALITY_GAP * (1.0 + abs(bound)):
+        if residual > LP_FEASIBILITY * (1.0 + limit) or gap > LP_DUALITY_GAP * scale:
             raise NumericalBreakdown(
                 f"{type(ball).__name__} worst case (n = {ball.space.n}, {at}): ball residual "
                 f"{residual:.3e} on the {name} budget, value gap {gap:.3e} above tolerance"
@@ -548,7 +552,9 @@ class SupNormBall(_Ball):
 # drain runs over the rows' values with max h appended as a zero-mass target,
 # so that the drained mass reaches argmax h even where P leaves it empty: a
 # piece's weights are the rows' masses after the drain, then the target's.
-# Points of zero mass are no rows: they move nothing.
+# Every point is a row, and one of zero mass carries no weight.  A row on
+# argmax h ties with the target, so past the first piece the drain lands on
+# the first argmax of h, whether P gives it mass or not.
 #
 # phi(0) = max h, the identity's cap.  Just right of lam = 0, row i's argmax
 # of h_j - lam c_ij is its nearest argmax of h (lowest index among equal
@@ -581,26 +587,24 @@ def _transport_dual(ball, p, h, eps, drain):
     optimal there, ``over`` with a transport cost above eps and ``under`` at
     most eps (one piece twice when lam* = 0), each draining ``drain``.
 
-    A cutting-plane search over the rows of positive mass.  It first builds
-    the piece phi has just right of lam = 0 and returns lam* = 0.0 exactly
-    when that slope is nonnegative.  Otherwise it keeps that piece
-    (``over``) and one of nonnegative slope (``under``, first the last
-    piece), evaluates phi where they cross and replaces one of them by the
-    piece of the plan that takes each row's lowest-index argmax there.  It
-    stops where phi meets the two pieces, within 1e-12 of the scale of h:
-    they are then adjacent and cross at lam* > 0.  A search past n^2 + 2
+    A cutting-plane search with every point as a row.  It first builds the
+    piece phi has just right of lam = 0 and returns lam* = 0.0 exactly when
+    that slope is nonnegative.  Otherwise it keeps that piece (``over``) and
+    one of nonnegative slope (``under``, first the last piece), evaluates
+    phi where they cross and replaces one of them by the piece of the plan
+    that takes each row's lowest-index argmax there.  It stops where phi
+    meets the two pieces within 1e-12 max|h|, a tolerance in the units of
+    h: they are then adjacent and cross at lam* > 0.  A search past n^2 + 2
     steps (n^2 (n + 2) + 2 with a drain) raises NumericalBreakdown.
     """
-    n, space = p.size, ball.space
-    src = np.flatnonzero(p > 0.0)
-    rows, top = (None if src.size == n else src), float(h.max())
-    mass = np.append(p[src], 0.0)
-    tol = 1e-12 * (1.0 + float(np.abs(h).max()))
+    n, space, top = p.size, ball.space, float(h.max())
+    mass = np.append(p, 0.0)
+    tol = 1e-12 * float(np.abs(h).max())
 
     def piece(plan, values, target):
         weights = _drain(np.append(values, target), mass, drain)[0] if drain else mass
         sent = weights[:-1]
-        paid = float(sent @ plan_cost(space, src, plan))
+        paid = float(sent @ plan_cost(space, plan))
         value = float(sent @ h[plan]) + float(weights[-1]) * top
         return _Piece(plan, weights, paid, value, eps - paid)
 
@@ -608,15 +612,15 @@ def _transport_dual(ball, p, h, eps, drain):
     # row's cost to its nearest argmax of h, lowest index among equal costs
     # (a row on argmax h reads 0.0 - 0.0 = +0.0 there, not -0.0; only the
     # drain's stable sort sees it, and that sort takes the two as equal)
-    near, plan = c_transform(space, np.where(h == top, 0.0, -np.inf), 1.0, rows)
+    near, plan = c_transform(space, np.where(h == top, 0.0, -np.inf), 1.0)
     over = piece(plan, near, np.inf)
     if over.slope >= 0.0:  # phi rises right of 0
         return 0.0, over.intercept, over, over
-    under = piece(src, h[src], top)
+    under = piece(np.arange(n), h, top)
     steps = n * n * (n + 2 if drain else 1) + 2
     for _ in range(steps):
         lam = (under.intercept - over.intercept) / (over.slope - under.slope)
-        values, plan = c_transform(space, h, lam, rows)
+        values, plan = c_transform(space, h, lam)
         cut = piece(plan, values, top)
         phi = cut.intercept + cut.slope * lam
         model = max(over.intercept + over.slope * lam, under.intercept + under.slope * lam)
@@ -654,7 +658,7 @@ def _transport_worst_case(ball, P, eps, h, drain):
     # lam* > 0 spends all of each budget (complementary slackness)
     budgets = [("transport", eps, theta * over.cost + (1.0 - theta) * under.cost, lam > 0.0)]
     if drain:  # a budget of 0 moves no mass by total variation
-        drained = theta * over.weights + (1.0 - theta) * under.weights - np.append(p[p > 0.0], 0.0)
+        drained = theta * over.weights + (1.0 - theta) * under.weights - np.append(p, 0.0)
         budgets.append(("total-variation", 2.0 * drain, float(np.abs(drained).sum()), lam > 0.0))
     return _transport_result(ball, P, h, q, budgets, phi, f"lambda = {lam!r}")
 

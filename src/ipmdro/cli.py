@@ -823,9 +823,6 @@ def main(argv=None) -> int:
             config.raw["seed"] = args.seed
         rows, witnesses = SUBCOMMANDS[args.subcommand](config)
         paths = emit_report(args.subcommand, rows, witnesses, config, args.out)
-    except ConfigError as exc:
-        print(f"ipmdro: {exc}", file=sys.stderr)
-        return 2
     except NumericalBreakdown as exc:
         print(f"ipmdro: numerical breakdown: {exc}", file=sys.stderr)
         return 3

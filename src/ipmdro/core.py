@@ -5,7 +5,8 @@ live in ``balls``), and the structural helpers the variants share.
 Every type is immutable after construction and validated eagerly, so the
 numerical modules can assume well-formed inputs.  The transport balls read
 the dense metric only through ``c_transform``, ``plan_cost`` and
-``lipschitz_pairs``, whose path test ``SampleSpace`` makes once.
+``lipschitz_pairs``, whose path test ``SampleSpace`` makes once; the first
+two compute every point's row.
 """
 
 from __future__ import annotations
@@ -348,20 +349,18 @@ def lipschitz_pairs(space: SampleSpace):
     return i, j, space.metric[i, j]
 
 
-def c_transform(space: SampleSpace, g: np.ndarray, lam: float, rows=None):
-    """(values, plan): max_j (g_j - lam c_ij) for each row i of ``rows``, an
-    index array (every point when None), and the lowest-index j attaining
-    it.  One array of len(rows) x n is allocated."""
-    c = space.metric if rows is None else space.metric[rows]
-    gain = np.multiply(c, lam, out=None if rows is None else c)
+def c_transform(space: SampleSpace, g: np.ndarray, lam: float):
+    """(values, plan): max_j (g_j - lam c_ij) for every row i, and the
+    lowest-index j attaining it.  One n x n array is allocated."""
+    gain = np.multiply(space.metric, lam)
     np.subtract(g, gain, out=gain)
     plan = gain.argmax(axis=1)
     return gain[np.arange(plan.size), plan], plan
 
 
-def plan_cost(space: SampleSpace, rows: np.ndarray, plan: np.ndarray) -> np.ndarray:
-    """c(rows[k], plan[k]): the cost of each row's move under ``plan``."""
-    return space.metric[rows, plan]
+def plan_cost(space: SampleSpace, plan: np.ndarray) -> np.ndarray:
+    """c(i, plan[i]): the cost of each row's move under ``plan``."""
+    return space.metric[np.arange(plan.size), plan]
 
 
 def sobolev_matrix(space: SampleSpace, mu: DiscreteDistribution) -> np.ndarray:

@@ -16,8 +16,11 @@ SHA-256 digest over
 - ``output``: each operation's output;
 - ``files``: every file the pass wrote (the CLI's reports), by path.
 
-Run it on two checkouts and compare the lines.  ``solution_bytes`` is the
-serialization the tier-1 digest of ``tests/test_solvers.py`` pins.
+Run it on two checkouts and compare the lines.  ``all`` in place of the
+workload runs every workload in turn and prefixes each line with its name,
+so that one ``diff`` of two outputs covers the whole benchmark.
+``solution_bytes`` is the serialization the tier-1 digest of
+``tests/test_solvers.py`` pins.
 """
 
 import os
@@ -113,11 +116,19 @@ class Recorder:
                 for kind in sorted(self.digests)]
 
 
-def record_pass(workload, seed, scale):
-    """One pass of ``workload``'s operations under a Recorder; its lines."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+def _workloads():
+    """The benchmark's ``workloads`` module, with the package on the path."""
+    for path in (str(ROOT / "bench"), str(ROOT / "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
     import workloads
 
+    return workloads
+
+
+def record_pass(workload, seed, scale):
+    """One pass of ``workload``'s operations under a Recorder; its lines."""
+    workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         ops = workloads.BUILDERS[workload](seed, scale, ROOT, out_dir)
@@ -135,12 +146,14 @@ def record_pass(workload, seed, scale):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload")
+    parser.add_argument("workload", help="a benchmark workload, or all of them")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
-    for line in record_pass(args.workload, args.seed, args.scale):
-        print(line)
+    every = args.workload == "all"
+    for workload in _workloads().BUILDERS if every else [args.workload]:
+        for line in record_pass(workload, args.seed, args.scale):
+            print(f"{workload} {line}" if every else line)
     return 0
 
 

@@ -14,7 +14,8 @@ total-variation worst case of ``oracles``, up to 100,000 points.
 
 The Dudley ball's worst case searches the same dual with a total-variation
 drain in each piece; its mutation, step-cap and size tests are here, and its
-differential fleet against HiGHS is in ``test_flow_lp``.
+differential fleet against HiGHS is in ``test_flow_lp``.  A power-of-two
+scaling fleet checks that all three balls work in the units of h.
 """
 
 import tracemalloc
@@ -218,6 +219,66 @@ def test_moved_mixing_weight_is_refused(ball, shift, monkeypatch):
         worst_case_expectation(P, ball(space), eps, h)
 
 
+SCALES = [-1000, -60, -30, 30, 60, 1000]
+COVARIANCE_FLEET = [(kind, n, seed, variant) for kind in ("path", "euclid")
+                    for n in range(3, 13)
+                    for seed, variant in ((1, None), (2, "zero-mass"), (3, "ties"))]
+
+
+def transport_outputs(space, P, h, eps):
+    """(operation, value, worst_q) for the sup-norm, Lipschitz and Dudley
+    worst cases and the sup-norm and Lipschitz penalties (worst_q None)."""
+    H, out = FunctionVec(space, h), []
+    for ball in (SupNormBall(space), LipschitzBall(space), DudleyBall(space)):
+        name = type(ball).__name__
+        worst = worst_case_expectation(P, ball, eps, H)
+        out.append((f"{name} worst case", worst.value, worst.worst_q.weights.tolist()))
+        if not isinstance(ball, DudleyBall):
+            out.append((f"{name} penalty", lambda_penalty(P, ball, eps, H).value, None))
+    return out
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_power_of_two_scaling_of_h_is_exact(k):
+    """Every operation is positively homogeneous in h, and a power of two
+    scales each of their floating-point steps exactly while no value leaves
+    the normal range.  So at 2^k h each value is 2^k times its value at h
+    and each worst_q is the same, bit for bit, on 60 path and Euclidean
+    spaces of 3-12 points, with and without zero masses and ties in h.  A
+    tolerance with an absolute floor, such as 1e-12 (1 + max|h|), stops the
+    search at its first crossing once |h| falls below about 1e-9."""
+    inexact = []
+    for case in COVARIANCE_FLEET:
+        space, _, P, h, eps = instance(*case)
+        at_h = transport_outputs(space, P, h.values, eps)
+        scaled = transport_outputs(space, P, np.ldexp(h.values, k), eps)
+        for (name, value, q), (_, got, got_q) in zip(at_h, scaled):
+            if got != np.ldexp(value, k) or got_q != q:
+                inexact.append((case, name))
+    assert inexact == []
+
+
+@pytest.mark.parametrize("k", [0] + SCALES)
+@pytest.mark.parametrize("ball", [LipschitzBall, DudleyBall])
+def test_inflated_dual_value_is_refused_at_every_scale(ball, k, monkeypatch):
+    """phi(lam*) inflated by 1e-6 of itself leaves a value gap of 1e-6 |phi|,
+    which is more than seven times LP_DUALITY_GAP max|h| on this instance, so
+    the certificate refuses it at every scale of h.  A gap bound with an
+    absolute floor, LP_DUALITY_GAP (1 + |phi|), let it pass from k = -30."""
+    space, _, P, h, eps = instance("euclid", 12, 1)
+    v = np.ldexp(h.values, k)
+    real = balls._transport_dual
+
+    def inflated(*args):
+        lam, phi, *rest = real(*args)
+        return (lam, phi * (1.0 + 1e-6), *rest)
+
+    monkeypatch.setattr(balls, "_transport_dual", inflated)
+    with pytest.raises(NumericalBreakdown, match=rf"{ball.__name__} worst case \(n = 12, "
+                       r"lambda = .*\): ball residual .*, value gap"):
+        worst_case_expectation(P, ball(space), eps, FunctionVec(space, v))
+
+
 def test_search_without_a_kink_stops_at_its_bound():
     # a NaN in h, which no public call lets through, hides every kink
     ball = LipschitzBall(make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3))))
@@ -264,6 +325,20 @@ def test_dudley_search_exits_at_a_literal_zero(weights, eps, shift):
                                    FunctionVec(space, h))
     assert abs(worst.value - h.max()) <= 1e-15 * (1.0 + np.abs(h).max())
     assert worst.worst_q.weights.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_dudley_drain_lands_on_the_first_argmax_of_h():
+    """Every point is a row, so the drain of a piece past the first lands on
+    the first argmax of h, which P leaves empty here.  On 2 (1 - I) with
+    h = (1, 0, 1), P = (0, 1/2, 1/2) and eps = 1/4, the two pieces mix at
+    theta = 1/3: the one that sends point 1 to point 0 (cost 3/4) and the
+    one that keeps it (cost 0), each draining 1/8 onto point 0."""
+    space = make_space(["a", "b", "c"], metric=2.0 * (1.0 - np.eye(3)))
+    P = DiscreteDistribution(space, np.array([0.0, 0.5, 0.5]))
+    worst = worst_case_expectation(P, DudleyBall(space), 0.25,
+                                   FunctionVec(space, np.array([1.0, 0.0, 1.0])))
+    assert worst.value == 0.75
+    assert worst.worst_q.weights == pytest.approx([0.25, 0.25, 0.5], rel=0.0, abs=1e-15)
 
 
 def test_lipschitz_mass_goes_to_its_nearest_argmax_of_h():
@@ -474,7 +549,7 @@ def expect_sup_norm_matches_references(h, mass, eps):
 @given(data=st.data())
 def test_sup_norm_matches_the_discrete_metric_and_the_greedy_move(data):
     """Repeated integer levels (optionally scaled, and nudged by 1e-13 or
-    4e-13, below the 1e-12 scale at which the transport dual stops) give
+    4e-13, near the 1e-12 max|h| at which the transport dual stops) give
     ties and near-ties at the threshold and at argmax h, which the transport
     dual's exact argmaxes must tell apart; zero masses leave points out of
     the move but not out of the penalty's split."""
